@@ -82,9 +82,12 @@ def perturbation_bound(pair: GmpPair, pair_tilde: GmpPair) -> float:
     the per-index) GSV deviation between the two pairs."""
     if pair.g1.shape != pair_tilde.g1.shape or pair.g2.shape != pair_tilde.g2.shape:
         raise DimensionError("pairs must have identical shapes")
+    # the pseudoinverse norms factor each stack on first use; read them
+    # before the difference exists so the two are never alive together
+    pinv_norm = min(pair.stack_pinv_norm, pair_tilde.stack_pinv_norm)
     delta = pair_tilde.stacked() - pair.stacked()
     dnorm = math.sqrt(core.sum_sq(delta))
-    return math.sqrt(2.0) * dnorm * min(pair.stack_pinv_norm, pair_tilde.stack_pinv_norm)
+    return math.sqrt(2.0) * dnorm * pinv_norm
 
 
 def _entropy_sensitivity(vals: np.ndarray, d: float) -> float:

@@ -3,14 +3,20 @@
 ``compute_gsv`` runs the two-phase pipeline: extract approximate bases for
 both matrices, stack the compressed pair, take its reduced QR, and read
 the GSVs off the singular values of the smaller of the two Q-factor
-blocks. ``method="direct"`` runs the identical stacking code with no
-compression and serves as the oracle path. ``recover_gsvd`` rebuilds the
-full factorization G1 = U diag(alpha) R, G2 = V diag(beta) R on demand.
+blocks. The compressed pair is the ``b`` rows (Q^H G) that extraction
+already formed, so no compression product is recomputed, and the rank
+test runs on the singular values of the stack's n x n R factor rather
+than on the (m + p) x n stack; a projection cannot raise rank, so a
+rank-deficient pair is still rejected. ``method="direct"`` runs the
+identical stacking code with no compression and serves as the oracle
+path. ``recover_gsvd`` rebuilds the full factorization
+G1 = U diag(alpha) R, G2 = V diag(beta) R on demand.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +36,16 @@ DIRECT = "direct"
 
 @dataclass(frozen=True)
 class GmpPair:
-    """A matrix pair {g1 (m x n), g2 (p x n)} whose vertical stack has full
-    column rank. Construction validates the rank condition and promotes
-    both matrices to a common scalar field."""
+    """A matrix pair {g1 (m x n), g2 (p x n)} whose vertical stack should
+    have full column rank.
+
+    Construction promotes both matrices to a common scalar field and
+    checks the shapes, including m + p >= n. It does not factor the
+    stack: the numerical rank test (sigma_min <= 1e-12 * sigma_max raises
+    RankDeficiencyError) runs on the R factor of the stacked pair inside
+    ``compute_gsv`` and ``recover_gsvd``, and on the stack itself the
+    first time ``stack_norm2`` or ``stack_pinv_norm`` is read.
+    """
 
     g1: np.ndarray
     g2: np.ndarray
@@ -52,17 +65,8 @@ class GmpPair:
             raise RankDeficiencyError(
                 f"stacked pair has {a.shape[0] + b.shape[0]} rows < {n} columns"
             )
-        s = np.linalg.svd(np.vstack([a, b]), compute_uv=False)
-        smax, smin = float(s[0]), float(s[-1])
-        if smin <= 1e-12 * smax:
-            raise RankDeficiencyError(
-                f"stacked pair is numerically rank deficient "
-                f"(sigma_min/sigma_max = {smin / smax if smax else 0.0:.3e})"
-            )
         object.__setattr__(self, "g1", a)
         object.__setattr__(self, "g2", b)
-        object.__setattr__(self, "_stack_smax", smax)
-        object.__setattr__(self, "_stack_smin", smin)
 
     @property
     def m(self) -> int:
@@ -79,15 +83,35 @@ class GmpPair:
     def stacked(self) -> np.ndarray:
         return np.vstack([self.g1, self.g2])
 
+    @functools.cached_property
+    def _stack_extremes(self) -> tuple[float, float]:
+        s = np.linalg.svd(self.stacked(), compute_uv=False)
+        _require_full_rank(s, "stacked pair")
+        return float(s[0]), float(s[-1])
+
     @property
     def stack_norm2(self) -> float:
-        """Largest singular value of the stacked pair (cached)."""
-        return self._stack_smax
+        """Largest singular value of the stacked pair (computed once, on
+        first use; raises RankDeficiencyError for a rank-deficient stack)."""
+        return self._stack_extremes[0]
 
     @property
     def stack_pinv_norm(self) -> float:
-        """Spectral norm of the stacked pair's pseudoinverse (cached)."""
-        return 1.0 / self._stack_smin
+        """Spectral norm of the stacked pair's pseudoinverse (computed
+        once, on first use; raises RankDeficiencyError for a rank-deficient
+        stack)."""
+        return 1.0 / self._stack_extremes[1]
+
+
+def _require_full_rank(s: np.ndarray, what: str) -> None:
+    """Raise RankDeficiencyError unless the smallest of the descending
+    singular values ``s`` exceeds 1e-12 times the largest."""
+    smax, smin = float(s[0]), float(s[-1])
+    if smin <= 1e-12 * smax:
+        raise RankDeficiencyError(
+            f"{what} is numerically rank deficient "
+            f"(sigma_min/sigma_max = {smin / smax if smax else 0.0:.3e})"
+        )
 
 
 @dataclass(frozen=True)
@@ -238,8 +262,18 @@ class _Pipeline:
     l1_block: np.ndarray
     l2_block: np.ndarray
     r_tilde: np.ndarray
+    r_singular_values: np.ndarray  # of r_tilde, descending
     basis1: object | None = None
     basis2: object | None = None
+
+
+def _side_config(cfg: ExtractionConfig, g: np.ndarray, seed: int) -> ExtractionConfig:
+    """The extraction settings of one side: its own seed, and max_cols
+    clamped to that side's min(rows, cols)."""
+    cap = cfg.max_cols
+    if cap is not None:
+        cap = min(cap, *g.shape)
+    return dataclasses.replace(cfg, seed=seed, max_cols=cap)
 
 
 def _run_pipeline(pair: GmpPair, opts: GsvOptions) -> _Pipeline:
@@ -249,16 +283,20 @@ def _run_pipeline(pair: GmpPair, opts: GsvOptions) -> _Pipeline:
         b1 = b2 = None
     else:
         cfg = opts.extraction
-        b1 = extract_basis(pair.g1, cfg)
-        b2 = extract_basis(pair.g2, dataclasses.replace(cfg, seed=cfg.seed + 1))
+        b1 = extract_basis(pair.g1, _side_config(cfg, pair.g1, cfg.seed))
+        b2 = extract_basis(pair.g2, _side_config(cfg, pair.g2, cfg.seed + 1))
         q1, q2 = b1.q, b2.q
-        c1 = q1.conj().T @ pair.g1
-        c2 = q2.conj().T @ pair.g2
-    qf = core.reduced_qr(np.vstack([c1, c2])) if c1.shape[0] + c2.shape[0] else None
-    if qf is None:
-        raise RankDeficiencyError("both compressed blocks are empty")
-    l1 = c1.shape[0]
-    return _Pipeline(q1, q2, qf.q[:l1], qf.q[l1:], qf.r, b1, b2)
+        c1, c2 = b1.b, b2.b
+    l1, l2, n = c1.shape[0], c2.shape[0], pair.n
+    if l1 + l2 < n:
+        raise RankDeficiencyError(
+            f"compressed pair has {l1} + {l2} rows < {n} columns; "
+            "tighten the extraction tolerance or raise max_cols"
+        )
+    qf = core.reduced_qr(np.vstack([c1, c2]))
+    sv = np.linalg.svd(qf.r, compute_uv=False)
+    _require_full_rank(sv, "stacked pair" if q1 is None else "compressed stacked pair")
+    return _Pipeline(q1, q2, qf.q[:l1], qf.q[l1:], qf.r, sv, b1, b2)
 
 
 def compute_gsv(pair: GmpPair, opts: GsvOptions | None = None) -> GsvSpectrum:
@@ -268,7 +306,10 @@ def compute_gsv(pair: GmpPair, opts: GsvOptions | None = None) -> GsvSpectrum:
     (block seeds derived from extraction.seed and extraction.seed + 1);
     method="direct" runs the identical stacked-QR + SVD path with no
     compression and is the reference the randomized path is tested
-    against.
+    against. A max_cols cap is clamped to each side's min(rows, cols).
+    Raises RankDeficiencyError when the stacked pair, or on the
+    randomized path the compressed pair (fewer than n rows, or
+    sigma_min(R) <= 1e-12 * sigma_max(R)), is numerically rank deficient.
     """
     opts = opts or GsvOptions()
     pl = _run_pipeline(pair, opts)
@@ -306,11 +347,6 @@ def recover_gsvd(pair: GmpPair, opts: GsvOptions | None = None) -> GsvdFactors:
             f"full recovery needs m >= n and p >= n, got ({m}, {p}, {n})"
         )
     pl = _run_pipeline(pair, opts)
-    if pl.r_tilde.shape[0] != n:
-        raise RecoveryError(
-            "compressed pair has fewer than n independent columns; "
-            "tighten the extraction tolerance"
-        )
     l1, l2 = pl.l1_block.shape[0], pl.l2_block.shape[0]
     spectrum = spectrum_from_l_blocks(
         pl.l1_block, pl.l2_block, n, opts.classify_tol

@@ -2,11 +2,16 @@
 
 ``extract_basis`` builds Q block by block from Gaussian sketches until the
 Frobenius residual ||(I - QQ^H)G||_F falls below a tolerance, every block
-being projected against the current basis (twice, to contain roundoff)
-before its reduced QR. The squared residual is maintained cumulatively as
-||G||_F^2 minus the captured energy, which keeps each iteration at
-O(m*n*b); ``residual_norm`` is the explicit reference evaluation used to
-validate the cumulative value.
+being projected against the kept blocks (twice, to contain roundoff)
+before its reduced QR; such tall, narrow panels take ``core.reduced_qr``'s
+CholeskyQR2 path, with a Householder fallback for ill-conditioned ones.
+Each kept block P also yields its compressed rows P^H G, which give the
+captured energy and are returned as ``BasisResult.b = Q^H G`` (the QB form
+of the blocked rangefinder), so callers need not form Q^H G again. The
+squared residual is maintained cumulatively as ||G||_F^2 minus the
+captured energy, which keeps each iteration at O(m*n*b); ``residual_norm``
+is the explicit reference evaluation used to validate the cumulative
+value.
 """
 
 from __future__ import annotations
@@ -53,12 +58,15 @@ class ExtractionConfig:
 class BasisResult:
     """Output of ``extract_basis``.
 
+    q is the m x k orthonormal basis and b = q^H g its k x n compressed
+    rows, formed block by block while the residual was tracked.
     residual_history[i] is the Frobenius residual after i iterations
     (entry 0 is the residual of the empty basis); block_widths records how
     many columns each iteration contributed after trimming.
     """
 
     q: np.ndarray
+    b: np.ndarray
     residual_history: list[float]
     converged: bool
     iterations: int
@@ -90,11 +98,12 @@ def extract_basis(g, cfg: ExtractionConfig | None = None) -> BasisResult:
             f"max_cols={max_cols} exceeds min(rows, cols)={min(m, n)}"
         )
 
-    q = np.zeros((m, 0), dtype=a.dtype)
+    blocks: list[np.ndarray] = []  # kept orthonormal blocks of Q, in order
+    rows: list[np.ndarray] = []  # their compressed rows P^H G
     history = [normf]
     widths: list[int] = []
     if normf == 0.0 or normf < tol:
-        return BasisResult(q, history, True, 0, widths)
+        return BasisResult(*_join(blocks, rows, a), history, True, 0, widths)
 
     b = min(cfg.blocksize, n)
     nblocks = -(-n // b)
@@ -102,26 +111,31 @@ def extract_basis(g, cfg: ExtractionConfig | None = None) -> BasisResult:
     captured_parts: list[float] = []
     converged = False
     iterations = 0
+    kept = 0
 
     for i in range(nblocks):
         width = min(b, n - i * b)
         if max_cols is not None:
-            width = min(width, max_cols - q.shape[1])
+            width = min(width, max_cols - kept)
             if width <= 0:
                 break
         omega = rng.standard_normal((n, width))
         if complex_field:
             omega = math.sqrt(0.5) * (omega + 1j * rng.standard_normal((n, width)))
         y = a @ omega
-        if q.shape[1]:
-            y -= q @ (q.conj().T @ y)
-            y -= q @ (q.conj().T @ y)
+        for _ in range(2):
+            for qb in blocks:
+                y -= qb @ (qb.conj().T @ y)
         p, t = core.reduced_qr(y)
+        del y  # not needed again; keeps one panel out of the peak when Q is joined
         keep = np.abs(np.diagonal(t)) >= trim_cut
         p = p[:, keep]
         if p.shape[1]:
-            captured_parts.append(core.sum_sq(p.conj().T @ a))
-            q = np.hstack([q, p])
+            bp = p.conj().T @ a
+            captured_parts.append(core.sum_sq(bp))
+            blocks.append(p)
+            rows.append(bp)
+            kept += p.shape[1]
         widths.append(p.shape[1])
         res2 = gf2 - math.fsum(captured_parts)
         history.append(math.sqrt(max(res2, 0.0)))
@@ -129,10 +143,21 @@ def extract_basis(g, cfg: ExtractionConfig | None = None) -> BasisResult:
         if history[-1] < tol:
             converged = True
             break
-        if max_cols is not None and q.shape[1] >= max_cols:
+        if max_cols is not None and kept >= max_cols:
             break
 
-    return BasisResult(q, history, converged, iterations, widths)
+    return BasisResult(*_join(blocks, rows, a), history, converged, iterations, widths)
+
+
+def _join(blocks: list[np.ndarray], rows: list[np.ndarray], a: np.ndarray):
+    """(Q, Q^H G) from the kept blocks and their rows, each joined once.
+    The rows are joined and released first, so they are not alive beside
+    both copies of Q."""
+    m, n = a.shape
+    c = np.vstack(rows) if rows else np.zeros((0, n), dtype=a.dtype)
+    rows.clear()
+    q = np.hstack(blocks) if blocks else np.zeros((m, 0), dtype=a.dtype)
+    return q, c
 
 
 def residual_norm(g, q) -> float:

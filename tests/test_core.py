@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +176,74 @@ class TestFrobeniusNorm:
         m = gaussian_matrix(30, 8, seed=11)
         q, _ = reduced_qr(gaussian_matrix(30, 30, seed=12))
         assert abs(frobenius_norm(q @ m) - frobenius_norm(m)) <= 1e-12 * frobenius_norm(m)
+
+
+class TestReducedQrPanels:
+    """Tall, narrow panels take CholeskyQR2 and fall back to Householder
+    when the panel is too ill-conditioned or its Gram matrix overflows."""
+
+    @staticmethod
+    def _factor(a, monkeypatch):
+        """reduced_qr(a) with warnings as errors; returns the factors and
+        whether Householder QR ran."""
+        calls = []
+        qr = np.linalg.qr
+
+        def recording_qr(*args, **kwargs):
+            calls.append(1)
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", recording_qr)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q, r = reduced_qr(a)
+        return q, r, bool(calls)
+
+    @staticmethod
+    def _check_invariants(a, q, r):
+        k = a.shape[1]
+        scale = np.max(np.abs(a))
+        assert q.shape == a.shape and r.shape == (k, k)
+        assert np.all(np.isfinite(q)) and np.all(np.isfinite(r))
+        assert np.linalg.norm(q.conj().T @ q - np.eye(k)) <= 1e-12 * math.sqrt(k)
+        assert np.linalg.norm((q @ r - a) / scale) <= 1e-12 * np.linalg.norm(a / scale)
+        assert np.all(r[np.tril_indices_from(r, -1)] == 0)
+        assert np.all(np.diagonal(r).real >= 0)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_well_conditioned_panel_matches_householder(self, field, monkeypatch):
+        a = gaussian_matrix(4000, 100, seed=31, field=field)
+        q_ref, r_ref = np.linalg.qr(a)
+        d = np.diagonal(r_ref)
+        ph = d / np.abs(d)
+        q_ref, r_ref = q_ref * ph, r_ref * np.conj(ph)[:, None]
+        q, r, householder = self._factor(a, monkeypatch)
+        assert not householder
+        assert np.max(np.abs(q - q_ref)) <= 1e-13
+        assert np.linalg.norm(r - r_ref) <= 1e-13 * np.linalg.norm(r_ref)
+        self._check_invariants(a, q, r)
+
+    def test_ill_conditioned_panel_falls_back(self, monkeypatch):
+        u = reduced_qr(gaussian_matrix(4000, 100, seed=32)).q
+        v = reduced_qr(gaussian_matrix(100, 100, seed=33)).q
+        sigma = np.concatenate([np.linspace(1.0, 0.5, 40), np.full(60, 1e-10)])
+        a = u @ (sigma[:, None] * v.T)  # rank 40 plus a 1e-10 tail
+        q, r, householder = self._factor(a, monkeypatch)
+        assert householder
+        self._check_invariants(a, q, r)
+
+    def test_huge_entries_fall_back(self, monkeypatch):
+        a = 1e200 * gaussian_matrix(2000, 50, seed=34)  # Gram overflows
+        q, r, householder = self._factor(a, monkeypatch)
+        assert householder
+        self._check_invariants(a, q, r)
+
+    def test_gram_with_inf_falls_back(self, monkeypatch):
+        a = gaussian_matrix(2000, 50, seed=35)
+        a[:, 0] *= 1e160  # only the (0, 0) Gram entry overflows
+        q, r, householder = self._factor(a, monkeypatch)
+        assert householder
+        self._check_invariants(a, q, r)
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,6 +14,7 @@ from rgsv import (
     RecoveryError,
     ValidationError,
     classify_spectrum,
+    compare,
     compute_gsv,
     gaussian_matrix,
     recover_gsvd,
@@ -27,10 +28,16 @@ class TestGmpPair:
             GmpPair(np.eye(3), np.eye(4))
 
     def test_rank_deficient_stack(self):
+        # construction no longer factors the stack; the rank test runs
+        # where the stack is first factored
         u = gaussian_matrix(4, 1, seed=0)
         g = u @ u.T  # rank 1
+        pair = GmpPair(g, g)
+        for method in ("direct", "randomized"):
+            with pytest.raises(RankDeficiencyError):
+                compute_gsv(pair, GsvOptions(method=method))
         with pytest.raises(RankDeficiencyError):
-            GmpPair(g, g)
+            pair.stack_pinv_norm
 
     def test_too_few_rows(self):
         with pytest.raises(RankDeficiencyError):
@@ -171,6 +178,47 @@ class TestComputeGsv:
         assert np.all(direct.alphas[12:] == 0.0)
         rand = compute_gsv(pair, GsvOptions(extraction=ExtractionConfig(tol=1e-12, seed=13)))
         assert spectrum_gap(direct, rand) <= 1e-8
+
+
+    def test_capped_basis_raises_instead_of_a_silent_spectrum(self):
+        # 10 + 10 compressed rows cannot carry a 50-column pair; the direct
+        # spectrum is all interior, a capped run used to report r=10, s=0
+        pair = random_pair(100, 100, 50, seed=40)
+        opts = GsvOptions(extraction=ExtractionConfig(max_cols=10, seed=41))
+        with pytest.raises(RankDeficiencyError):
+            compute_gsv(pair, opts)
+
+    def test_max_cols_clamped_per_side(self):
+        # p = 20 < max_cols = 25 <= m: the cap is valid for g1 only
+        pair = random_pair(60, 20, 25, seed=42)
+        direct = compute_gsv(pair, GsvOptions(method="direct"))
+        capped = compute_gsv(
+            pair, GsvOptions(extraction=ExtractionConfig(tol=1e-12, max_cols=25, seed=43))
+        )
+        assert spectrum_gap(direct, capped) <= 1e-8
+
+    def test_randomized_path_never_factors_the_stack(self, monkeypatch):
+        # the O((m + p) n^2) factorization of the full stack is what the
+        # randomized path exists to avoid
+        import rgsv.core
+
+        m, p, n = 60, 50, 30
+        g1, g2 = gaussian_matrix(m, n, seed=44), gaussian_matrix(p, n, seed=45)
+        rows = []
+
+        def recording(fn):
+            def wrapper(a, *args, **kwargs):
+                rows.append(np.shape(a)[0])
+                return fn(a, *args, **kwargs)
+
+            return wrapper
+
+        for owner, name in ((np.linalg, "svd"), (np.linalg, "qr"), (rgsv.core, "reduced_qr")):
+            monkeypatch.setattr(owner, name, recording(getattr(owner, name)))
+        compare(GmpPair(g1, g2), GsvOptions(extraction=ExtractionConfig(tol=1e-12, seed=46)))
+        assert rows and m + p not in rows
+        compare(GmpPair(g1, g2), GsvOptions(method="direct"))
+        assert m + p in rows  # the recorder sees a stack factorization
 
 
 class TestRecoverGsvd:

@@ -183,3 +183,16 @@ def test_result_type():
     res = extract_basis(g, ExtractionConfig(tol=1e-8))
     assert isinstance(res, BasisResult)
     assert sum(res.block_widths) == res.q.shape[1]
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_compressed_rows_match_q_adjoint_g(field):
+    # rank 30 sampled in blocks of 40, so trimming drops columns
+    g = gaussian_matrix(200, 30, seed=30, field=field)
+    g = g @ gaussian_matrix(30, 80, seed=31, field=field)
+    res = extract_basis(g, ExtractionConfig(tol=1e-300, blocksize=40, seed=32))
+    sampled = 40 * res.iterations
+    assert res.q.shape[1] < sampled  # trimming was active
+    assert res.b.shape == (res.q.shape[1], 80)
+    ref = res.q.conj().T @ g
+    assert np.linalg.norm(res.b - ref) <= 1e-13 * np.linalg.norm(ref)
