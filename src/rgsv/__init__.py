@@ -10,7 +10,6 @@ from .analysis import (
     relative_significance,
     shannon_entropy,
 )
-from .bench import BenchRecord, RunConfig, median_seconds, run_bench
 from .bounds import (
     BoundCertificate,
     perturbation_bound,
@@ -23,7 +22,6 @@ from .core import (
     as_matrix,
     frobenius_norm,
     gaussian_matrix,
-    pseudoinverse_norm,
     reduced_qr,
     svd,
 )
@@ -55,7 +53,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasisResult",
-    "BenchRecord",
     "BoundCertificate",
     "ComparativeReport",
     "ConvergenceError",
@@ -72,7 +69,6 @@ __all__ = [
     "QrFactors",
     "RankDeficiencyError",
     "RecoveryError",
-    "RunConfig",
     "SvdFactors",
     "SynthResult",
     "SynthSpec",
@@ -86,10 +82,8 @@ __all__ = [
     "extract_basis",
     "frobenius_norm",
     "gaussian_matrix",
-    "median_seconds",
     "perturbation_bound",
     "projector_bound",
-    "pseudoinverse_norm",
     "quantity_error_bounds",
     "read_matrix",
     "recover_gsvd",
@@ -97,7 +91,6 @@ __all__ = [
     "relative_significance",
     "report_to_dict",
     "residual_norm",
-    "run_bench",
     "shannon_entropy",
     "svd",
     "synth_gmp",

@@ -2,9 +2,9 @@
 
 Subcommands: gsv (spectrum of a pair), compare (full comparative report),
 extract (basis extraction residuals for one matrix), synth (generate and
-save a pair with its true spectrum), bench (timing table), bounds (error
-certificates). All randomness flows from --seed, which defaults to the
-RGSV_SEED environment variable and then to 0.
+save a pair with its true spectrum), bounds (error certificates). All
+randomness flows from --seed, which defaults to the RGSV_SEED environment
+variable and then to 0.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from pathlib import Path
 
 from . import engine, io
 from .analysis import compare
-from .bench import RunConfig, median_seconds, run_bench
 from .bounds import perturbation_bound, projector_bound, quantity_error_bounds
 from .engine import DIRECT, RANDOMIZED, GmpPair, GsvOptions, compute_gsv
 from .errors import GsvError, ValidationError
@@ -49,8 +48,7 @@ def _add_pair_inputs(p: argparse.ArgumentParser):
     p.add_argument("--g2", required=True, help="second matrix file")
 
 
-def _add_gsv_options(p: argparse.ArgumentParser):
-    p.add_argument("--method", choices=[RANDOMIZED, DIRECT], default=RANDOMIZED)
+def _add_extraction_options(p: argparse.ArgumentParser):
     p.add_argument("--tol", type=float, default=None,
                    help="absolute basis-extraction residual target (default 1e-10*||G||_F)")
     p.add_argument("--blocksize", type=int, default=100)
@@ -58,6 +56,11 @@ def _add_gsv_options(p: argparse.ArgumentParser):
                    help="base seed (default: RGSV_SEED env var, then 0)")
     p.add_argument("--max-cols", type=int, default=None)
     p.add_argument("--trim-tol", type=float, default=1e-12)
+
+
+def _add_gsv_options(p: argparse.ArgumentParser):
+    p.add_argument("--method", choices=[RANDOMIZED, DIRECT], default=RANDOMIZED)
+    _add_extraction_options(p)
     p.add_argument("--classify-tol", type=float, default=1e-10)
 
 
@@ -66,17 +69,19 @@ def _add_output(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=["csv", "json"], default="csv")
 
 
-def _gsv_options(args, seed: int | None = None) -> GsvOptions:
-    if seed is None:
-        seed = args.seed if args.seed is not None else _default_seed()
-    cfg = ExtractionConfig(
+def _extraction_config(args) -> ExtractionConfig:
+    return ExtractionConfig(
         tol=args.tol,
         blocksize=args.blocksize,
-        seed=seed,
+        seed=args.seed if args.seed is not None else _default_seed(),
         max_cols=args.max_cols,
         trim_tol=args.trim_tol,
     )
-    return GsvOptions(extraction=cfg, classify_tol=args.classify_tol, method=args.method)
+
+
+def _gsv_options(args) -> GsvOptions:
+    return GsvOptions(extraction=_extraction_config(args),
+                      classify_tol=args.classify_tol, method=args.method)
 
 
 def _load_pair(args) -> GmpPair:
@@ -96,15 +101,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    cfg = ExtractionConfig(
-        tol=args.tol,
-        blocksize=args.blocksize,
-        seed=seed,
-        max_cols=args.max_cols,
-        trim_tol=args.trim_tol,
-    )
-    result = extract_basis(io.read_matrix(args.input), cfg)
+    result = extract_basis(io.read_matrix(args.input), _extraction_config(args))
     io.write_report(result, args.output, args.format)
     return 0
 
@@ -127,30 +124,6 @@ def _cmd_synth(args) -> int:
         f"(condition_r={result.condition_r:.6g})",
         file=sys.stderr,
     )
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    synth = None
-    if args.m is not None or args.p is not None or args.n is not None:
-        if None in (args.m, args.p, args.n):
-            raise ValidationError("--m, --p and --n must be given together")
-        synth = SynthSpec(m=args.m, p=args.p, n=args.n,
-                          rank_frac=args.rank_frac, seed=seed, field=args.field)
-    cfg = RunConfig(
-        g1_path=args.g1,
-        g2_path=args.g2,
-        synth=synth,
-        options=_gsv_options(args, seed),
-        output=args.output,
-        format=args.format,
-        repetitions=args.reps,
-    )
-    records = run_bench(cfg)
-    io.write_report(records, cfg.output, cfg.format)
-    for method, sec in sorted(median_seconds(records).items()):
-        print(f"median {method}: {sec:.6f} s", file=sys.stderr)
     return 0
 
 
@@ -199,11 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="basis extraction residual history")
     p.add_argument("--input", required=True, help="matrix file")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--blocksize", type=int, default=100)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-cols", type=int, default=None)
-    p.add_argument("--trim-tol", type=float, default=1e-12)
+    _add_extraction_options(p)
     _add_output(p)
     p.set_defaults(func=_cmd_extract)
 
@@ -217,19 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=_cmd_synth)
-
-    p = sub.add_parser("bench", help="time randomized vs direct")
-    p.add_argument("--g1", default=None)
-    p.add_argument("--g2", default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--rank-frac", type=float, default=0.6)
-    p.add_argument("--field", choices=["real", "complex"], default="complex")
-    p.add_argument("--reps", type=int, default=1)
-    _add_gsv_options(p)
-    _add_output(p)
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("bounds", help="error certificates for a pair")
     _add_pair_inputs(p)

@@ -185,17 +185,18 @@ class GsvdFactors:
     spectrum: GsvSpectrum
 
 
-def classify_spectrum(alphas, betas, classify_tol: float = 1e-10) -> tuple[int, int]:
-    """Classify an ordered GSV sequence into (r, s) block counts.
+def classify_spectrum(alphas, betas, classify_tol: float = 1e-10) -> GsvSpectrum:
+    """Classify an ordered GSV sequence into its (r, s) blocks.
 
     r counts betas below classify_tol, n - r - s counts alphas below it,
-    and s is the interior remainder. Classified-zero entries are snapped
-    in place to exactly 0 and their partners to exactly 1.
+    and s is the interior remainder. The returned spectrum holds copies of
+    the inputs with classified-zero entries snapped to exactly 0 and their
+    partners to exactly 1; the inputs are left unchanged.
     """
     if not 0 < classify_tol < 1e-2:
         raise ValidationError(f"classify_tol must be in (0, 1e-2), got {classify_tol}")
-    a = np.asarray(alphas)
-    b = np.asarray(betas)
+    a = np.array(alphas, dtype=np.float64)
+    b = np.array(betas, dtype=np.float64)
     n = a.size
     r = int(np.count_nonzero(b < classify_tol))
     za = int(np.count_nonzero(a < classify_tol))
@@ -207,7 +208,7 @@ def classify_spectrum(alphas, betas, classify_tol: float = 1e-10) -> tuple[int, 
     if za:
         a[n - za:] = 0.0
         b[n - za:] = 1.0
-    return r, s
+    return GsvSpectrum(a, b, r, s)
 
 
 def spectrum_from_l_blocks(
@@ -215,38 +216,28 @@ def spectrum_from_l_blocks(
     l2_block: np.ndarray,
     n: int,
     classify_tol: float = 1e-10,
-    branch: str | None = None,
 ) -> GsvSpectrum:
     """Read GSVs off the stacked-QR orthonormal blocks.
 
     Singular values of the first block give the alphas (descending,
     zero-padded at the tail), those of the second block the betas
     (ascending, zero-padded at the head); values are clamped into [0, 1]
-    against roundoff overshoot. By default each pair keeps its smaller
-    member, whose absolute error is at working precision, and completes
-    the larger one through sqrt(1 - x^2); completing the small member
-    instead would turn eps-level error in a value near 1 into sqrt(eps)
-    noise. ``branch`` forces the one-sided completion ("first": betas
-    from the alphas; "second": the reverse) for testing.
+    against roundoff overshoot. Each pair keeps its smaller member, whose
+    absolute error is at working precision, and completes the larger one
+    through sqrt(1 - x^2); completing the small member instead would turn
+    eps-level error in a value near 1 into sqrt(eps) noise.
     """
     a_raw = np.zeros(n)
     vals1 = _singular_values(l1_block)
     a_raw[: vals1.size] = np.clip(vals1, 0.0, 1.0)
-    if branch == "first":
-        alphas, betas = a_raw, np.sqrt(1.0 - a_raw**2)
-    else:
-        b_raw = np.zeros(n)
-        vals2 = _singular_values(l2_block)
-        if vals2.size:
-            b_raw[n - vals2.size:] = np.clip(vals2, 0.0, 1.0)[::-1]
-        if branch == "second":
-            alphas, betas = np.sqrt(1.0 - b_raw**2), b_raw
-        else:
-            small_a = a_raw <= b_raw
-            alphas = np.where(small_a, a_raw, np.sqrt(1.0 - b_raw**2))
-            betas = np.where(small_a, np.sqrt(1.0 - a_raw**2), b_raw)
-    r, s = classify_spectrum(alphas, betas, classify_tol)
-    return GsvSpectrum(alphas, betas, r, s)
+    b_raw = np.zeros(n)
+    vals2 = _singular_values(l2_block)
+    if vals2.size:
+        b_raw[n - vals2.size:] = np.clip(vals2, 0.0, 1.0)[::-1]
+    small_a = a_raw <= b_raw
+    alphas = np.where(small_a, a_raw, np.sqrt(1.0 - b_raw**2))
+    betas = np.where(small_a, np.sqrt(1.0 - a_raw**2), b_raw)
+    return classify_spectrum(alphas, betas, classify_tol)
 
 
 def _singular_values(block: np.ndarray) -> np.ndarray:
@@ -263,8 +254,6 @@ class _Pipeline:
     l2_block: np.ndarray
     r_tilde: np.ndarray
     r_singular_values: np.ndarray  # of r_tilde, descending
-    basis1: object | None = None
-    basis2: object | None = None
 
 
 def _side_config(cfg: ExtractionConfig, g: np.ndarray, seed: int) -> ExtractionConfig:
@@ -280,7 +269,6 @@ def _run_pipeline(pair: GmpPair, opts: GsvOptions) -> _Pipeline:
     if opts.method == DIRECT:
         c1, c2 = pair.g1, pair.g2
         q1 = q2 = None
-        b1 = b2 = None
     else:
         cfg = opts.extraction
         b1 = extract_basis(pair.g1, _side_config(cfg, pair.g1, cfg.seed))
@@ -296,7 +284,7 @@ def _run_pipeline(pair: GmpPair, opts: GsvOptions) -> _Pipeline:
     qf = core.reduced_qr(np.vstack([c1, c2]))
     sv = np.linalg.svd(qf.r, compute_uv=False)
     _require_full_rank(sv, "stacked pair" if q1 is None else "compressed stacked pair")
-    return _Pipeline(q1, q2, qf.q[:l1], qf.q[l1:], qf.r, sv, b1, b2)
+    return _Pipeline(q1, q2, qf.q[:l1], qf.q[l1:], qf.r, sv)
 
 
 def compute_gsv(pair: GmpPair, opts: GsvOptions | None = None) -> GsvSpectrum:

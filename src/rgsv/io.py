@@ -1,21 +1,23 @@
 """Matrix files and report serialization.
 
 Matrices travel as Matrix Market files (dense array or coordinate, real
-or complex, via scipy) or as headerless CSV; reports serialize to CSV
-(per-index rows followed by a scalar block) or JSON, with floats at full
-round-trip precision.
+or complex, via scipy) or as headerless CSV. scipy.io is imported only
+when a Matrix Market file is read or written, so CSV-only runs never load
+it. Reports serialize to CSV (per-index rows followed by a scalar block)
+or JSON, with floats at full round-trip precision; ``_layout`` describes
+each report type once and both writers read that one description.
 """
 
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 import sys
+from collections.abc import Sequence
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
-import scipy.io
 
 from . import core
 from .analysis import ComparativeReport
@@ -46,6 +48,8 @@ def read_matrix(path) -> np.ndarray:
 
 
 def _read_matrix_market(path: Path) -> np.ndarray:
+    import scipy.io
+
     try:
         mat = scipy.io.mmread(path)
     except Exception as exc:
@@ -92,6 +96,8 @@ def _read_csv_matrix(path: Path) -> np.ndarray:
 def write_matrix(path, m) -> None:
     """Write a matrix as a dense Matrix Market file at full precision, so
     that read_matrix round-trips it bitwise."""
+    import scipy.io
+
     a = core.as_matrix(m)
     field = "complex" if np.iscomplexobj(a) else "real"
     scipy.io.mmwrite(str(path), a, field=field, precision=17)
@@ -100,6 +106,8 @@ def write_matrix(path, m) -> None:
 def _num(x) -> str:
     if x is None:
         return ""
+    if isinstance(x, str):
+        return x
     if isinstance(x, (bool, np.bool_)):
         return str(bool(x)).lower()
     if isinstance(x, (int, np.integer)):
@@ -108,140 +116,86 @@ def _num(x) -> str:
 
 
 def _jsonable(x):
-    if isinstance(x, np.ndarray):
-        return [float(v) for v in x]
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    if isinstance(x, (np.bool_,)):
-        return bool(x)
-    return x
+    return x.item() if isinstance(x, np.generic) else x
+
+
+class _Layout(NamedTuple):
+    """How one report type is written by both writers.
+
+    ``index`` is the CSV index column's name and first value; each of
+    ``columns`` is (CSV header, JSON key, per-index values); ``scalars``
+    are (key, value) pairs written to both formats, after the rows in CSV;
+    ``json_only`` and ``csv_only`` follow them in their one format.
+    """
+
+    kind: str
+    index: tuple[str, int]
+    columns: Sequence[tuple[str, str, Sequence]]
+    scalars: Sequence[tuple[str, object]]
+    json_only: Sequence[tuple[str, object]] = ()
+    csv_only: Sequence[tuple[str, object]] = ()
+
+
+def _layout(report) -> _Layout:
+    if isinstance(report, ComparativeReport):
+        spec, meta = report.spectrum, report.meta
+        return _Layout(
+            "comparative_report",
+            ("index", 1),
+            [("alpha", "alphas", spec.alphas), ("beta", "betas", spec.betas),
+             ("rho", "rho", report.rho), ("theta", "theta", report.theta),
+             ("p1", "p1", report.p1), ("p2", "p2", report.p2)],
+            [("d1", report.d1), ("d2", report.d2), ("r", spec.r), ("s", spec.s)],
+            json_only=[("n", spec.n), ("meta", dict(meta))],
+            csv_only=[("seed", meta.get("seed")), ("tol", meta.get("tol"))],
+        )
+    if isinstance(report, GsvSpectrum):
+        return _Layout(
+            "spectrum",
+            ("index", 1),
+            [("alpha", "alphas", report.alphas), ("beta", "betas", report.betas)],
+            [("r", report.r), ("s", report.s)],
+            json_only=[("n", report.n)],
+        )
+    if isinstance(report, BoundCertificate):
+        return _Layout(
+            "bound_certificate",
+            ("index", 1),
+            [("p1_bound", "p1_bounds", report.p1_bounds),
+             ("p2_bound", "p2_bounds", report.p2_bounds)],
+            [("eta", report.eta), ("e_script", report.e_script),
+             ("theta_bound", report.theta_bound), ("d1_bound", report.d1_bound),
+             ("d2_bound", report.d2_bound), ("vacuous", report.vacuous)],
+        )
+    if isinstance(report, BasisResult):
+        return _Layout(
+            "basis_result",
+            ("iteration", 0),
+            [("residual", "residual_history", report.residual_history)],
+            [("columns", int(report.q.shape[1])), ("converged", report.converged),
+             ("iterations", report.iterations)],
+            json_only=[("block_widths", [int(w) for w in report.block_widths])],
+        )
+    raise ValidationError(f"cannot serialize report of type {type(report).__name__}")
 
 
 def report_to_dict(report) -> dict:
     """Structured form of any report object, used by the JSON writer."""
-    if isinstance(report, ComparativeReport):
-        spec = report.spectrum
-        return {
-            "kind": "comparative_report",
-            "alphas": _jsonable(spec.alphas),
-            "betas": _jsonable(spec.betas),
-            "rho": _jsonable(report.rho),
-            "theta": _jsonable(report.theta),
-            "p1": _jsonable(report.p1),
-            "p2": _jsonable(report.p2),
-            "d1": report.d1,
-            "d2": report.d2,
-            "r": spec.r,
-            "s": spec.s,
-            "n": spec.n,
-            "meta": dict(report.meta),
-        }
-    if isinstance(report, GsvSpectrum):
-        return {
-            "kind": "spectrum",
-            "alphas": _jsonable(report.alphas),
-            "betas": _jsonable(report.betas),
-            "r": report.r,
-            "s": report.s,
-            "n": report.n,
-        }
-    if isinstance(report, BoundCertificate):
-        return {
-            "kind": "bound_certificate",
-            "eta": report.eta,
-            "e_script": report.e_script,
-            "theta_bound": report.theta_bound,
-            "p1_bounds": _jsonable(report.p1_bounds),
-            "p2_bounds": _jsonable(report.p2_bounds),
-            "d1_bound": report.d1_bound,
-            "d2_bound": report.d2_bound,
-            "vacuous": report.vacuous,
-        }
-    if isinstance(report, BasisResult):
-        return {
-            "kind": "basis_result",
-            "columns": int(report.q.shape[1]),
-            "converged": report.converged,
-            "iterations": report.iterations,
-            "residual_history": [float(v) for v in report.residual_history],
-            "block_widths": [int(w) for w in report.block_widths],
-        }
-    if isinstance(report, (list, tuple)):
-        return {
-            "kind": "bench_records",
-            "records": [
-                {k: _jsonable(v) for k, v in dataclasses.asdict(rec).items()}
-                for rec in report
-            ],
-        }
-    raise ValidationError(f"cannot serialize report of type {type(report).__name__}")
+    lay = _layout(report)
+    out = {"kind": lay.kind}
+    out.update((key, [float(v) for v in values]) for _, key, values in lay.columns)
+    out.update((key, _jsonable(v)) for key, v in [*lay.scalars, *lay.json_only])
+    return out
 
 
 def _csv_rows(report) -> list[list]:
-    if isinstance(report, ComparativeReport):
-        spec = report.spectrum
-        rows = [["index", "alpha", "beta", "rho", "theta", "p1", "p2"]]
-        for i in range(spec.n):
-            rows.append([
-                i + 1,
-                _num(spec.alphas[i]),
-                _num(spec.betas[i]),
-                _num(report.rho[i]),
-                _num(report.theta[i]),
-                _num(report.p1[i]),
-                _num(report.p2[i]),
-            ])
-        rows += [
-            ["d1", _num(report.d1)],
-            ["d2", _num(report.d2)],
-            ["r", spec.r],
-            ["s", spec.s],
-            ["seed", report.meta.get("seed", "")],
-            ["tol", _num(report.meta.get("tol"))],
-        ]
-        return rows
-    if isinstance(report, GsvSpectrum):
-        rows = [["index", "alpha", "beta"]]
-        for i in range(report.n):
-            rows.append([i + 1, _num(report.alphas[i]), _num(report.betas[i])])
-        rows += [["r", report.r], ["s", report.s]]
-        return rows
-    if isinstance(report, BoundCertificate):
-        rows = [["index", "p1_bound", "p2_bound"]]
-        for i in range(report.p1_bounds.size):
-            rows.append([i + 1, _num(report.p1_bounds[i]), _num(report.p2_bounds[i])])
-        rows += [
-            ["eta", _num(report.eta)],
-            ["e_script", _num(report.e_script)],
-            ["theta_bound", _num(report.theta_bound)],
-            ["d1_bound", _num(report.d1_bound)],
-            ["d2_bound", _num(report.d2_bound)],
-            ["vacuous", _num(report.vacuous)],
-        ]
-        return rows
-    if isinstance(report, BasisResult):
-        rows = [["iteration", "residual"]]
-        for i, res in enumerate(report.residual_history):
-            rows.append([i, _num(res)])
-        rows += [
-            ["columns", int(report.q.shape[1])],
-            ["converged", _num(report.converged)],
-            ["iterations", report.iterations],
-        ]
-        return rows
-    if isinstance(report, (list, tuple)):
-        header = [
-            "method", "repetition", "seconds", "err_alpha", "err_beta",
-            "residual1", "residual2", "l1", "l2", "m", "p", "n",
-        ]
-        rows = [header]
-        for rec in report:
-            d = dataclasses.asdict(rec)
-            rows.append([_num(d[k]) if not isinstance(d[k], str) else d[k] for k in header])
-        return rows
-    raise ValidationError(f"cannot serialize report of type {type(report).__name__}")
+    lay = _layout(report)
+    name, first = lay.index
+    rows = [[name] + [header for header, _, _ in lay.columns]]
+    per_index = zip(*(values for _, _, values in lay.columns))
+    rows += [[first + i, *map(_num, row)] for i, row in enumerate(per_index)]
+    rows += [[key, _num(v)] for key, v in [*lay.scalars, *lay.csv_only]]
+    return rows
 
 
 def write_report(report, path=None, fmt: str = "csv") -> None:

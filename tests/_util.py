@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from rgsv import GmpPair, GsvSpectrum, gaussian_matrix
+from rgsv import GmpPair, GsvSpectrum, classify_spectrum, gaussian_matrix
 from rgsv.core import reduced_qr
 
 
@@ -31,12 +31,7 @@ def structured_pair(alphas, m, p, seed, field="real"):
 
 def make_spectrum(alphas, betas, classify_tol=1e-10):
     """Build a validated spectrum from raw ordered values."""
-    from rgsv import classify_spectrum
-
-    a = np.array(alphas, dtype=np.float64)
-    b = np.array(betas, dtype=np.float64)
-    r, s = classify_spectrum(a, b, classify_tol)
-    return GsvSpectrum(a, b, r, s)
+    return classify_spectrum(alphas, betas, classify_tol)
 
 
 def spectrum_gap(s1: GsvSpectrum, s2: GsvSpectrum) -> float:

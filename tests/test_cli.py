@@ -70,15 +70,16 @@ def test_identical_invocations_identical_output(pair_files, tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_seed_env_var_default(pair_files, tmp_path):
+@pytest.mark.parametrize("command", ["gsv", "extract"])
+def test_seed_env_var_default(pair_files, tmp_path, command):
     g1, g2 = pair_files
+    inputs = {"gsv": ["--g1", str(g1), "--g2", str(g2)],
+              "extract": ["--input", str(g1), "--blocksize", "4"]}[command]
     a = tmp_path / "env.csv"
     b = tmp_path / "flag.csv"
-    proc = run_cli("gsv", "--g1", str(g1), "--g2", str(g2), "-o", str(a),
-                   env={"RGSV_SEED": "33"})
+    proc = run_cli(command, *inputs, "-o", str(a), env={"RGSV_SEED": "33"})
     assert proc.returncode == 0, proc.stderr
-    proc = run_cli("gsv", "--g1", str(g1), "--g2", str(g2), "-o", str(b),
-                   "--seed", "33")
+    proc = run_cli(command, *inputs, "-o", str(b), "--seed", "33")
     assert proc.returncode == 0, proc.stderr
     assert a.read_text() == b.read_text()
 
@@ -114,26 +115,6 @@ def test_synth_writes_pair_and_truth(tmp_path):
     assert g2.shape == (25, 20)
     truth = (d / "truth.csv").read_text().splitlines()
     assert truth[0] == "index,alpha,beta"
-
-
-def test_bench_from_synth(tmp_path):
-    out = tmp_path / "bench.csv"
-    proc = run_cli(
-        "bench", "--m", "40", "--p", "36", "--n", "24", "--field", "real",
-        "--rank-frac", "0.8", "--reps", "2", "--seed", "5",
-        "--tol", "1e-12", "-o", str(out),
-    )
-    assert proc.returncode == 0, proc.stderr
-    lines = out.read_text().splitlines()
-    assert len(lines) == 1 + 4  # header + 2 methods x 2 reps
-    assert "median direct" in proc.stderr
-    assert "median randomized" in proc.stderr
-    # tiny saturated pair: every record's spectrum error is oracle-small
-    header = lines[0].split(",")
-    for row in lines[1:]:
-        cells = row.split(",")
-        assert float(cells[header.index("err_alpha")]) <= 1e-8
-        assert float(cells[header.index("err_beta")]) <= 1e-8
 
 
 def test_bounds_certificate(pair_files, tmp_path):

@@ -19,7 +19,6 @@ from rgsv import (
     gaussian_matrix,
     recover_gsvd,
 )
-from rgsv.engine import spectrum_from_l_blocks
 
 
 class TestGmpPair:
@@ -78,25 +77,30 @@ class TestClassifySpectrum:
     def test_mixed(self):
         a = np.array([1.0, 0.6, 0.0])
         b = np.array([0.0, 0.8, 1.0])
-        assert classify_spectrum(a, b, 1e-10) == (1, 1)
+        spec = classify_spectrum(a, b, 1e-10)
+        assert (spec.r, spec.s) == (1, 1)
 
     def test_all_ones(self):
         a = np.array([1.0, 1.0])
         b = np.array([0.0, 0.0])
-        assert classify_spectrum(a, b, 1e-10) == (2, 0)
+        spec = classify_spectrum(a, b, 1e-10)
+        assert (spec.r, spec.s) == (2, 0)
 
     def test_all_interior(self):
         a = np.array([0.6, 0.6])
         b = np.array([0.8, 0.8])
-        assert classify_spectrum(a, b, 1e-10) == (0, 2)
+        spec = classify_spectrum(a, b, 1e-10)
+        assert (spec.r, spec.s) == (0, 2)
 
     def test_snapping_in_place(self):
         a = np.array([1.0 - 1e-13, 0.6, 1e-12])
         b = np.array([5e-13, 0.8, 1.0 - 1e-14])
-        r, s = classify_spectrum(a, b, 1e-10)
-        assert (r, s) == (1, 1)
-        assert a[0] == 1.0 and b[0] == 0.0
-        assert a[2] == 0.0 and b[2] == 1.0
+        a_in, b_in = a.copy(), b.copy()
+        spec = classify_spectrum(a, b, 1e-10)
+        assert (spec.r, spec.s) == (1, 1)
+        assert np.array_equal(a, a_in) and np.array_equal(b, b_in)
+        assert np.array_equal(spec.alphas, [1.0, 0.6, 0.0])
+        assert np.array_equal(spec.betas, [0.0, 0.8, 1.0])
 
     def test_tol_validation(self):
         with pytest.raises(ValidationError):
@@ -151,17 +155,6 @@ class TestComputeGsv:
             scaled = GmpPair(c * pair.g1, c * pair.g2)
             spec = compute_gsv(scaled, GsvOptions(method="direct"))
             assert spectrum_gap(base, spec) <= 1e-10
-
-    def test_branch_consistency(self):
-        pair = random_pair(40, 35, 25, seed=10)
-        from rgsv.core import reduced_qr
-
-        q, _ = reduced_qr(pair.stacked())
-        l1 = spectrum_from_l_blocks(q[:40], q[40:], 25, branch="first")
-        l2 = spectrum_from_l_blocks(q[:40], q[40:], 25, branch="second")
-        merged = spectrum_from_l_blocks(q[:40], q[40:], 25)
-        assert spectrum_gap(l1, l2) <= 1e-8
-        assert spectrum_gap(l1, merged) <= 1e-8
 
     def test_zero_first_matrix(self):
         # g1 = 0 is a valid pair when g2 has full rank; all alphas vanish

@@ -1,14 +1,18 @@
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from _util import random_pair
 
+import rgsv
 from rgsv import (
     GmpPair,
     GsvOptions,
     ParseError,
+    ValidationError,
     compare,
     compute_gsv,
     gaussian_matrix,
@@ -18,7 +22,6 @@ from rgsv import (
     write_matrix,
     write_report,
 )
-from rgsv.bench import BenchRecord
 from rgsv.rangefinder import ExtractionConfig, extract_basis
 
 
@@ -78,6 +81,17 @@ class TestReadMatrix:
             read_matrix(f)
 
 
+def test_csv_read_leaves_scipy_io_unloaded(tmp_path):
+    f = tmp_path / "m.csv"
+    f.write_text("1,2\n3,4\n")
+    code = ("import sys, rgsv; rgsv.read_matrix(sys.argv[1]); "
+            "print('scipy.io' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, str(f)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 class TestWriteMatrix:
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_bitwise_round_trip(self, tmp_path, field):
@@ -90,13 +104,6 @@ class TestWriteMatrix:
 
 
 class TestWriteReport:
-    def test_empty_bench_sequence_header_only(self, tmp_path):
-        f = tmp_path / "bench.csv"
-        write_report([], f, "csv")
-        lines = f.read_text().strip().splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("method,")
-
     def test_separated_pair_theta_full_precision(self, tmp_path):
         pair = GmpPair(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
         rep = compare(pair, GsvOptions(method="direct"))
@@ -161,23 +168,11 @@ class TestWriteReport:
         assert loaded["columns"] == res.q.shape[1]
         assert loaded["residual_history"] == res.residual_history
 
-    def test_bench_records_report(self, tmp_path):
-        rec = BenchRecord(
-            method="direct", repetition=0, seconds=0.5, err_alpha=0.0,
-            err_beta=0.0, residual1=None, residual2=None,
-            l1=4, l2=5, m=4, p=5, n=3,
-        )
-        f = tmp_path / "b.csv"
-        write_report([rec], f, "csv")
-        lines = f.read_text().splitlines()
-        assert len(lines) == 2
-        assert lines[1].split(",")[0] == "direct"
-
     def test_unknown_type_rejected(self, tmp_path):
-        from rgsv import ValidationError
-
         with pytest.raises(ValidationError):
             write_report(object(), tmp_path / "x.csv", "csv")
+        with pytest.raises(ValidationError):
+            write_report([], tmp_path / "x.csv", "csv")
         with pytest.raises(ValidationError):
             write_report([], tmp_path / "x.csv", "yaml")
 
@@ -187,3 +182,56 @@ def test_report_to_dict_kinds():
     spec = compute_gsv(pair, GsvOptions(method="direct"))
     assert report_to_dict(spec)["kind"] == "spectrum"
     assert report_to_dict(compare(pair, GsvOptions(method="direct")))["kind"] == "comparative_report"
+
+
+def _direct_spectrum():
+    return compute_gsv(random_pair(10, 9, 6, seed=2), GsvOptions(method="direct"))
+
+
+def _layout_case(kind):
+    """A report of the given kind and its number of per-index rows."""
+    if kind == "spectrum":
+        spec = _direct_spectrum()
+        return spec, spec.n
+    if kind == "comparative_report":
+        rep = compare(random_pair(10, 9, 6, seed=2), GsvOptions(method="direct"))
+        return rep, rep.spectrum.n
+    if kind == "bound_certificate":
+        cert = quantity_error_bounds(_direct_spectrum(), 1e-6, eta=4.2)
+        return cert, cert.p1_bounds.size
+    res = extract_basis(gaussian_matrix(20, 10, seed=4),
+                        ExtractionConfig(tol=1e-300, blocksize=4, seed=5))
+    return res, len(res.residual_history)
+
+
+@pytest.mark.parametrize("kind,header,first_index,csv_scalars,json_keys", [
+    ("spectrum", "index,alpha,beta", "1", ["r", "s"],
+     {"alphas", "betas", "r", "s", "n"}),
+    ("comparative_report", "index,alpha,beta,rho,theta,p1,p2", "1",
+     ["d1", "d2", "r", "s", "seed", "tol"],
+     {"alphas", "betas", "rho", "theta", "p1", "p2", "d1", "d2", "r", "s", "n", "meta"}),
+    ("bound_certificate", "index,p1_bound,p2_bound", "1",
+     ["eta", "e_script", "theta_bound", "d1_bound", "d2_bound", "vacuous"],
+     {"eta", "e_script", "theta_bound", "p1_bounds", "p2_bounds",
+      "d1_bound", "d2_bound", "vacuous"}),
+    ("basis_result", "iteration,residual", "0", ["columns", "converged", "iterations"],
+     {"columns", "converged", "iterations", "residual_history", "block_widths"}),
+])
+def test_report_layout(tmp_path, kind, header, first_index, csv_scalars, json_keys):
+    report, rows = _layout_case(kind)
+    write_report(report, tmp_path / "r.csv", "csv")
+    lines = (tmp_path / "r.csv").read_text().splitlines()
+    assert lines[0] == header
+    assert lines[1].split(",")[0] == first_index
+    assert [line.split(",")[0] for line in lines[1 + rows:]] == csv_scalars
+    write_report(report, tmp_path / "r.json", "json")
+    with open(tmp_path / "r.json") as fh:
+        loaded = json.load(fh)
+    assert loaded["kind"] == kind
+    assert set(loaded) == json_keys | {"kind"}
+
+
+def test_public_names_resolve_once():
+    assert len(rgsv.__all__) == len(set(rgsv.__all__))
+    for name in rgsv.__all__:
+        assert getattr(rgsv, name) is not None
