@@ -22,6 +22,7 @@ from .core import (
     as_matrix,
     frobenius_norm,
     gaussian_matrix,
+    pseudoinverse_norm,
     reduced_qr,
     svd,
 )
@@ -84,6 +85,7 @@ __all__ = [
     "gaussian_matrix",
     "perturbation_bound",
     "projector_bound",
+    "pseudoinverse_norm",
     "quantity_error_bounds",
     "read_matrix",
     "recover_gsvd",

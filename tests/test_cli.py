@@ -70,11 +70,7 @@ def test_identical_invocations_identical_output(pair_files, tmp_path):
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("command", ["gsv", "extract"])
-def test_seed_env_var_default(pair_files, tmp_path, command):
-    g1, g2 = pair_files
-    inputs = {"gsv": ["--g1", str(g1), "--g2", str(g2)],
-              "extract": ["--input", str(g1), "--blocksize", "4"]}[command]
+def _assert_seed_env_var_default(command, inputs, tmp_path):
     a = tmp_path / "env.csv"
     b = tmp_path / "flag.csv"
     proc = run_cli(command, *inputs, "-o", str(a), env={"RGSV_SEED": "33"})
@@ -82,6 +78,18 @@ def test_seed_env_var_default(pair_files, tmp_path, command):
     proc = run_cli(command, *inputs, "-o", str(b), "--seed", "33")
     assert proc.returncode == 0, proc.stderr
     assert a.read_text() == b.read_text()
+
+
+def test_seed_env_var_default(pair_files, tmp_path):
+    g1, g2 = pair_files
+    _assert_seed_env_var_default("gsv", ["--g1", str(g1), "--g2", str(g2)], tmp_path)
+
+
+def test_extract_seed_env_var_default(pair_files, tmp_path):
+    g1, _ = pair_files
+    _assert_seed_env_var_default(
+        "extract", ["--input", str(g1), "--blocksize", "4"], tmp_path
+    )
 
 
 def test_extract_history(pair_files, tmp_path):

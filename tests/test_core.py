@@ -9,10 +9,12 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from rgsv import (
     DimensionError,
+    RankDeficiencyError,
     ValidationError,
     as_matrix,
     frobenius_norm,
     gaussian_matrix,
+    pseudoinverse_norm,
     reduced_qr,
     svd,
 )
@@ -271,3 +273,23 @@ def test_qr_invariants_hold_on_arbitrary_input(a):
     assert np.linalg.norm(q.conj().T @ q - np.eye(k)) <= 1e-12 * math.sqrt(max(k, 1))
     assert np.linalg.norm(q @ r - a) <= 1e-12 * max(1.0, np.linalg.norm(a))
 
+
+class TestPseudoinverseNorm:
+    def test_identity(self):
+        assert pseudoinverse_norm(np.eye(3)) == 1.0
+
+    def test_inverse_of_smallest(self):
+        assert pseudoinverse_norm(np.diag([2.0, 0.5])) == 2.0
+
+    def test_matches_svd(self):
+        m = gaussian_matrix(40, 10, seed=13)
+        assert pseudoinverse_norm(m) == 1.0 / np.min(svd(m).s)
+
+    def test_rank_deficient_rejected(self):
+        u = gaussian_matrix(10, 1, seed=14)
+        with pytest.raises(RankDeficiencyError):
+            pseudoinverse_norm(u @ u.T)
+
+    def test_wide_matrix_rejected(self):
+        with pytest.raises(RankDeficiencyError):
+            pseudoinverse_norm(gaussian_matrix(3, 7, seed=15))

@@ -19,6 +19,7 @@ from rgsv import (
     gaussian_matrix,
     recover_gsvd,
 )
+from rgsv.engine import spectrum_from_l_blocks
 
 
 class TestGmpPair:
@@ -155,6 +156,21 @@ class TestComputeGsv:
             scaled = GmpPair(c * pair.g1, c * pair.g2)
             spec = compute_gsv(scaled, GsvOptions(method="direct"))
             assert spectrum_gap(base, spec) <= 1e-10
+
+    def test_branch_consistency(self):
+        # the first block alone and the second block alone each determine
+        # the spectrum; both one-sided readings agree with the merged one
+        pair = random_pair(40, 35, 25, seed=10)
+        from rgsv.core import reduced_qr, svd
+
+        q, _ = reduced_qr(pair.stacked())
+        a = np.clip(svd(q[:40]).s, 0.0, 1.0)
+        b = np.clip(svd(q[40:]).s, 0.0, 1.0)[::-1]
+        l1 = make_spectrum(a, np.sqrt(1.0 - a**2))
+        l2 = make_spectrum(np.sqrt(1.0 - b**2), b)
+        merged = spectrum_from_l_blocks(q[:40], q[40:], 25)
+        assert spectrum_gap(l1, l2) <= 1e-8
+        assert spectrum_gap(l1, merged) <= 1e-8
 
     def test_zero_first_matrix(self):
         # g1 = 0 is a valid pair when g2 has full rank; all alphas vanish
