@@ -33,6 +33,7 @@ from .engine import (
     GsvdFactors,
     classify_spectrum,
     compute_gsv,
+    projected_pair,
     recover_gsvd,
 )
 from .errors import (
@@ -84,6 +85,7 @@ __all__ = [
     "frobenius_norm",
     "gaussian_matrix",
     "perturbation_bound",
+    "projected_pair",
     "projector_bound",
     "pseudoinverse_norm",
     "quantity_error_bounds",

@@ -79,15 +79,21 @@ def projector_bound(
 def perturbation_bound(pair: GmpPair, pair_tilde: GmpPair) -> float:
     """Perturbation budget sqrt(2) * ||stack difference||_F * min of the
     two stacked pseudoinverse norms. Bounds the root-sum-square (and hence
-    the per-index) GSV deviation between the two pairs."""
+    the per-index) GSV deviation between the two pairs.
+
+    The difference is evaluated explicitly, one block at a time, so no
+    stack is formed. A pseudoinverse norm costs an SVD of its stack only
+    when the pair has none recorded: after a direct ``compute_gsv`` of
+    ``pair`` and for a ``projected_pair`` as ``pair_tilde`` (the
+    a-posteriori certificate of the randomized solve) both are free.
+    """
     if pair.g1.shape != pair_tilde.g1.shape or pair.g2.shape != pair_tilde.g2.shape:
         raise DimensionError("pairs must have identical shapes")
-    # the pseudoinverse norms factor each stack on first use; read them
-    # before the difference exists so the two are never alive together
+    # a pseudoinverse norm not yet recorded factors its stack; read both
+    # before any difference exists so the two are never alive together
     pinv_norm = min(pair.stack_pinv_norm, pair_tilde.stack_pinv_norm)
-    delta = pair_tilde.stacked() - pair.stacked()
-    dnorm = math.sqrt(core.sum_sq(delta))
-    return math.sqrt(2.0) * dnorm * pinv_norm
+    dsq = core.sum_sq(pair_tilde.g1 - pair.g1) + core.sum_sq(pair_tilde.g2 - pair.g2)
+    return math.sqrt(2.0) * math.sqrt(dsq) * pinv_norm
 
 
 def _entropy_sensitivity(vals: np.ndarray, d: float) -> float:

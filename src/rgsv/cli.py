@@ -5,6 +5,11 @@ extract (basis extraction residuals for one matrix), synth (generate and
 save a pair with its true spectrum), bounds (error certificates). All
 randomness flows from --seed, which defaults to the RGSV_SEED environment
 variable and then to 0.
+
+bounds centres its certificate on the direct spectrum and sizes it by the
+perturbation budget between the pair and the projected pair of the
+randomized solve; both solves record their stack norms, so the budget
+factors no (m + p) x n stack.
 """
 
 from __future__ import annotations
@@ -15,10 +20,10 @@ import os
 import sys
 from pathlib import Path
 
-from . import engine, io
+from . import io
 from .analysis import compare
 from .bounds import perturbation_bound, projector_bound, quantity_error_bounds
-from .engine import DIRECT, RANDOMIZED, GmpPair, GsvOptions, compute_gsv
+from .engine import DIRECT, RANDOMIZED, GmpPair, GsvOptions, compute_gsv, projected_pair
 from .errors import GsvError, ValidationError
 from .rangefinder import ExtractionConfig, extract_basis
 from .synthetic import SynthSpec, synth_gmp
@@ -131,12 +136,7 @@ def _cmd_bounds(args) -> int:
     pair = _load_pair(args)
     opts = _gsv_options(args)
     spec_direct = compute_gsv(pair, dataclasses.replace(opts, method=DIRECT))
-
-    ropts = dataclasses.replace(opts, method=RANDOMIZED)
-    pl = engine._run_pipeline(pair, ropts)
-    g1_proj = pl.q1 @ (pl.q1.conj().T @ pair.g1)
-    g2_proj = pl.q2 @ (pl.q2.conj().T @ pair.g2)
-    pair_proj = GmpPair(g1_proj, g2_proj)
+    pair_proj = projected_pair(pair, dataclasses.replace(opts, method=RANDOMIZED))
     e_script = perturbation_bound(pair, pair_proj)
     eta = pair.stack_norm2 ** 2
     cert = quantity_error_bounds(spec_direct, e_script, eta=eta)

@@ -33,11 +33,12 @@ class QrFactors(NamedTuple):
 
 class SvdFactors(NamedTuple):
     """Reduced SVD factors: ``u @ diag(s) @ v.conj().T`` reconstructs the
-    input, with ``s`` real, nonnegative and nonincreasing."""
+    input, with ``s`` real, nonnegative and nonincreasing. ``u`` and ``v``
+    are None when only the singular values were computed."""
 
-    u: np.ndarray
+    u: np.ndarray | None
     s: np.ndarray
-    v: np.ndarray
+    v: np.ndarray | None
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -80,8 +81,11 @@ def gaussian_matrix(rows: int, cols: int, seed: int, field: str = REAL) -> np.nd
 # wide and at least this many times taller than wide.
 _CHOLQR_MAX_COLS = 128
 _CHOLQR_MIN_ASPECT = 4
-# Largest accepted ||R1||_1 * ||R1^-1||_1 of the first Cholesky factor; it
-# keeps kappa_2 of the panel below about 128 * 1e5 ~ 1e7 < u^(-1/2).
+# Largest accepted condition number of a Cholesky factor R (kappa_2(R) is
+# the panel's own). The cheap ||R||_1 * ||R^-1||_1 is tested first; it is at
+# least kappa_2(R)/n, so it alone admits kappa_2 up to about 128 * 1e5 ~ 1e7
+# < u^(-1/2). Only a factor it rejects pays for R's singular values and is
+# accepted when kappa_2(R) <= 1e5, which keeps that worst case unchanged.
 _CHOLQR_MAX_COND = 1e5
 
 
@@ -93,9 +97,10 @@ def reduced_qr(m) -> QrFactors:
     R1 = chol(Y^H Y), P = Y R1^-1, R2 = chol(P^H P), Q = P R2^-1 and
     R = R2 R1, all BLAS-3. The panel falls back to Householder reflections
     when its Gram matrix is not finite, a Cholesky factorization fails, or
-    ||R1||_1 * ||R1^-1||_1 exceeds 1e5, so ill-conditioned and
-    rank-deficient panels get the Householder factors. Every other shape
-    uses Householder reflections.
+    a Cholesky factor is too ill-conditioned: ||R||_1 * ||R^-1||_1 above
+    1e5 and, tested only then, kappa_2(R) above 1e5 as well. So
+    ill-conditioned and rank-deficient panels get the Householder factors.
+    Every other shape uses Householder reflections.
 
     The phase convention makes the diagonal of R real and nonnegative,
     which fixes the factors uniquely for full-column-rank input. Rank
@@ -140,7 +145,8 @@ def _householder_qr(a: np.ndarray) -> QrFactors:
 def _cholesky_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """(R, R^-1) with R upper triangular, positive diagonal and
     R^H R = a^H a, or None when the Gram matrix is not finite, is not
-    numerically positive definite, or R is too ill-conditioned."""
+    numerically positive definite, or R is too ill-conditioned by both its
+    1-norm and its 2-norm condition number."""
     with np.errstate(over="ignore", invalid="ignore"):
         gram = a.conj().T @ a
     if not np.all(np.isfinite(gram)):
@@ -154,14 +160,23 @@ def _cholesky_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         r_inv = np.linalg.inv(r)
         cond = np.linalg.norm(r, 1) * np.linalg.norm(r_inv, 1)
     if not cond <= _CHOLQR_MAX_COND:  # also rejects inf and NaN
-        return None
+        try:
+            s = np.linalg.svd(r, compute_uv=False)
+        except np.linalg.LinAlgError:
+            return None
+        if not s[0] <= _CHOLQR_MAX_COND * s[-1]:
+            return None
     return r, r_inv
 
 
-def svd(m) -> SvdFactors:
-    """Reduced SVD. Raises ConvergenceError if the LAPACK kernel fails."""
+def svd(m, compute_uv: bool = True) -> SvdFactors:
+    """Reduced SVD. With ``compute_uv=False`` only the singular values are
+    computed, at a fraction of the cost, and ``u`` and ``v`` are None.
+    Raises ConvergenceError if the LAPACK kernel fails."""
     a = as_matrix(m)
     try:
+        if not compute_uv:
+            return SvdFactors(None, np.linalg.svd(a, compute_uv=False), None)
         u, s, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"SVD did not converge: {exc}") from exc

@@ -9,7 +9,12 @@ test runs on the singular values of the stack's n x n R factor rather
 than on the (m + p) x n stack; a projection cannot raise rank, so a
 rank-deficient pair is still rejected. ``method="direct"`` runs the
 identical stacking code with no compression and serves as the oracle
-path. ``recover_gsvd`` rebuilds the full factorization
+path; its R factor has the stack's singular values, so it also fills the
+pair's cached stack norms. ``projected_pair`` returns the pair
+(Q1 Q1^H G1, Q2 Q2^H G2) whose exact GSVs the randomized path computes,
+with its stack norms taken from the compressed R factor, so the
+perturbation budget needs no SVD of either (m + p) x n stack.
+``recover_gsvd`` rebuilds the full factorization
 G1 = U diag(alpha) R, G2 = V diag(beta) R on demand.
 """
 
@@ -43,8 +48,11 @@ class GmpPair:
     checks the shapes, including m + p >= n. It does not factor the
     stack: the numerical rank test (sigma_min <= 1e-12 * sigma_max raises
     RankDeficiencyError) runs on the R factor of the stacked pair inside
-    ``compute_gsv`` and ``recover_gsvd``, and on the stack itself the
-    first time ``stack_norm2`` or ``stack_pinv_norm`` is read.
+    ``compute_gsv`` and ``recover_gsvd``. The stack's extreme singular
+    values behind ``stack_norm2`` and ``stack_pinv_norm`` are those of
+    that R factor: a direct solve, or ``projected_pair`` for the pair it
+    returns, records them. Otherwise they come from an SVD of the stack
+    the first time either norm is read, under the same rank test.
     """
 
     g1: np.ndarray
@@ -89,17 +97,24 @@ class GmpPair:
         _require_full_rank(s, "stacked pair")
         return float(s[0]), float(s[-1])
 
+    def _record_stack_extremes(self, s: np.ndarray) -> None:
+        """Fill the stack-norm cache, unless it is already set, from the
+        descending singular values ``s`` of a matrix with the same singular
+        values as the stack, which already passed the rank test."""
+        self.__dict__.setdefault("_stack_extremes", (float(s[0]), float(s[-1])))
+
     @property
     def stack_norm2(self) -> float:
-        """Largest singular value of the stacked pair (computed once, on
-        first use; raises RankDeficiencyError for a rank-deficient stack)."""
+        """Largest singular value of the stacked pair (recorded by a solve,
+        else computed once on first use; raises RankDeficiencyError for a
+        rank-deficient stack)."""
         return self._stack_extremes[0]
 
     @property
     def stack_pinv_norm(self) -> float:
-        """Spectral norm of the stacked pair's pseudoinverse (computed
-        once, on first use; raises RankDeficiencyError for a rank-deficient
-        stack)."""
+        """Spectral norm of the stacked pair's pseudoinverse (recorded by a
+        solve, else computed once on first use; raises RankDeficiencyError
+        for a rank-deficient stack)."""
         return 1.0 / self._stack_extremes[1]
 
 
@@ -243,13 +258,15 @@ def spectrum_from_l_blocks(
 def _singular_values(block: np.ndarray) -> np.ndarray:
     if block.shape[0] == 0:
         return np.zeros(0)
-    return core.svd(block).s
+    return core.svd(block, compute_uv=False).s
 
 
 @dataclass(frozen=True)
 class _Pipeline:
     q1: np.ndarray | None  # None means the identity (no compression)
     q2: np.ndarray | None
+    c1: np.ndarray  # compressed blocks Q^H G, the pair itself on the direct path
+    c2: np.ndarray
     l1_block: np.ndarray
     l2_block: np.ndarray
     r_tilde: np.ndarray
@@ -284,7 +301,9 @@ def _run_pipeline(pair: GmpPair, opts: GsvOptions) -> _Pipeline:
     qf = core.reduced_qr(np.vstack([c1, c2]))
     sv = np.linalg.svd(qf.r, compute_uv=False)
     _require_full_rank(sv, "stacked pair" if q1 is None else "compressed stacked pair")
-    return _Pipeline(q1, q2, qf.q[:l1], qf.q[l1:], qf.r, sv)
+    if q1 is None:
+        pair._record_stack_extremes(sv)
+    return _Pipeline(q1, q2, c1, c2, qf.q[:l1], qf.q[l1:], qf.r, sv)
 
 
 def compute_gsv(pair: GmpPair, opts: GsvOptions | None = None) -> GsvSpectrum:
@@ -302,6 +321,26 @@ def compute_gsv(pair: GmpPair, opts: GsvOptions | None = None) -> GsvSpectrum:
     opts = opts or GsvOptions()
     pl = _run_pipeline(pair, opts)
     return spectrum_from_l_blocks(pl.l1_block, pl.l2_block, pair.n, opts.classify_tol)
+
+
+def projected_pair(pair: GmpPair, opts: GsvOptions | None = None) -> GmpPair:
+    """The pair (Q1 B1, Q2 B2), B = Q^H G, whose exact GSVs ``compute_gsv``
+    returns for ``opts``: each matrix projected onto its extracted basis.
+
+    Its stack diag(Q1, Q2) [B1; B2] has the singular values of the
+    compressed stack's R factor, which the solve already computed and
+    rank-tested, so its ``stack_norm2`` and ``stack_pinv_norm`` cost no
+    further factorization. With method="direct" nothing is compressed and
+    the result holds the pair's own matrices. Raises what ``compute_gsv``
+    raises.
+    """
+    opts = opts or GsvOptions()
+    pl = _run_pipeline(pair, opts)
+    g1 = pl.c1 if pl.q1 is None else pl.q1 @ pl.c1
+    g2 = pl.c2 if pl.q2 is None else pl.q2 @ pl.c2
+    proj = GmpPair(g1, g2)
+    proj._record_stack_extremes(pl.r_singular_values)
+    return proj
 
 
 def _orthonormal_completion(cols: np.ndarray, count: int) -> np.ndarray:

@@ -14,6 +14,7 @@ import csv
 import json
 import sys
 from collections.abc import Sequence
+from io import StringIO
 from pathlib import Path
 from typing import NamedTuple
 
@@ -199,20 +200,22 @@ def _csv_rows(report) -> list[list]:
 
 
 def write_report(report, path=None, fmt: str = "csv") -> None:
-    """Serialize a report to ``path`` (or stdout when None) as csv or json."""
+    """Serialize a report to ``path`` (or stdout when None) as csv or json.
+
+    The whole text is built before ``path`` is opened, so a report that
+    cannot be serialized leaves the file as it was.
+    """
     if fmt not in ("csv", "json"):
         raise ValidationError(f"format must be 'csv' or 'json', got {fmt!r}")
-
-    def emit(fh):
-        if fmt == "json":
-            json.dump(report_to_dict(report), fh, indent=2)
-            fh.write("\n")
-        else:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerows(_csv_rows(report))
+    if fmt == "json":
+        text = json.dumps(report_to_dict(report), indent=2) + "\n"
+    else:
+        buf = StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(_csv_rows(report))
+        text = buf.getvalue()
 
     if path is None:
-        emit(sys.stdout)
+        sys.stdout.write(text)
     else:
         with open(path, "w", newline="") as fh:
-            emit(fh)
+            fh.write(text)

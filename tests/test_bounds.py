@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from rgsv import (
     extract_basis,
     gaussian_matrix,
     perturbation_bound,
+    projected_pair,
     projector_bound,
     quantity_error_bounds,
     residual_norm,
@@ -119,6 +121,49 @@ class TestPerturbationBound:
             assert rss <= budget + 1e-12
             assert np.max(np.abs(s.alphas - st.alphas)) <= budget + 1e-12
             assert np.max(np.abs(s.betas - st.betas)) <= budget + 1e-12
+
+
+class TestProjectedPairBudget:
+    """The certificate of a randomized solve, perturbation_bound(pair,
+    projected_pair(pair, opts)), reuses the solves' factors; it must equal
+    the budget computed with nothing reused."""
+
+    @staticmethod
+    def _budget_from_explicit_stacks(pair, opts):
+        # explicit projections Q (Q^H G) with the engine's per-side seeds,
+        # and an SVD of both (m + p) x n stacks
+        cfg = opts.extraction
+        q1 = extract_basis(pair.g1, dataclasses.replace(cfg, seed=cfg.seed)).q
+        q2 = extract_basis(pair.g2, dataclasses.replace(cfg, seed=cfg.seed + 1)).q
+        stack = np.vstack([pair.g1, pair.g2])
+        tilde = np.vstack([q1 @ (q1.conj().T @ pair.g1), q2 @ (q2.conj().T @ pair.g2)])
+        smin = max(np.linalg.svd(a, compute_uv=False)[-1] for a in (stack, tilde))
+        return math.sqrt(2.0) * np.linalg.norm(tilde - stack) / smin
+
+    @pytest.mark.parametrize("case", ["real", "complex", "capped", "tail", "tail_complex"])
+    def test_matches_explicit_stacks(self, case):
+        tail = np.concatenate([np.linspace(0.99, 0.5, 20), np.full(10, 1e-10)])
+        pair, cfg = {
+            "real": (random_pair(60, 50, 30, seed=70), ExtractionConfig(seed=71)),
+            "complex": (random_pair(60, 50, 30, seed=72, field="complex"),
+                        ExtractionConfig(seed=73)),
+            "capped": (random_pair(60, 50, 30, seed=70), ExtractionConfig(seed=71, max_cols=20)),
+            "tail": (structured_pair(tail, 80, 70, seed=74)[0],
+                     ExtractionConfig(seed=75, blocksize=10)),
+            "tail_complex": (structured_pair(tail, 80, 70, seed=74, field="complex")[0],
+                             ExtractionConfig(seed=75, blocksize=10)),
+        }[case]
+        opts = GsvOptions(extraction=cfg)
+        want = self._budget_from_explicit_stacks(pair, opts)
+        compute_gsv(pair, GsvOptions(method="direct"))  # as `rgsv bounds` does
+        got = perturbation_bound(pair, projected_pair(pair, opts))
+        assert abs(got - want) <= 1e-10 * want
+
+    def test_direct_projection_is_the_pair(self):
+        pair = random_pair(30, 25, 12, seed=76)
+        proj = projected_pair(pair, GsvOptions(method="direct"))
+        assert np.array_equal(proj.g1, pair.g1) and np.array_equal(proj.g2, pair.g2)
+        assert perturbation_bound(pair, proj) == 0.0
 
 
 class TestQuantityErrorBounds:

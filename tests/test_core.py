@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from rgsv import (
+    ConvergenceError,
     DimensionError,
     RankDeficiencyError,
     ValidationError,
@@ -159,6 +160,22 @@ class TestSvd:
         f = svd(m)
         assert abs(np.sum(f.s**2) - frobenius_norm(m) ** 2) <= 1e-10 * frobenius_norm(m) ** 2
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_values_only(self, field):
+        m = gaussian_matrix(40, 15, seed=9, field=field)
+        f = svd(m, compute_uv=False)
+        assert f.u is None and f.v is None
+        assert np.max(np.abs(f.s - svd(m).s)) <= 1e-13 * f.s[0]
+
+    @pytest.mark.parametrize("compute_uv", [True, False])
+    def test_lapack_failure_is_convergence_error(self, compute_uv, monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        with pytest.raises(ConvergenceError):
+            svd(np.eye(3), compute_uv=compute_uv)
+
 
 class TestFrobeniusNorm:
     def test_identity(self):
@@ -213,6 +230,27 @@ class TestReducedQrPanels:
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_well_conditioned_panel_matches_householder(self, field, monkeypatch):
         a = gaussian_matrix(4000, 100, seed=31, field=field)
+        q_ref, r_ref = np.linalg.qr(a)
+        d = np.diagonal(r_ref)
+        ph = d / np.abs(d)
+        q_ref, r_ref = q_ref * ph, r_ref * np.conj(ph)[:, None]
+        q, r, householder = self._factor(a, monkeypatch)
+        assert not householder
+        assert np.max(np.abs(q - q_ref)) <= 1e-13
+        assert np.linalg.norm(r - r_ref) <= 1e-13 * np.linalg.norm(r_ref)
+        self._check_invariants(a, q, r)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_kappa2_admits_what_the_1norm_estimate_rejects(self, field, monkeypatch):
+        # a Gaussian panel whose last column also carries 10x the sum of
+        # the others: kappa_2 ~ 1e4, but ||R||_1 ||R^-1||_1 ~ 1e6
+        t = np.eye(100)
+        t[:-1, -1] = 10.0
+        a = gaussian_matrix(4000, 100, seed=36, field=field) @ t
+        r1 = np.linalg.cholesky(a.conj().T @ a).conj().T
+        cond1 = np.linalg.norm(r1, 1) * np.linalg.norm(np.linalg.inv(r1), 1)
+        kappa2 = np.linalg.cond(r1)
+        assert cond1 > 1e5 > kappa2
         q_ref, r_ref = np.linalg.qr(a)
         d = np.diagonal(r_ref)
         ph = d / np.abs(d)

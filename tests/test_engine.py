@@ -17,9 +17,28 @@ from rgsv import (
     compare,
     compute_gsv,
     gaussian_matrix,
+    perturbation_bound,
+    projected_pair,
     recover_gsvd,
 )
 from rgsv.engine import spectrum_from_l_blocks
+
+
+def _record_rows(monkeypatch, *targets):
+    """Wrap each (owner, name) function so that the row count of its first
+    argument is appended to the returned list on every call."""
+    rows = []
+
+    def recording(fn):
+        def wrapper(a, *args, **kwargs):
+            rows.append(np.shape(a)[0])
+            return fn(a, *args, **kwargs)
+
+        return wrapper
+
+    for owner, name in targets:
+        monkeypatch.setattr(owner, name, recording(getattr(owner, name)))
+    return rows
 
 
 class TestGmpPair:
@@ -213,21 +232,25 @@ class TestComputeGsv:
 
         m, p, n = 60, 50, 30
         g1, g2 = gaussian_matrix(m, n, seed=44), gaussian_matrix(p, n, seed=45)
-        rows = []
-
-        def recording(fn):
-            def wrapper(a, *args, **kwargs):
-                rows.append(np.shape(a)[0])
-                return fn(a, *args, **kwargs)
-
-            return wrapper
-
-        for owner, name in ((np.linalg, "svd"), (np.linalg, "qr"), (rgsv.core, "reduced_qr")):
-            monkeypatch.setattr(owner, name, recording(getattr(owner, name)))
+        rows = _record_rows(
+            monkeypatch, (np.linalg, "svd"), (np.linalg, "qr"), (rgsv.core, "reduced_qr")
+        )
         compare(GmpPair(g1, g2), GsvOptions(extraction=ExtractionConfig(tol=1e-12, seed=46)))
         assert rows and m + p not in rows
         compare(GmpPair(g1, g2), GsvOptions(method="direct"))
         assert m + p in rows  # the recorder sees a stack factorization
+
+    def test_certificate_takes_the_stack_norms_from_the_solves(self, monkeypatch):
+        # the direct solve's R factor and the randomized solve's R~ carry
+        # the singular values of both stacks, so no SVD of either runs
+        m, p, n = 60, 50, 30
+        pair = GmpPair(gaussian_matrix(m, n, seed=47), gaussian_matrix(p, n, seed=48))
+        rows = _record_rows(monkeypatch, (np.linalg, "svd"))
+        compute_gsv(pair, GsvOptions(method="direct"))
+        assert pair.stack_pinv_norm > 0 and pair.stack_norm2 > 0
+        opts = GsvOptions(extraction=ExtractionConfig(tol=1e-12, seed=49))
+        assert perturbation_bound(pair, projected_pair(pair, opts)) >= 0
+        assert rows and m + p not in rows
 
 
 class TestRecoverGsvd:

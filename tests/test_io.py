@@ -177,6 +177,14 @@ class TestWriteReport:
             write_report([], tmp_path / "x.csv", "yaml")
 
 
+def test_unserializable_report_leaves_target_intact(tmp_path):
+    f = tmp_path / "y.csv"
+    f.write_text("old contents")
+    with pytest.raises(ValidationError):
+        write_report([], f, "csv")
+    assert f.read_text() == "old contents"
+
+
 def test_report_to_dict_kinds():
     pair = random_pair(8, 7, 5, seed=6)
     spec = compute_gsv(pair, GsvOptions(method="direct"))
