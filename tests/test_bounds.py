@@ -133,7 +133,7 @@ class TestProjectedPairBudget:
         # explicit projections Q (Q^H G) with the engine's per-side seeds,
         # and an SVD of both (m + p) x n stacks
         cfg = opts.extraction
-        q1 = extract_basis(pair.g1, dataclasses.replace(cfg, seed=cfg.seed)).q
+        q1 = extract_basis(pair.g1, cfg).q
         q2 = extract_basis(pair.g2, dataclasses.replace(cfg, seed=cfg.seed + 1)).q
         stack = np.vstack([pair.g1, pair.g2])
         tilde = np.vstack([q1 @ (q1.conj().T @ pair.g1), q2 @ (q2.conj().T @ pair.g2)])
