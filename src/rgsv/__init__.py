@@ -22,7 +22,6 @@ from .core import (
     as_matrix,
     frobenius_norm,
     gaussian_matrix,
-    pseudoinverse_norm,
     reduced_qr,
     svd,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "perturbation_bound",
     "projected_pair",
     "projector_bound",
-    "pseudoinverse_norm",
     "quantity_error_bounds",
     "read_matrix",
     "recover_gsvd",

@@ -85,7 +85,8 @@ def perturbation_bound(pair: GmpPair, pair_tilde: GmpPair) -> float:
     stack is formed. A pseudoinverse norm costs an SVD of its stack only
     when the pair has none recorded: after a direct ``compute_gsv`` of
     ``pair`` and for a ``projected_pair`` as ``pair_tilde`` (the
-    a-posteriori certificate of the randomized solve) both are free.
+    a-posteriori certificate of the randomized solve) both are free. On a
+    ``triangular_pair`` (``rgsv bounds``) every block is at most n x n.
     """
     if pair.g1.shape != pair_tilde.g1.shape or pair.g2.shape != pair_tilde.g2.shape:
         raise DimensionError("pairs must have identical shapes")

@@ -6,16 +6,15 @@ save a pair with its true spectrum), bounds (error certificates). All
 randomness flows from --seed, which defaults to the RGSV_SEED environment
 variable and then to 0.
 
-bounds centres its certificate on the direct spectrum and sizes it by the
-perturbation budget between the pair and the projected pair of the
-randomized solve; both solves record their stack norms, so the budget
-factors no (m + p) x n stack.
+bounds reduces the pair to its triangular factors (R1, R2), centres the
+certificate on the exact direct spectrum of (R1, R2) and sizes it by the
+perturbation budget between (R1, R2) and the projected pair of the
+randomized solve on it; nothing after the two R-only QRs is taller than 2n.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -23,7 +22,8 @@ from pathlib import Path
 from . import io
 from .analysis import compare
 from .bounds import perturbation_bound, projector_bound, quantity_error_bounds
-from .engine import DIRECT, RANDOMIZED, GmpPair, GsvOptions, compute_gsv, projected_pair
+from .engine import (DIRECT, RANDOMIZED, GmpPair, GsvOptions, compute_gsv, projected_pair,
+                     triangular_pair)
 from .errors import GsvError, ValidationError
 from .rangefinder import ExtractionConfig, extract_basis
 from .synthetic import SynthSpec, synth_gmp
@@ -63,8 +63,9 @@ def _add_extraction_options(p: argparse.ArgumentParser):
     p.add_argument("--trim-tol", type=float, default=1e-12)
 
 
-def _add_gsv_options(p: argparse.ArgumentParser):
-    p.add_argument("--method", choices=[RANDOMIZED, DIRECT], default=RANDOMIZED)
+def _add_gsv_options(p: argparse.ArgumentParser, method: bool = True):
+    if method:
+        p.add_argument("--method", choices=[RANDOMIZED, DIRECT], default=RANDOMIZED)
     _add_extraction_options(p)
     p.add_argument("--classify-tol", type=float, default=1e-10)
 
@@ -84,9 +85,9 @@ def _extraction_config(args) -> ExtractionConfig:
     )
 
 
-def _gsv_options(args) -> GsvOptions:
-    return GsvOptions(extraction=_extraction_config(args),
-                      classify_tol=args.classify_tol, method=args.method)
+def _gsv_options(args, method: str | None = None) -> GsvOptions:
+    return GsvOptions(extraction=_extraction_config(args), classify_tol=args.classify_tol,
+                      method=method or args.method)
 
 
 def _load_pair(args) -> GmpPair:
@@ -133,10 +134,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    pair = _load_pair(args)
-    opts = _gsv_options(args)
-    spec_direct = compute_gsv(pair, dataclasses.replace(opts, method=DIRECT))
-    pair_proj = projected_pair(pair, dataclasses.replace(opts, method=RANDOMIZED))
+    pair = triangular_pair(_load_pair(args))
+    spec_direct = compute_gsv(pair, _gsv_options(args, DIRECT))
+    pair_proj = projected_pair(pair, _gsv_options(args, RANDOMIZED))
     e_script = perturbation_bound(pair, pair_proj)
     eta = pair.stack_norm2 ** 2
     cert = quantity_error_bounds(spec_direct, e_script, eta=eta)
@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pair_inputs(p)
     p.add_argument("--k", type=int, default=None, help="sketch target rank")
     p.add_argument("--oversample", type=int, default=5)
-    _add_gsv_options(p)
+    _add_gsv_options(p, method=False)
     _add_output(p)
     p.set_defaults(func=_cmd_bounds)
 

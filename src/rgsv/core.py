@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, RankDeficiencyError, ValidationError
+from .errors import ConvergenceError, DimensionError, ValidationError
 
 REAL = "real"
 COMPLEX = "complex"
@@ -206,21 +206,3 @@ def frobenius_norm(m) -> float:
     """Frobenius norm, sqrt of the compensated sum of squared magnitudes."""
     return math.sqrt(sum_sq(as_matrix(m)))
 
-
-def pseudoinverse_norm(m) -> float:
-    """Spectral norm of the pseudoinverse, 1/sigma_min, for a matrix of
-    full column rank. Raises RankDeficiencyError otherwise."""
-    a = as_matrix(m)
-    rows, cols = a.shape
-    if rows < cols:
-        raise RankDeficiencyError(
-            f"matrix of shape {a.shape} cannot have full column rank"
-        )
-    s = svd(a).s
-    smax, smin = float(s[0]), float(s[-1])
-    if smin <= 1e-13 * smax:
-        raise RankDeficiencyError(
-            f"smallest singular value {smin:.3e} below rank threshold "
-            f"{1e-13 * smax:.3e}"
-        )
-    return 1.0 / smin

@@ -14,6 +14,8 @@ pair's cached stack norms. ``projected_pair`` returns the pair
 (Q1 Q1^H G1, Q2 Q2^H G2) whose exact GSVs the randomized path computes,
 with its stack norms taken from the compressed R factor, so the
 perturbation budget needs no SVD of either (m + p) x n stack.
+``triangular_pair`` returns the R factors (R1, R2) of G1 = Q1 R1 and
+G2 = Q2 R2, which keep every quantity a certificate reads.
 ``recover_gsvd`` rebuilds the full factorization
 G1 = U diag(alpha) R, G2 = V diag(beta) R on demand.
 """
@@ -341,6 +343,21 @@ def projected_pair(pair: GmpPair, opts: GsvOptions | None = None) -> GmpPair:
     proj = GmpPair(g1, g2)
     proj._record_stack_extremes(pl.r_singular_values)
     return proj
+
+
+def triangular_pair(pair: GmpPair) -> GmpPair:
+    """The pair (R1, R2) of R-only Householder QRs G1 = Q1 R1, G2 = Q2 R2
+    (LAPACK geqrf, Q is never formed), each Ri min(rows, n) x n.
+
+    It keeps what a certificate reads. The stack diag(Q1, Q2) [R1; R2]
+    has the same singular values (stack norms, eta, the rank test) and
+    GSVs. ||Ri||_F = ||Gi||_F (default tol, trim cut). Ri Omega =
+    Qi^H (Gi Omega), so a randomized solve with the same seeds makes the
+    same decisions in exact arithmetic, returns bases rotated by Qi^H and
+    has ||Ri - Q~i B~i||_F = ||Gi - Qi Q~i B~i||_F. min(rows, n), and so
+    every ``max_cols`` clamp and ``projector_bound`` limit, is unchanged.
+    """
+    return GmpPair(np.linalg.qr(pair.g1, mode="r"), np.linalg.qr(pair.g2, mode="r"))
 
 
 def _orthonormal_completion(cols: np.ndarray, count: int) -> np.ndarray:

@@ -40,3 +40,20 @@ def spectrum_gap(s1: GsvSpectrum, s2: GsvSpectrum) -> float:
         float(np.max(np.abs(s1.alphas - s2.alphas))),
         float(np.max(np.abs(s1.betas - s2.betas))),
     )
+
+
+def record_rows(monkeypatch, *targets):
+    """Wrap each (owner, name) function so that the row count of its first
+    argument is appended to the returned list on every call."""
+    rows = []
+
+    def recording(fn):
+        def wrapper(a, *args, **kwargs):
+            rows.append(np.shape(a)[0])
+            return fn(a, *args, **kwargs)
+
+        return wrapper
+
+    for owner, name in targets:
+        monkeypatch.setattr(owner, name, recording(getattr(owner, name)))
+    return rows

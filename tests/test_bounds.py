@@ -19,6 +19,7 @@ from rgsv import (
     quantity_error_bounds,
     residual_norm,
 )
+from rgsv.engine import triangular_pair
 
 
 def decaying_pair(n=100, m=220, p=180, seed=0, base=0.95, ratio=0.82):
@@ -140,24 +141,52 @@ class TestProjectedPairBudget:
         smin = max(np.linalg.svd(a, compute_uv=False)[-1] for a in (stack, tilde))
         return math.sqrt(2.0) * np.linalg.norm(tilde - stack) / smin
 
-    @pytest.mark.parametrize("case", ["real", "complex", "capped", "tail", "tail_complex"])
-    def test_matches_explicit_stacks(self, case):
+    @staticmethod
+    def _case(case):
         tail = np.concatenate([np.linspace(0.99, 0.5, 20), np.full(10, 1e-10)])
-        pair, cfg = {
+        return {
             "real": (random_pair(60, 50, 30, seed=70), ExtractionConfig(seed=71)),
             "complex": (random_pair(60, 50, 30, seed=72, field="complex"),
                         ExtractionConfig(seed=73)),
+            "wide": (random_pair(20, 50, 30, seed=77), ExtractionConfig(seed=78)),
             "capped": (random_pair(60, 50, 30, seed=70), ExtractionConfig(seed=71, max_cols=20)),
             "tail": (structured_pair(tail, 80, 70, seed=74)[0],
                      ExtractionConfig(seed=75, blocksize=10)),
             "tail_complex": (structured_pair(tail, 80, 70, seed=74, field="complex")[0],
                              ExtractionConfig(seed=75, blocksize=10)),
         }[case]
+
+    @pytest.mark.parametrize("case", ["real", "complex", "capped", "tail", "tail_complex"])
+    def test_matches_explicit_stacks(self, case):
+        pair, cfg = self._case(case)
         opts = GsvOptions(extraction=cfg)
         want = self._budget_from_explicit_stacks(pair, opts)
-        compute_gsv(pair, GsvOptions(method="direct"))  # as `rgsv bounds` does
+        compute_gsv(pair, GsvOptions(method="direct"))  # records the stack norms
         got = perturbation_bound(pair, projected_pair(pair, opts))
         assert abs(got - want) <= 1e-10 * want
+
+    @pytest.mark.parametrize(
+        "case", ["real", "complex", "wide", "capped", "tail", "tail_complex"]
+    )
+    def test_triangular_route(self, case):
+        # the route of `rgsv bounds`: the same certificate, computed on the
+        # pair's triangular factors
+        pair, cfg = self._case(case)
+        opts = GsvOptions(extraction=cfg)
+        tri = triangular_pair(pair)
+        centre = compute_gsv(tri, GsvOptions(method="direct"))
+        budget = perturbation_bound(tri, projected_pair(tri, opts))
+        if case in ("real", "complex", "wide"):
+            # exact low rank: both routes are at rounding level
+            assert budget <= 1e-12
+        else:
+            want = self._budget_from_explicit_stacks(pair, opts)
+            assert abs(budget - want) <= 1e-6 * want
+        # the budget covers the spectrum the randomized solve returns
+        spec = compute_gsv(pair, opts)
+        rss = math.sqrt(float(np.sum((spec.alphas - centre.alphas) ** 2
+                                     + (spec.betas - centre.betas) ** 2)))
+        assert rss <= budget + 1e-12
 
     def test_direct_projection_is_the_pair(self):
         pair = random_pair(30, 25, 12, seed=76)

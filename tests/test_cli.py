@@ -4,8 +4,11 @@ import sys
 
 import numpy as np
 import pytest
+from _util import record_rows
 
-from rgsv import gaussian_matrix, write_matrix
+import rgsv.core
+from rgsv import GmpPair, gaussian_matrix, read_matrix, write_matrix
+from rgsv.cli import main
 
 
 def run_cli(*args, env=None):
@@ -138,9 +141,42 @@ def test_bounds_certificate(pair_files, tmp_path):
         cert = json.load(fh)
     assert cert["kind"] == "bound_certificate"
     assert cert["e_script"] >= 0
-    assert cert["eta"] > 0
+    eta = GmpPair(read_matrix(g1), read_matrix(g2)).stack_norm2 ** 2
+    assert abs(cert["eta"] - eta) <= 1e-12 * eta
     assert "projector_bound[first]" in proc.stderr
     assert "projector_bound[second]" in proc.stderr
+
+
+def test_bounds_has_no_method_flag(pair_files, capsys):
+    # bounds always centres on the direct spectrum and sizes the budget by
+    # the randomized solve, so a --method flag would do nothing
+    g1, g2 = pair_files
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--g1", str(g1), "--g2", str(g2), "--method", "direct"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_bounds_factors_no_tall_matrix_but_its_two_r_only_qrs(tmp_path, monkeypatch):
+    m, p, n = 90, 80, 20
+    files = tmp_path / "g1.mtx", tmp_path / "g2.csv"
+    write_matrix(files[0], gaussian_matrix(m, n, seed=50))
+    np.savetxt(files[1], gaussian_matrix(p, n, seed=51), delimiter=",")
+    rows = record_rows(monkeypatch, (np.linalg, "svd"), (rgsv.core, "reduced_qr"))
+    qr = np.linalg.qr
+    qr_calls = []
+
+    def recording_qr(a, mode="reduced"):
+        qr_calls.append((np.shape(a)[0], mode))
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    argv = ["bounds", "--g1", str(files[0]), "--g2", str(files[1]), "--k", "4",
+            "--seed", "52", "-o", str(tmp_path / "cert.csv")]
+    assert main(argv) == 0
+    assert sorted(call for call in qr_calls if call[0] > 2 * n) == [(p, "r"), (m, "r")]
+    assert rows and max(rows) <= 2 * n
+    assert m + p not in rows + [r for r, _ in qr_calls]
 
 
 class TestErrorExits:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from _util import make_spectrum, random_pair, spectrum_gap, structured_pair
+from _util import make_spectrum, random_pair, record_rows, spectrum_gap, structured_pair
 
 from rgsv import (
     DimensionError,
@@ -16,29 +16,13 @@ from rgsv import (
     classify_spectrum,
     compare,
     compute_gsv,
+    frobenius_norm,
     gaussian_matrix,
     perturbation_bound,
     projected_pair,
     recover_gsvd,
 )
-from rgsv.engine import spectrum_from_l_blocks
-
-
-def _record_rows(monkeypatch, *targets):
-    """Wrap each (owner, name) function so that the row count of its first
-    argument is appended to the returned list on every call."""
-    rows = []
-
-    def recording(fn):
-        def wrapper(a, *args, **kwargs):
-            rows.append(np.shape(a)[0])
-            return fn(a, *args, **kwargs)
-
-        return wrapper
-
-    for owner, name in targets:
-        monkeypatch.setattr(owner, name, recording(getattr(owner, name)))
-    return rows
+from rgsv.engine import spectrum_from_l_blocks, triangular_pair
 
 
 class TestGmpPair:
@@ -232,7 +216,7 @@ class TestComputeGsv:
 
         m, p, n = 60, 50, 30
         g1, g2 = gaussian_matrix(m, n, seed=44), gaussian_matrix(p, n, seed=45)
-        rows = _record_rows(
+        rows = record_rows(
             monkeypatch, (np.linalg, "svd"), (np.linalg, "qr"), (rgsv.core, "reduced_qr")
         )
         compare(GmpPair(g1, g2), GsvOptions(extraction=ExtractionConfig(tol=1e-12, seed=46)))
@@ -245,12 +229,45 @@ class TestComputeGsv:
         # the singular values of both stacks, so no SVD of either runs
         m, p, n = 60, 50, 30
         pair = GmpPair(gaussian_matrix(m, n, seed=47), gaussian_matrix(p, n, seed=48))
-        rows = _record_rows(monkeypatch, (np.linalg, "svd"))
+        rows = record_rows(monkeypatch, (np.linalg, "svd"))
         compute_gsv(pair, GsvOptions(method="direct"))
         assert pair.stack_pinv_norm > 0 and pair.stack_norm2 > 0
         opts = GsvOptions(extraction=ExtractionConfig(tol=1e-12, seed=49))
         assert perturbation_bound(pair, projected_pair(pair, opts)) >= 0
         assert rows and m + p not in rows
+
+
+def triangular_cases():
+    """Pairs for the triangular reduction, by name. The tails sit at 1e-6,
+    far from classify_tol, so no GSV can snap differently on the two
+    routes."""
+    tail = np.concatenate([np.linspace(0.99, 0.5, 20), np.full(10, 1e-6)])
+    return {
+        "real": random_pair(60, 50, 30, seed=80),
+        "complex": random_pair(60, 50, 30, seed=81, field="complex"),
+        "wide": random_pair(20, 50, 30, seed=82),
+        "tail": structured_pair(tail, 80, 70, seed=83)[0],
+        "tail_complex": structured_pair(tail, 80, 70, seed=84, field="complex")[0],
+    }
+
+
+class TestTriangularPair:
+    @pytest.mark.parametrize("case", ["real", "complex", "wide", "tail", "tail_complex"])
+    def test_keeps_what_the_certificate_reads(self, case):
+        pair = triangular_cases()[case]
+        tri = triangular_pair(pair)
+        assert tri.g1.shape == (min(pair.m, pair.n), pair.n)
+        assert tri.g2.shape == (min(pair.p, pair.n), pair.n)
+        assert tri.g1.dtype == pair.g1.dtype
+        # neither pair has been solved, so both stack norms come from an
+        # SVD of each stack
+        for got, want in ((tri.stack_norm2, pair.stack_norm2),
+                          (tri.stack_pinv_norm, pair.stack_pinv_norm)):
+            assert abs(got - want) <= 1e-12 * want
+        for r, g in ((tri.g1, pair.g1), (tri.g2, pair.g2)):
+            assert abs(frobenius_norm(r) - frobenius_norm(g)) <= 1e-13 * frobenius_norm(g)
+        direct = GsvOptions(method="direct")
+        assert spectrum_gap(compute_gsv(tri, direct), compute_gsv(pair, direct)) <= 1e-12
 
 
 class TestRecoverGsvd:

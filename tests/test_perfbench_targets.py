@@ -19,3 +19,47 @@ def test_every_trace_target_resolves(monkeypatch):
             assert callable(getattr(owner, attr, None)), dotted
     finally:
         sys.modules.pop("tracing", None)
+
+
+# What one `rgsv bounds` calls of the names the benchmark tracer wraps:
+# each per-layer metric of the command is built from one of these spans.
+BOUNDS_SPANS = (
+    ("rgsv.cli", "compute_gsv"),
+    ("rgsv.cli", "perturbation_bound"),
+    ("rgsv.cli", "quantity_error_bounds"),
+    ("rgsv.engine", "extract_basis"),
+    ("rgsv.core", "reduced_qr"),
+    ("rgsv.core", "svd"),
+    ("rgsv.io", "read_matrix"),
+    ("rgsv.io", "write_report"),
+)
+
+
+def test_bounds_enters_every_traced_span(tmp_path, monkeypatch):
+    # a reroute that resolves every name but no longer calls one would
+    # leave that metric unmeasured
+    import rgsv
+    from rgsv.cli import main
+
+    files = tmp_path / "g1.mtx", tmp_path / "g2.mtx"
+    rgsv.write_matrix(files[0], rgsv.gaussian_matrix(40, 12, seed=60))
+    rgsv.write_matrix(files[1], rgsv.gaussian_matrix(30, 12, seed=61))
+    calls = {}
+
+    def counting(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] = calls.get(key, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    owners = [(importlib.import_module(mod), name) for mod, name in BOUNDS_SPANS]
+    owners.append((rgsv.GmpPair, "__post_init__"))
+    for owner, name in owners:
+        monkeypatch.setattr(owner, name, counting(getattr(owner, name), (owner, name)))
+    argv = ["bounds", "--g1", str(files[0]), "--g2", str(files[1]), "--seed", "62",
+            "-o", str(tmp_path / "cert.json"), "--format", "json"]
+    assert main(argv) == 0
+    missed = [f"{owner.__name__}.{name}" for owner, name in owners
+              if calls.get((owner, name), 0) < 1]
+    assert not missed, missed
