@@ -136,16 +136,17 @@ def _cmd_synth(args) -> int:
 def _cmd_bounds(args) -> int:
     pair = triangular_pair(_load_pair(args))
     spec_direct = compute_gsv(pair, _gsv_options(args, DIRECT))
+    # --k and --oversample are validated before anything is written
+    sides = () if args.k is None else ("first", "second")
+    projector = {w: projector_bound(pair, spec_direct, args.k, args.oversample, w) for w in sides}
     pair_proj = projected_pair(pair, _gsv_options(args, RANDOMIZED))
     e_script = perturbation_bound(pair, pair_proj)
     eta = pair.stack_norm2 ** 2
     cert = quantity_error_bounds(spec_direct, e_script, eta=eta)
     io.write_report(cert, args.output, args.format)
-    if args.k is not None:
-        for which in ("first", "second"):
-            bound = projector_bound(pair, spec_direct, args.k, args.oversample, which)
-            print(f"projector_bound[{which}] (k={args.k}, "
-                  f"oversample={args.oversample}): {bound:.6e}", file=sys.stderr)
+    for which, bound in projector.items():
+        print(f"projector_bound[{which}] (k={args.k}, "
+              f"oversample={args.oversample}): {bound:.6e}", file=sys.stderr)
     return 0
 
 

@@ -58,23 +58,30 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def gaussian_matrix(rows: int, cols: int, seed: int, field: str = REAL) -> np.ndarray:
-    """Sample a ``rows x cols`` Gaussian matrix, bitwise reproducible for a
-    fixed ``(rows, cols, seed, field)``.
+def seeded_rng(seed: int) -> np.random.Generator:
+    """The generator behind every seeded draw: ``default_rng`` of the seed
+    reduced modulo 2^64, so negative and oversized seeds are accepted."""
+    return np.random.default_rng(int(seed) & _SEED_MASK)
 
-    Real entries are standard normal; complex entries have independent
-    real and imaginary parts of variance 1/2 each (unit total variance).
-    """
+
+def gaussian_block(rng, rows: int, cols: int, field: str = REAL) -> np.ndarray:
+    """The next ``rows x cols`` Gaussian block drawn from ``rng``: standard
+    normal, or complex sqrt(1/2) (re + i im) with the real parts drawn
+    first (unit total variance)."""
+    if field not in (REAL, COMPLEX):
+        raise ValidationError(f"field must be 'real' or 'complex', got {field!r}")
+    re = rng.standard_normal((rows, cols))
+    if field == REAL:
+        return re
+    return math.sqrt(0.5) * (re + 1j * rng.standard_normal((rows, cols)))
+
+
+def gaussian_matrix(rows: int, cols: int, seed: int, field: str = REAL) -> np.ndarray:
+    """Sample a ``rows x cols`` Gaussian matrix (see ``gaussian_block``),
+    bitwise reproducible for a fixed ``(rows, cols, seed, field)``."""
     if rows < 1 or cols < 1:
         raise DimensionError(f"matrix dimensions must be positive, got ({rows}, {cols})")
-    rng = np.random.default_rng(int(seed) & _SEED_MASK)
-    if field == REAL:
-        return rng.standard_normal((rows, cols))
-    if field == COMPLEX:
-        re = rng.standard_normal((rows, cols))
-        im = rng.standard_normal((rows, cols))
-        return math.sqrt(0.5) * (re + 1j * im)
-    raise ValidationError(f"field must be 'real' or 'complex', got {field!r}")
+    return gaussian_block(seeded_rng(seed), rows, cols, field)
 
 
 # CholeskyQR2 fast path of reduced_qr: panels at most this many columns

@@ -17,7 +17,9 @@ perturbation budget needs no SVD of either (m + p) x n stack.
 ``triangular_pair`` returns the R factors (R1, R2) of G1 = Q1 R1 and
 G2 = Q2 R2, which keep every quantity a certificate reads.
 ``recover_gsvd`` rebuilds the full factorization
-G1 = U diag(alpha) R, G2 = V diag(beta) R on demand.
+G1 = U diag(alpha) R, G2 = V diag(beta) R on demand by one recovery,
+run on the mirrored pair (G2, G1) when L1 is the taller block; no square
+Q is formed to complete the columns the data leave undetermined.
 """
 
 from __future__ import annotations
@@ -361,28 +363,53 @@ def triangular_pair(pair: GmpPair) -> GmpPair:
 
 
 def _orthonormal_completion(cols: np.ndarray, count: int) -> np.ndarray:
-    """Orthonormal columns orthogonal to the given orthonormal block."""
-    dim = cols.shape[0]
-    have = cols.shape[1]
+    """``count`` orthonormal columns orthogonal to the orthonormal block
+    ``cols`` (dim x have): the trailing columns of the reduced Householder Q
+    of [cols, I[:, :count]]. That Q is orthonormal by construction and its
+    leading columns span ``cols``, also when columns of I lie in that span;
+    it costs O(dim (have + count)^2) and never forms a dim x dim matrix."""
+    dim, have = cols.shape
     if count == 0:
         return np.zeros((dim, 0), dtype=cols.dtype)
     if have + count > dim:
         raise RecoveryError(
             f"cannot complete {have} columns with {count} more in dimension {dim}"
         )
-    if have == 0:
-        return np.eye(dim, count, dtype=cols.dtype)
-    full, _ = np.linalg.qr(cols, mode="complete")
-    return full[:, have: have + count].astype(cols.dtype, copy=False)
+    q, _ = np.linalg.qr(np.hstack([cols, np.eye(dim, count, dtype=cols.dtype)]))
+    return q[:, have:]
+
+
+def _recover_shorter_first(la, lb, qa, qb, partner, zeros, tol):
+    """(U, V, W^H) of the CS decomposition La = U diag(a) W^H,
+    Lb = V diag(b) W^H (Paige & Saunders 1981), la no taller than lb,
+    lifted through the bases Qa, Qb (None: identity). ``partner`` is b, its
+    first ``zeros`` entries exactly 0. U is La's left singular vectors, V is
+    Qb Lb W / b where b > 0, and a completion fills the rest of each."""
+    n = la.shape[1]
+    # W must be n x n; a block with at least n rows yields it reduced
+    ua, _, wh = np.linalg.svd(la, full_matrices=la.shape[0] < n)
+    k = min(la.shape[0], n)
+    u_main = ua[:, :k] if qa is None else qa @ ua[:, :k]
+    u = np.hstack([u_main, _orthonormal_completion(u_main, n - k)])
+    if np.any(partner[zeros:] < tol):
+        raise RecoveryError("interior GSV below classify_tol; recovery ill conditioned")
+    t = lb @ wh[zeros:].conj().T
+    v_main = (t if qb is None else qb @ t) / partner[zeros:]
+    v = np.hstack([_orthonormal_completion(v_main, zeros), v_main])
+    return u, v, wh
 
 
 def recover_gsvd(pair: GmpPair, opts: GsvOptions | None = None) -> GsvdFactors:
     """Recover the full decomposition from the compressed pipeline.
 
-    Columns of U (resp. V) that multiply a classified-zero diagonal entry
-    are undetermined by the data and are filled with an orthonormal
-    completion orthogonal to the recovered columns. Requires m >= n and
-    p >= n so that column-orthonormal factors exist.
+    When l1 <= l2 the recovery runs on (L1, L2) with the betas as
+    partners; otherwise on the mirrored pair (G2, G1), with the reversed
+    alphas as partners, and the columns of U and V and the rows of W^H are
+    reversed back. R = W^H R~ either way. Columns of U (resp. V) that
+    multiply a classified-zero entry are undetermined by the data and are
+    filled with an orthonormal completion orthogonal to the recovered
+    ones. Requires m >= n and p >= n so that column-orthonormal factors
+    exist.
     """
     opts = opts or GsvOptions()
     m, p, n = pair.m, pair.p, pair.n
@@ -391,52 +418,13 @@ def recover_gsvd(pair: GmpPair, opts: GsvOptions | None = None) -> GsvdFactors:
             f"full recovery needs m >= n and p >= n, got ({m}, {p}, {n})"
         )
     pl = _run_pipeline(pair, opts)
-    l1, l2 = pl.l1_block.shape[0], pl.l2_block.shape[0]
-    spectrum = spectrum_from_l_blocks(
-        pl.l1_block, pl.l2_block, n, opts.classify_tol
-    )
-    alphas, betas, r, s = spectrum.alphas, spectrum.betas, spectrum.r, spectrum.s
+    spec = spectrum_from_l_blocks(pl.l1_block, pl.l2_block, n, opts.classify_tol)
     tol = opts.classify_tol
-
-    if l1 <= l2:
-        u1, _, w1h = np.linalg.svd(pl.l1_block, full_matrices=True)
-
-        ncols = min(l1, n)
-        u_main = u1[:, :ncols] if pl.q1 is None else pl.q1 @ u1[:, :ncols]
-        u = np.empty((m, n), dtype=u_main.dtype)
-        u[:, :ncols] = u_main
-        u[:, ncols:] = _orthonormal_completion(u_main, n - ncols)
-
-        t = pl.l2_block @ w1h.conj().T
-        v_raw = t if pl.q2 is None else pl.q2 @ t
-        if np.any(betas[r:] < tol):
-            raise RecoveryError("interior GSV below classify_tol; recovery ill conditioned")
-        v = np.empty((p, n), dtype=v_raw.dtype)
-        v[:, r:] = v_raw[:, r:] / betas[r:]
-        v[:, :r] = _orthonormal_completion(v[:, r:], r)
-
-        r_factor = w1h @ pl.r_tilde
+    if pl.l1_block.shape[0] <= pl.l2_block.shape[0]:
+        u, v, wh = _recover_shorter_first(
+            pl.l1_block, pl.l2_block, pl.q1, pl.q2, spec.betas, spec.r, tol)
     else:
-        u2, _, w2h = np.linalg.svd(pl.l2_block, full_matrices=True)
-        nvals = min(l2, n)
-
-        w2 = w2h[::-1, :]
-        # singular-value columns of u2, reversed to pair with ascending betas
-        v_block = u2[:, :nvals][:, ::-1]
-        v_main = v_block if pl.q2 is None else pl.q2 @ v_block
-        v = np.empty((p, n), dtype=v_main.dtype)
-        v[:, n - nvals:] = v_main
-        v[:, : n - nvals] = _orthonormal_completion(v_main, n - nvals)
-
-        t = pl.l1_block @ w2.conj().T
-        u_raw = t if pl.q1 is None else pl.q1 @ t
-        nz = r + s
-        if np.any(alphas[:nz] < tol):
-            raise RecoveryError("interior GSV below classify_tol; recovery ill conditioned")
-        u = np.empty((m, n), dtype=u_raw.dtype)
-        u[:, :nz] = u_raw[:, :nz] / alphas[:nz]
-        u[:, nz:] = _orthonormal_completion(u[:, :nz], n - nz)
-
-        r_factor = w2 @ pl.r_tilde
-
-    return GsvdFactors(u, v, r_factor, spectrum)
+        v, u, wh = _recover_shorter_first(
+            pl.l2_block, pl.l1_block, pl.q2, pl.q1, spec.alphas[::-1], n - spec.r - spec.s, tol)
+        u, v, wh = u[:, ::-1], v[:, ::-1], wh[::-1]
+    return GsvdFactors(u, v, wh @ pl.r_tilde, spec)

@@ -86,7 +86,7 @@ def extract_basis(g, cfg: ExtractionConfig | None = None) -> BasisResult:
     cfg = cfg or ExtractionConfig()
     a = core.as_matrix(g, "g")
     m, n = a.shape
-    complex_field = np.iscomplexobj(a)
+    field = core.COMPLEX if np.iscomplexobj(a) else core.REAL
 
     gf2 = core.sum_sq(a)
     normf = math.sqrt(gf2)
@@ -107,7 +107,7 @@ def extract_basis(g, cfg: ExtractionConfig | None = None) -> BasisResult:
 
     b = min(cfg.blocksize, n)
     nblocks = -(-n // b)
-    rng = np.random.default_rng(int(cfg.seed) & ((1 << 64) - 1))
+    rng = core.seeded_rng(cfg.seed)
     captured_parts: list[float] = []
     converged = False
     iterations = 0
@@ -119,10 +119,7 @@ def extract_basis(g, cfg: ExtractionConfig | None = None) -> BasisResult:
             width = min(width, max_cols - kept)
             if width <= 0:
                 break
-        omega = rng.standard_normal((n, width))
-        if complex_field:
-            omega = math.sqrt(0.5) * (omega + 1j * rng.standard_normal((n, width)))
-        y = a @ omega
+        y = a @ core.gaussian_block(rng, n, width, field)
         for _ in range(2):
             for qb in blocks:
                 y -= qb @ (qb.conj().T @ y)

@@ -82,24 +82,16 @@ def synth_gmp(spec: SynthSpec) -> SynthResult:
             "increase rank_frac"
         )
 
-    rng = np.random.default_rng(int(spec.seed) & ((1 << 64) - 1))
+    rng = core.seeded_rng(spec.seed)
     interior = np.sort(rng.uniform(0.0, 1.0, n_interior))[::-1]
     alphas = np.concatenate([np.ones(r), interior, np.zeros(n - rank)])
     betas = np.sqrt(1.0 - alphas**2)
     betas[:r] = 0.0
     betas[rank:] = 1.0
 
-    def draw(rows, cols):
-        if spec.field == core.COMPLEX:
-            return math.sqrt(0.5) * (
-                rng.standard_normal((rows, cols))
-                + 1j * rng.standard_normal((rows, cols))
-            )
-        return rng.standard_normal((rows, cols))
-
-    r_star = draw(n, n)
-    u_active = core.reduced_qr(draw(spec.m, rank)).q
-    v_active = core.reduced_qr(draw(spec.p, rank)).q
+    r_star = core.gaussian_block(rng, n, n, spec.field)
+    u_active = core.reduced_qr(core.gaussian_block(rng, spec.m, rank, spec.field)).q
+    v_active = core.reduced_qr(core.gaussian_block(rng, spec.p, rank, spec.field)).q
 
     # nonzero alphas occupy indices [0, rank); nonzero betas [n - rank, n)
     g1 = u_active @ (alphas[:rank, None] * r_star[:rank, :])

@@ -1,7 +1,11 @@
 """Shared helpers for the test suite."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 
+import rgsv
 from rgsv import GmpPair, GsvSpectrum, classify_spectrum, gaussian_matrix
 from rgsv.core import reduced_qr
 
@@ -57,3 +61,15 @@ def record_rows(monkeypatch, *targets):
     for owner, name in targets:
         monkeypatch.setattr(owner, name, recording(getattr(owner, name)))
     return rows
+
+
+def child_env(env=None):
+    """The environment for a child interpreter: this one's, updated by
+    ``env``, with the source directory of the imported rgsv first on
+    PYTHONPATH, so the child runs the tree under test."""
+    full = dict(os.environ)
+    full.update(env or {})
+    src = str(Path(rgsv.__file__).resolve().parent.parent)
+    rest = full.get("PYTHONPATH")
+    full["PYTHONPATH"] = src + os.pathsep + rest if rest else src
+    return full

@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from _util import record_rows
+from _util import child_env, record_rows
 
 import rgsv.core
 from rgsv import GmpPair, gaussian_matrix, read_matrix, write_matrix
@@ -12,16 +12,11 @@ from rgsv.cli import main
 
 
 def run_cli(*args, env=None):
-    import os
-
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
     return subprocess.run(
         [sys.executable, "-m", "rgsv", *args],
         capture_output=True,
         text=True,
-        env=full_env,
+        env=child_env(env),
     )
 
 
@@ -145,6 +140,15 @@ def test_bounds_certificate(pair_files, tmp_path):
     assert abs(cert["eta"] - eta) <= 1e-12 * eta
     assert "projector_bound[first]" in proc.stderr
     assert "projector_bound[second]" in proc.stderr
+
+
+@pytest.mark.parametrize("k", ["1", "20"])
+def test_bounds_rejects_bad_k_before_writing(pair_files, tmp_path, k):
+    # k = 1 is below the minimum; k = 20 plus the oversample exceeds n = 12
+    g1, g2 = pair_files
+    out = tmp_path / "cert.csv"
+    assert main(["bounds", "--g1", str(g1), "--g2", str(g2), "--k", k, "-o", str(out)]) == 5
+    assert not out.exists()
 
 
 def test_bounds_has_no_method_flag(pair_files, capsys):

@@ -299,15 +299,48 @@ class TestRecoverGsvd:
         back = fac.u.conj().T @ pair.g1 @ np.linalg.inv(fac.r_factor)
         assert np.allclose(back, 0.6 * np.eye(2), atol=1e-10)
 
-    def test_zero_block_completion(self):
-        # r > 0: some betas exactly zero; their V columns come from completion
-        alphas = np.array([1.0, 1.0, 0.7, 0.4, 0.0])
-        pair, truth = structured_pair(alphas, m=30, p=25, seed=16)
-        fac = recover_gsvd(pair, GsvOptions(method="direct"))
-        assert fac.spectrum.r == 2
-        vz = fac.v[:, :2]
-        assert np.linalg.norm(vz.conj().T @ vz - np.eye(2)) <= 1e-10
-        assert np.linalg.norm(vz.conj().T @ fac.v[:, 2:]) <= 1e-10
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("method", ["direct", "randomized"])
+    @pytest.mark.parametrize("m,p", [(30, 25), (25, 30)])
+    @pytest.mark.parametrize(
+        "alphas", [[1, 1, 1, 0.7, 0.4, 0], [1, 0.7, 0.4, 0, 0, 0]], ids=["r3", "r1"]
+    )
+    def test_zero_block_completion(self, alphas, m, p, method, field):
+        # r > 0 betas and trailing alphas are exactly zero; their V and U
+        # columns come from the completion. The shapes and methods cover
+        # both l1 <= l2 and l1 > l2 on each path.
+        pair, truth = structured_pair(alphas, m=m, p=p, seed=16, field=field)
+        opts = GsvOptions(method=method, extraction=ExtractionConfig(tol=1e-12, seed=17))
+        fac = recover_gsvd(pair, opts)
+        n, r, s = pair.n, fac.spectrum.r, fac.spectrum.s
+        assert (r, s) == (truth.r, truth.s)
+        for f, done in ((fac.v, range(r)), (fac.u, range(r + s, n))):
+            fill = f[:, list(done)]
+            rest = np.delete(f, list(done), axis=1)
+            assert np.linalg.norm(fill.conj().T @ fill - np.eye(len(done))) <= 1e-10
+            assert np.linalg.norm(fill.conj().T @ rest) <= 1e-10
+        self._check_factors(pair, fac)
+
+    @pytest.mark.parametrize("mirrored", [False, True])
+    def test_completion_forms_no_square_q(self, monkeypatch, mirrored):
+        # G1 has rank 6 < n, so the randomized U block needs 4 completed
+        # columns; mirroring the pair takes the other orientation
+        alphas = [1, 0.9, 0.8, 0.7, 0.5, 0.3, 0, 0, 0, 0]
+        pair, _ = structured_pair(alphas, m=200, p=180, seed=20)
+        if mirrored:
+            pair = GmpPair(pair.g2, pair.g1)
+        qr = np.linalg.qr
+        calls = []
+
+        def recording_qr(a, mode="reduced"):
+            calls.append((np.shape(a)[1], mode))
+            return qr(a, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "qr", recording_qr)
+        opts = GsvOptions(extraction=ExtractionConfig(tol=1e-12, seed=21))
+        fac = recover_gsvd(pair, opts)
+        assert calls
+        assert all(mode != "complete" and cols <= pair.n for cols, mode in calls)
         self._check_factors(pair, fac)
 
     def test_complex_recovery(self):

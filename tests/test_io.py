@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from _util import random_pair
+from _util import child_env, random_pair
 
 import rgsv
 from rgsv import (
@@ -87,7 +87,7 @@ def test_csv_read_leaves_scipy_io_unloaded(tmp_path):
     code = ("import sys, rgsv; rgsv.read_matrix(sys.argv[1]); "
             "print('scipy.io' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code, str(f)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 

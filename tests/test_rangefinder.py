@@ -13,6 +13,7 @@ from rgsv import (
     gaussian_matrix,
     residual_norm,
 )
+from rgsv.core import reduced_qr
 
 
 def test_zero_matrix_terminates_before_sampling():
@@ -140,6 +141,16 @@ def test_same_seed_same_basis():
     r2 = extract_basis(g, cfg)
     assert (r1.q == r2.q).all()
     assert r1.residual_history == r2.residual_history
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_first_block_sketches_with_gaussian_matrix(field):
+    # the sketch draws the same stream as gaussian_matrix for its seed
+    n, b, seed = 30, 8, 12
+    g = gaussian_matrix(60, n, seed=11, field=field)
+    res = extract_basis(g, ExtractionConfig(blocksize=b, seed=seed, trim_tol=0))
+    expected = reduced_qr(g @ gaussian_matrix(n, b, seed, field)).q
+    assert np.array_equal(res.q[:, :b], expected)
 
 
 def test_complex_field_extraction():
