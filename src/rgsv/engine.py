@@ -267,9 +267,9 @@ def _singular_values(block: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Pipeline:
-    q1: np.ndarray | None  # None means the identity (no compression)
+    q1: np.ndarray | None  # None: the side is not compressed (direct, or exact)
     q2: np.ndarray | None
-    c1: np.ndarray  # compressed blocks Q^H G, the pair itself on the direct path
+    c1: np.ndarray  # Q^H G; the matrix itself (direct) or its R (exact side)
     c2: np.ndarray
     l1_block: np.ndarray
     l2_block: np.ndarray
@@ -286,17 +286,52 @@ def _side_config(cfg: ExtractionConfig, g: np.ndarray, seed: int) -> ExtractionC
     return dataclasses.replace(cfg, seed=seed, max_cols=cap)
 
 
-def _run_pipeline(pair: GmpPair, opts: GsvOptions) -> _Pipeline:
+# A side with at least this many rows per column is tall: only there does
+# an R-only QR replace the sketch (see compute_gsv).
+_TALL_ASPECT = 4
+
+
+def _crossover(n: int) -> int:
+    """Kept width ceil(n/3) from which a tall side is cheaper to QR than
+    to sketch (see compute_gsv)."""
+    return -(-n // 3)
+
+
+def _r_only(g: np.ndarray) -> np.ndarray:
+    """The min(rows, n) x n R of a Householder QR of g (LAPACK geqrf; Q is
+    never formed)."""
+    return np.linalg.qr(g, mode="r")
+
+
+def _front_end(g: np.ndarray, cfg: ExtractionConfig, shortcut: bool, with_q: bool):
+    """(Q, C) of one side of a randomized solve: its sketch (Q, Q^H G), or
+    for an exact side (None, R) of its QR, (Q, R) when ``with_q``.
+    ``shortcut``: the side goes exact, if eligible, without sketching."""
+    n = g.shape[1]
+    if g.shape[0] < _TALL_ASPECT * n or cfg.max_cols not in (None, n):
+        basis = extract_basis(g, cfg)
+        return basis.q, basis.b
+    if not shortcut:
+        cross = _crossover(n)
+        basis = extract_basis(g, dataclasses.replace(cfg, max_cols=cross))
+        if basis.converged or basis.q.shape[1] < cross:
+            return basis.q, basis.b
+    if with_q:
+        return tuple(core.reduced_qr(g))
+    return None, _r_only(g)
+
+
+def _run_pipeline(pair: GmpPair, opts: GsvOptions, with_q: bool = False) -> _Pipeline:
+    n = pair.n
     if opts.method == DIRECT:
-        c1, c2 = pair.g1, pair.g2
-        q1 = q2 = None
+        (q1, c1), (q2, c2) = (None, pair.g1), (None, pair.g2)
     else:
         cfg = opts.extraction
-        b1 = extract_basis(pair.g1, _side_config(cfg, pair.g1, cfg.seed))
-        b2 = extract_basis(pair.g2, _side_config(cfg, pair.g2, cfg.seed + 1))
-        q1, q2 = b1.q, b2.q
-        c1, c2 = b1.b, b2.b
-    l1, l2, n = c1.shape[0], c2.shape[0], pair.n
+        q1, c1 = _front_end(pair.g1, _side_config(cfg, pair.g1, cfg.seed), False, with_q)
+        # a solve needs l1 + l2 >= n: a sketch of g2 would keep n - l1 columns
+        q2, c2 = _front_end(pair.g2, _side_config(cfg, pair.g2, cfg.seed + 1),
+                            n - c1.shape[0] >= _crossover(n), with_q)
+    l1, l2 = c1.shape[0], c2.shape[0]
     if l1 + l2 < n:
         raise RankDeficiencyError(
             f"compressed pair has {l1} + {l2} rows < {n} columns; "
@@ -304,8 +339,9 @@ def _run_pipeline(pair: GmpPair, opts: GsvOptions) -> _Pipeline:
         )
     qf = core.reduced_qr(np.vstack([c1, c2]))
     sv = np.linalg.svd(qf.r, compute_uv=False)
-    _require_full_rank(sv, "stacked pair" if q1 is None else "compressed stacked pair")
-    if q1 is None:
+    uncompressed = q1 is None and q2 is None
+    _require_full_rank(sv, "stacked pair" if uncompressed else "compressed stacked pair")
+    if uncompressed:
         pair._record_stack_extremes(sv)
     return _Pipeline(q1, q2, c1, c2, qf.q[:l1], qf.q[l1:], qf.r, sv)
 
@@ -340,8 +376,8 @@ def projected_pair(pair: GmpPair, opts: GsvOptions | None = None) -> GmpPair:
     """
     opts = opts or GsvOptions()
     pl = _run_pipeline(pair, opts)
-    g1 = pl.c1 if pl.q1 is None else pl.q1 @ pl.c1
-    g2 = pl.c2 if pl.q2 is None else pl.q2 @ pl.c2
+    g1 = pair.g1 if pl.q1 is None else pl.q1 @ pl.c1
+    g2 = pair.g2 if pl.q2 is None else pl.q2 @ pl.c2
     proj = GmpPair(g1, g2)
     proj._record_stack_extremes(pl.r_singular_values)
     return proj
@@ -359,7 +395,7 @@ def triangular_pair(pair: GmpPair) -> GmpPair:
     has ||Ri - Q~i B~i||_F = ||Gi - Qi Q~i B~i||_F. min(rows, n), and so
     every ``max_cols`` clamp and ``projector_bound`` limit, is unchanged.
     """
-    return GmpPair(np.linalg.qr(pair.g1, mode="r"), np.linalg.qr(pair.g2, mode="r"))
+    return GmpPair(_r_only(pair.g1), _r_only(pair.g2))
 
 
 def _orthonormal_completion(cols: np.ndarray, count: int) -> np.ndarray:
@@ -417,7 +453,7 @@ def recover_gsvd(pair: GmpPair, opts: GsvOptions | None = None) -> GsvdFactors:
         raise RecoveryError(
             f"full recovery needs m >= n and p >= n, got ({m}, {p}, {n})"
         )
-    pl = _run_pipeline(pair, opts)
+    pl = _run_pipeline(pair, opts, with_q=True)
     spec = spectrum_from_l_blocks(pl.l1_block, pl.l2_block, n, opts.classify_tol)
     tol = opts.classify_tol
     if pl.l1_block.shape[0] <= pl.l2_block.shape[0]:
