@@ -134,6 +134,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    if args.oversample < 2:  # projector_bound's rule, also when --k is absent
+        raise ValidationError(f"oversample must be >= 2, got {args.oversample}")
     pair = triangular_pair(_load_pair(args))
     spec_direct = compute_gsv(pair, _gsv_options(args, DIRECT))
     # --k and --oversample are validated before anything is written

@@ -1,17 +1,21 @@
 """Generalized singular values of a matrix pair via compressed bases.
 
-``compute_gsv`` runs the two-phase pipeline: extract approximate bases for
-both matrices, stack the compressed pair, take its reduced QR, and read
+``compute_gsv`` runs the two-phase pipeline: give each matrix a front end,
+stack the two compressed matrices, take the stack's reduced QR, and read
 the GSVs off the singular values of the smaller of the two Q-factor
-blocks. The compressed pair is the ``b`` rows (Q^H G) that extraction
-already formed, so no compression product is recomputed, and the rank
-test runs on the singular values of the stack's n x n R factor rather
-than on the (m + p) x n stack; a projection cannot raise rank, so a
-rank-deficient pair is still rejected. ``method="direct"`` runs the
-identical stacking code with no compression and serves as the oracle
-path; its R factor has the stack's singular values, so it also fills the
-pair's cached stack norms. ``projected_pair`` returns the pair
-(Q1 Q1^H G1, Q2 Q2^H G2) whose exact GSVs the randomized path computes,
+blocks. A side's front end is its randomized basis, whose compressed rows
+are the ``b`` rows (Q^H G) that extraction already formed, or, for a tall
+side that a sketch would not compress below a third of its columns, the R
+of an R-only QR (an exact side, with residual 0); ``compute_gsv`` states
+the rule and its cost model. Each side sketches from its own random
+stream, spawned from the base seed. The rank test runs on the singular
+values of the stack's n x n R factor rather than on the (m + p) x n stack;
+a projection cannot raise rank, so a rank-deficient pair is still
+rejected. ``method="direct"`` runs the identical stacking code with no
+compression and serves as the oracle path; its R factor has the stack's
+singular values, so it also fills the pair's cached stack norms.
+``projected_pair`` returns the pair (Q1 Q1^H G1, Q2 Q2^H G2) whose exact
+GSVs the randomized path computes, an exact side being its own matrix,
 with its stack norms taken from the compressed R factor, so the
 perturbation budget needs no SVD of either (m + p) x n stack.
 ``triangular_pair`` returns the R factors (R1, R2) of G1 = Q1 R1 and
@@ -277,13 +281,20 @@ class _Pipeline:
     r_singular_values: np.ndarray  # of r_tilde, descending
 
 
-def _side_config(cfg: ExtractionConfig, g: np.ndarray, seed: int) -> ExtractionConfig:
-    """The extraction settings of one side: its own seed, and max_cols
-    clamped to that side's min(rows, cols)."""
+def _side_seed(seed: int, side: int) -> int:
+    """The sketch seed of side 0 (g1) or 1 (g2): the first word of that
+    side's child of SeedSequence(seed mod 2^64)."""
+    child = np.random.SeedSequence(int(seed) % 2**64).spawn(2)[side]
+    return int(child.generate_state(1, np.uint64)[0])
+
+
+def _side_config(cfg: ExtractionConfig, g: np.ndarray, side: int) -> ExtractionConfig:
+    """The extraction settings of side 0 (g1) or 1 (g2): its own seed, and
+    max_cols clamped to that side's min(rows, cols)."""
     cap = cfg.max_cols
     if cap is not None:
         cap = min(cap, *g.shape)
-    return dataclasses.replace(cfg, seed=seed, max_cols=cap)
+    return dataclasses.replace(cfg, seed=_side_seed(cfg.seed, side), max_cols=cap)
 
 
 # A side with at least this many rows per column is tall: only there does
@@ -317,7 +328,7 @@ def _front_end(g: np.ndarray, cfg: ExtractionConfig, shortcut: bool, with_q: boo
         if basis.converged or basis.q.shape[1] < cross:
             return basis.q, basis.b
     if with_q:
-        return tuple(core.reduced_qr(g))
+        return core.reduced_qr(g)
     return None, _r_only(g)
 
 
@@ -327,9 +338,9 @@ def _run_pipeline(pair: GmpPair, opts: GsvOptions, with_q: bool = False) -> _Pip
         (q1, c1), (q2, c2) = (None, pair.g1), (None, pair.g2)
     else:
         cfg = opts.extraction
-        q1, c1 = _front_end(pair.g1, _side_config(cfg, pair.g1, cfg.seed), False, with_q)
+        q1, c1 = _front_end(pair.g1, _side_config(cfg, pair.g1, 0), False, with_q)
         # a solve needs l1 + l2 >= n: a sketch of g2 would keep n - l1 columns
-        q2, c2 = _front_end(pair.g2, _side_config(cfg, pair.g2, cfg.seed + 1),
+        q2, c2 = _front_end(pair.g2, _side_config(cfg, pair.g2, 1),
                             n - c1.shape[0] >= _crossover(n), with_q)
     l1, l2 = c1.shape[0], c2.shape[0]
     if l1 + l2 < n:
@@ -349,11 +360,37 @@ def _run_pipeline(pair: GmpPair, opts: GsvOptions, with_q: bool = False) -> _Pip
 def compute_gsv(pair: GmpPair, opts: GsvOptions | None = None) -> GsvSpectrum:
     """Compute the GSV spectrum of a pair.
 
-    method="randomized" compresses both matrices through extracted bases
-    (block seeds derived from extraction.seed and extraction.seed + 1);
+    method="randomized" compresses each matrix through its own front end;
     method="direct" runs the identical stacked-QR + SVD path with no
     compression and is the reference the randomized path is tested
     against. A max_cols cap is clamped to each side's min(rows, cols).
+    Each side sketches from its own stream, seeded by the first word of
+    child 0 (g1) or 1 (g2) of SeedSequence(extraction.seed mod 2^64).spawn(2),
+    so the streams of the two sides, and of nearby base seeds, are
+    independent.
+
+    Front ends. Sides run in order, g1 then g2, and cross = ceil(n/3).
+    A side is eligible when it is tall (rows >= 4 n) and no cap binds (its
+    clamped max_cols is None or n). An ineligible side is sketched to
+    extraction's own stopping rule. An eligible side is sketched with
+    max_cols = cross; if that sketch converges or keeps fewer than cross
+    columns it is used, otherwise it is dropped and the side goes exact:
+    its compressed block is the n x n R of an R-only Householder QR, Q is
+    never formed and the residual is 0. The wasted sketch is at most cross
+    columns wide. Since a solve needs l1 + l2 >= n rows, an eligible g2
+    with n - l1 >= cross would keep at least cross columns, so it goes
+    exact without a sketch.
+
+    Cost model: a sketch keeping k columns of an m x n side costs about
+    4 m n k flops (G Omega, P^H G and two reorthogonalization passes); an
+    R-only QR costs 2 m n^2 - 2/3 n^3. Measured per side at 3000 x 1200
+    (2-core Xeon, OpenBLAS, 1 thread), the sketch won at k = 300 (201 vs 318 ms) and lost at
+    k = 600 (478 vs 274 ms), and a full-rank side took 1.0-1.3 s to sketch
+    against 0.27-0.32 s to factor; the switch sits at n/3. On a side that
+    is not tall an exact side adds n - k rows to the stacked QR and to
+    the block SVDs, which cost more than it saves (13-20% slower solves at
+    801/400/400), so such sides are always sketched.
+
     Raises RankDeficiencyError when the stacked pair, or on the
     randomized path the compressed pair (fewer than n rows, or
     sigma_min(R) <= 1e-12 * sigma_max(R)), is numerically rank deficient.
@@ -370,8 +407,10 @@ def projected_pair(pair: GmpPair, opts: GsvOptions | None = None) -> GmpPair:
     Its stack diag(Q1, Q2) [B1; B2] has the singular values of the
     compressed stack's R factor, which the solve already computed and
     rank-tested, so its ``stack_norm2`` and ``stack_pinv_norm`` cost no
-    further factorization. With method="direct" nothing is compressed and
-    the result holds the pair's own matrices. Raises what ``compute_gsv``
+    further factorization. An exact side (see ``compute_gsv``) is the
+    pair's own matrix, the very array: its stack term is Qi Ri = Gi and
+    its residual is 0. With method="direct" nothing is compressed and the
+    result holds the pair's own matrices. Raises what ``compute_gsv``
     raises.
     """
     opts = opts or GsvOptions()
@@ -438,6 +477,8 @@ def _recover_shorter_first(la, lb, qa, qb, partner, zeros, tol):
 def recover_gsvd(pair: GmpPair, opts: GsvOptions | None = None) -> GsvdFactors:
     """Recover the full decomposition from the compressed pipeline.
 
+    The front ends are those of ``compute_gsv``, except that an exact side
+    takes a reduced QR G = Q R, since its Q lifts the recovered factors.
     When l1 <= l2 the recovery runs on (L1, L2) with the betas as
     partners; otherwise on the mirrored pair (G2, G1), with the reversed
     alphas as partners, and the columns of U and V and the rows of W^H are

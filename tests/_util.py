@@ -1,12 +1,14 @@
 """Shared helpers for the test suite."""
 
+import dataclasses
+import math
 import os
 from pathlib import Path
 
 import numpy as np
 
 import rgsv
-from rgsv import GmpPair, GsvSpectrum, classify_spectrum, gaussian_matrix
+from rgsv import GmpPair, GsvSpectrum, classify_spectrum, extract_basis, gaussian_matrix
 from rgsv.core import reduced_qr
 
 
@@ -44,6 +46,27 @@ def spectrum_gap(s1: GsvSpectrum, s2: GsvSpectrum) -> float:
         float(np.max(np.abs(s1.alphas - s2.alphas))),
         float(np.max(np.abs(s1.betas - s2.betas))),
     )
+
+
+def explicit_stack_budget(pair, opts, exact=()):
+    """The perturbation budget of a randomized solve with nothing reused:
+    explicit projections Q (Q^H G) with the engine's per-side seeds, the
+    sides in ``exact`` (0: g1, 1: g2) left as they are, and an SVD of both
+    (m + p) x n stacks."""
+    from rgsv.engine import _side_seed
+
+    cfg = opts.extraction
+    tilde = []
+    for side, g in enumerate((pair.g1, pair.g2)):
+        if side in exact:
+            tilde.append(g)
+            continue
+        q = extract_basis(g, dataclasses.replace(cfg, seed=_side_seed(cfg.seed, side))).q
+        tilde.append(q @ (q.conj().T @ g))
+    stack = np.vstack([pair.g1, pair.g2])
+    tilde = np.vstack(tilde)
+    smin = max(np.linalg.svd(a, compute_uv=False)[-1] for a in (stack, tilde))
+    return math.sqrt(2.0) * np.linalg.norm(tilde - stack) / smin
 
 
 def record_rows(monkeypatch, *targets):

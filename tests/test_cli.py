@@ -151,6 +151,16 @@ def test_bounds_rejects_bad_k_before_writing(pair_files, tmp_path, k):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("oversample", ["1", "-3"])
+def test_bounds_rejects_bad_oversample_without_k(pair_files, tmp_path, oversample):
+    # projector_bound's rule holds whether or not --k asks for the bound
+    g1, g2 = pair_files
+    out = tmp_path / "cert.csv"
+    argv = ["bounds", "--g1", str(g1), "--g2", str(g2), "--oversample", oversample, "-o", str(out)]
+    assert main(argv) == 5
+    assert not out.exists()
+
+
 def test_bounds_has_no_method_flag(pair_files, capsys):
     # bounds always centres on the direct spectrum and sizes the budget by
     # the randomized solve, so a --method flag would do nothing

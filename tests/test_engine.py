@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from _util import make_spectrum, random_pair, record_rows, spectrum_gap, structured_pair
+from _util import (explicit_stack_budget, make_spectrum, random_pair, record_rows, spectrum_gap,
+                   structured_pair)
 
 from rgsv import (
     DimensionError,
@@ -22,7 +24,10 @@ from rgsv import (
     projected_pair,
     recover_gsvd,
 )
-from rgsv.engine import spectrum_from_l_blocks, triangular_pair
+import rgsv.engine
+from rgsv import SynthSpec, extract_basis, synth_gmp
+from rgsv.core import reduced_qr
+from rgsv.engine import _side_config, spectrum_from_l_blocks, triangular_pair
 
 
 class TestGmpPair:
@@ -271,7 +276,8 @@ class TestTriangularPair:
 
 
 class TestRecoverGsvd:
-    def _check_factors(self, pair, fac, tol=1e-8):
+    @staticmethod
+    def _check_factors(pair, fac, tol=1e-8):
         n = pair.n
         a, b = fac.spectrum.alphas, fac.spectrum.betas
         g1r = fac.u @ (a[:, None] * fac.r_factor)
@@ -364,3 +370,136 @@ def test_options_validation():
         GsvOptions(classify_tol=0.5)
     with pytest.raises(ValidationError):
         GsvOptions(method="magic")
+
+
+def exact_front_end_cases():
+    """Tall pairs (rows >= 4n, n = 30, so a third of the columns is 10) by
+    name: (alphas, extraction config, the sides expected exact). Every
+    sketch converges in its first block, and with blocksize 10 a sketch
+    capped at 10 columns draws the block an uncapped one would."""
+    interior = np.linspace(0.95, 0.05, 30)
+    cfg = ExtractionConfig(blocksize=10, seed=90)
+    return {
+        # ranks 20 and 20 under a binding cap of 25: both sides are sketched
+        "sketched": (np.concatenate([np.ones(10), interior[:10], np.zeros(10)]),
+                     ExtractionConfig(seed=90, max_cols=25), ()),
+        # rank-10 g1 converges at 10 columns, so g2 needs 20 rows >= 10: exact unsketched
+        "shortcut": (np.concatenate([interior[:10], np.zeros(20)]), cfg, (1,)),
+        # full-rank g1 reaches 10 columns unconverged; rank-10 g2 converges
+        "g1_exact": (np.concatenate([np.ones(20), interior[:10]]), cfg, (0,)),
+        "both_exact": (interior, cfg, (0, 1)),
+    }
+
+
+class TestExactFrontEnd:
+    """A tall side whose sketch would keep at least ceil(n/3) columns is
+    replaced by its R-only QR, exactly and with nothing else changed."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("case", ["sketched", "shortcut", "g1_exact", "both_exact"])
+    def test_matches_the_direct_solve(self, case, field):
+        alphas, cfg, exact = exact_front_end_cases()[case]
+        pair, _ = structured_pair(alphas, m=150, p=130, seed=91, field=field)
+        opts = GsvOptions(extraction=cfg)
+        direct = compute_gsv(pair, GsvOptions(method="direct"))  # records the stack norms
+        assert spectrum_gap(compute_gsv(pair, opts), direct) <= 1e-12
+        TestRecoverGsvd._check_factors(pair, recover_gsvd(pair, opts))
+        proj = projected_pair(pair, opts)
+        for side, (got, g) in enumerate(((proj.g1, pair.g1), (proj.g2, pair.g2))):
+            assert (got is g) == (side in exact)
+        want = explicit_stack_budget(pair, opts, exact)
+        assert abs(perturbation_bound(pair, proj) - want) <= 1e-10 * want
+
+    @staticmethod
+    def _tall_low_rank_pair():
+        # the shape of criterion 10 scaled down: low-rank g1, full-rank g2
+        n = 80
+        alphas = np.concatenate([np.linspace(0.99, 0.5, 8), 1e-10 * np.geomspace(1, 1e-3, n - 8)])
+        pair, truth = structured_pair(alphas, m=800, p=800, seed=92)
+        cfg = ExtractionConfig(tol=1e-6 * frobenius_norm(pair.g1), seed=93)
+        return pair, truth, cfg
+
+    @staticmethod
+    def _record(monkeypatch):
+        """The (matrix, max_cols, kept columns) of every extraction the
+        engine runs, and the row counts of every R-only QR."""
+        calls, r_only = [], []
+        extract, qr = rgsv.engine.extract_basis, np.linalg.qr
+
+        def recording_extract(g, cfg):
+            basis = extract(g, cfg)
+            calls.append((g, cfg.max_cols, basis.q.shape[1]))
+            return basis
+
+        def recording_qr(a, mode="reduced"):
+            if mode == "r":
+                r_only.append(a.shape[0])
+            return qr(a, mode=mode)
+
+        monkeypatch.setattr(rgsv.engine, "extract_basis", recording_extract)
+        monkeypatch.setattr(np.linalg, "qr", recording_qr)
+        return calls, r_only
+
+    def test_low_rank_side_is_still_sketched(self, monkeypatch):
+        pair, truth, cfg = self._tall_low_rank_pair()
+        calls, _ = self._record(monkeypatch)
+        spec = compute_gsv(pair, GsvOptions(extraction=cfg))
+        assert spectrum_gap(spec, truth) <= 1e-9
+        g, cap, kept = calls[0]
+        assert g is pair.g1 and cap == 27 and kept <= 27
+
+    def test_full_rank_g2_never_enters_extraction(self, monkeypatch):
+        # g1 keeps l1 <= 27 rows, so g2 must keep n - l1 >= 53 >= ceil(80/3)
+        pair, _, cfg = self._tall_low_rank_pair()
+        calls, r_only = self._record(monkeypatch)
+        compute_gsv(pair, GsvOptions(extraction=cfg))
+        assert [g is pair.g2 for g, _, _ in calls] == [False]
+        assert r_only == [pair.p]
+
+    def test_binding_max_cols_keeps_both_sketches(self, monkeypatch):
+        pair, _, cfg = self._tall_low_rank_pair()
+        calls, r_only = self._record(monkeypatch)
+        compute_gsv(pair, GsvOptions(extraction=dataclasses.replace(cfg, max_cols=79)))
+        assert [(g is pair.g1, cap) for g, cap, _ in calls] == [(True, 79), (False, 79)]
+        assert r_only == []
+
+    @pytest.mark.parametrize("case", ["not_tall", "triangular"])
+    def test_other_pairs_keep_the_sketched_pipeline(self, case, monkeypatch):
+        # bitwise the spectrum of the sketch-both-sides pipeline: extract
+        # each side with its own settings, stack B1 and B2, QR, block SVDs
+        if case == "not_tall":  # criterion 1's shape
+            pair = synth_gmp(SynthSpec(m=801, p=400, n=400, rank_frac=0.6, seed=94)).pair
+            opts = GsvOptions(extraction=ExtractionConfig(tol=1e-12, seed=95))
+        else:
+            pair = triangular_pair(self._tall_low_rank_pair()[0])
+            opts = GsvOptions(extraction=self._tall_low_rank_pair()[2])
+        cfg = opts.extraction
+        rows = [extract_basis(g, _side_config(cfg, g, side)).b
+                for side, g in enumerate((pair.g1, pair.g2))]
+        qf = reduced_qr(np.vstack(rows))
+        l1 = rows[0].shape[0]
+        want = spectrum_from_l_blocks(qf.q[:l1], qf.q[l1:], pair.n, opts.classify_tol)
+        _, r_only = self._record(monkeypatch)
+        got = compute_gsv(pair, opts)
+        assert r_only == []
+        assert np.array_equal(got.alphas, want.alphas) and np.array_equal(got.betas, want.betas)
+
+
+def test_side_streams_are_independent_across_seeds(monkeypatch):
+    # criterion 10 runs repetition k at seed 100 + k: g2's sketch at seed s
+    # must not repeat g1's at seed s + 1, and a seed must still reproduce
+    pair = random_pair(40, 35, 20, seed=96)
+    seeds = []
+    extract = rgsv.engine.extract_basis
+
+    def recording(g, cfg):
+        seeds.append(cfg.seed)
+        return extract(g, cfg)
+
+    monkeypatch.setattr(rgsv.engine, "extract_basis", recording)
+    runs = [compute_gsv(pair, GsvOptions(extraction=ExtractionConfig(tol=1e-12, seed=s)))
+            for s in (100, 101, 100)]
+    first_block = [gaussian_matrix(20, 20, seed) for seed in seeds]  # blocksize min(100, n)
+    assert not np.array_equal(first_block[1], first_block[2])
+    assert seeds[:2] == seeds[4:]
+    assert np.array_equal(runs[0].alphas, runs[2].alphas)

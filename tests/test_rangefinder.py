@@ -13,7 +13,7 @@ from rgsv import (
     gaussian_matrix,
     residual_norm,
 )
-from rgsv.core import reduced_qr
+from rgsv.core import reduced_qr, sum_sq
 
 
 def test_zero_matrix_terminates_before_sampling():
@@ -207,3 +207,49 @@ def test_compressed_rows_match_q_adjoint_g(field):
     assert res.b.shape == (res.q.shape[1], 80)
     ref = res.q.conj().T @ g
     assert np.linalg.norm(res.b - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def _flat_tail_matrix(tail):
+    # 20 unit singular values over 280 equal tail values, 600 x 300
+    s = np.concatenate([np.ones(20), np.full(280, tail)])
+    u = reduced_qr(gaussian_matrix(600, 300, seed=33)).q
+    v = reduced_qr(gaussian_matrix(300, 300, seed=34)).q
+    return (u * s) @ v.T
+
+
+@pytest.mark.parametrize("tail", [1e-8, 1e-9])
+def test_residual_below_the_cancellation_floor_is_explicit(tail):
+    # the default tol 1e-10 ||G||_F (4.47e-10) sits under the floor where
+    # ||G||_F^2 - captured cancels; the cumulative estimate reported 0.0 and
+    # converged while the explicit residual was ~3e-8
+    g = _flat_tail_matrix(tail)
+    res = extract_basis(g, ExtractionConfig(blocksize=10, seed=35))
+    explicit = residual_norm(g, res.q)
+    assert abs(res.residual_history[-1] - explicit) <= 1e-12 * frobenius_norm(g)
+    assert res.converged and explicit <= 1e-10 * frobenius_norm(g)
+
+
+def test_tolerance_above_the_floor_keeps_the_cumulative_estimate():
+    # at 1e-6 ||G||_F (67x the floor) every entry is ||G||_F^2 minus the
+    # captured energy of the kept blocks, also once it falls below the floor
+    g = _flat_tail_matrix(1e-10)
+    res = extract_basis(g, ExtractionConfig(tol=1e-6 * frobenius_norm(g), blocksize=10, seed=36))
+    gf2 = sum_sq(g)
+    parts, start = [], 0
+    for width in res.block_widths:
+        parts.append(sum_sq(res.b[start:start + width]))
+        start += width
+        assert res.residual_history[len(parts)] == math.sqrt(max(gf2 - math.fsum(parts), 0.0))
+    assert res.residual_history[-1] < 1e-7 * frobenius_norm(g)  # below the floor
+
+
+def test_extraction_stops_at_the_trim_floor():
+    # tol 1e-300 cannot be met; once the explicit residual of this rank-10
+    # matrix is under trim_tol ||G||_F a further block would be trimmed
+    # whole, so the loop stops there and reports itself unconverged
+    g = gaussian_matrix(200, 10, seed=37) @ gaussian_matrix(10, 40, seed=38)
+    res = extract_basis(g, ExtractionConfig(tol=1e-300, blocksize=10, seed=39))
+    assert res.iterations == 1 and not res.converged
+    nrm = frobenius_norm(g)
+    assert res.residual_history[-1] < 1e-12 * nrm
+    assert abs(res.residual_history[-1] - residual_norm(g, res.q)) <= 1e-14 * nrm
