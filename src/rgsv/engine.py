@@ -315,9 +315,10 @@ def _r_only(g: np.ndarray) -> np.ndarray:
 
 
 def _front_end(g: np.ndarray, cfg: ExtractionConfig, shortcut: bool, with_q: bool):
-    """(Q, C) of one side of a randomized solve: its sketch (Q, Q^H G), or
-    for an exact side (None, R) of its QR, (Q, R) when ``with_q``.
-    ``shortcut``: the side goes exact, if eligible, without sketching."""
+    """(Q, C) of one side of a randomized solve (see ``compute_gsv``): a
+    sketch's basis and rows Q^H G, or for an exact side None and its R,
+    or with ``with_q`` its reduced QR. With ``shortcut`` an eligible side
+    goes exact without a sketch."""
     n = g.shape[1]
     if g.shape[0] < _TALL_ASPECT * n or cfg.max_cols not in (None, n):
         basis = extract_basis(g, cfg)
@@ -339,7 +340,7 @@ def _run_pipeline(pair: GmpPair, opts: GsvOptions, with_q: bool = False) -> _Pip
     else:
         cfg = opts.extraction
         q1, c1 = _front_end(pair.g1, _side_config(cfg, pair.g1, 0), False, with_q)
-        # a solve needs l1 + l2 >= n: a sketch of g2 would keep n - l1 columns
+        # a solve needs l1 + l2 >= n, so a sketch of g2 would keep >= n - l1 columns
         q2, c2 = _front_end(pair.g2, _side_config(cfg, pair.g2, 1),
                             n - c1.shape[0] >= _crossover(n), with_q)
     l1, l2 = c1.shape[0], c2.shape[0]
@@ -384,12 +385,13 @@ def compute_gsv(pair: GmpPair, opts: GsvOptions | None = None) -> GsvSpectrum:
     Cost model: a sketch keeping k columns of an m x n side costs about
     4 m n k flops (G Omega, P^H G and two reorthogonalization passes); an
     R-only QR costs 2 m n^2 - 2/3 n^3. Measured per side at 3000 x 1200
-    (2-core Xeon, OpenBLAS, 1 thread), the sketch won at k = 300 (201 vs 318 ms) and lost at
-    k = 600 (478 vs 274 ms), and a full-rank side took 1.0-1.3 s to sketch
-    against 0.27-0.32 s to factor; the switch sits at n/3. On a side that
-    is not tall an exact side adds n - k rows to the stacked QR and to
-    the block SVDs, which cost more than it saves (13-20% slower solves at
-    801/400/400), so such sides are always sketched.
+    (2-core Xeon, OpenBLAS, 1 thread), the sketch won at k = 300 (201 vs
+    318 ms) and lost at k = 600 (478 vs 274 ms), and a full-rank side took
+    1.0-1.3 s to sketch against 0.27-0.32 s to factor; the switch sits at
+    n/3. On a side that is not tall an exact side adds n - k rows to the
+    stacked QR and to the block SVDs, which cost more than it saves
+    (13-20% slower solves at 801/400/400), so such sides are always
+    sketched.
 
     Raises RankDeficiencyError when the stacked pair, or on the
     randomized path the compressed pair (fewer than n rows, or

@@ -10,6 +10,7 @@ import numpy as np
 import rgsv
 from rgsv import GmpPair, GsvSpectrum, classify_spectrum, extract_basis, gaussian_matrix
 from rgsv.core import reduced_qr
+from rgsv.engine import _side_seed
 
 
 def random_pair(m, p, n, seed, field="real"):
@@ -53,8 +54,6 @@ def explicit_stack_budget(pair, opts, exact=()):
     explicit projections Q (Q^H G) with the engine's per-side seeds, the
     sides in ``exact`` (0: g1, 1: g2) left as they are, and an SVD of both
     (m + p) x n stacks."""
-    from rgsv.engine import _side_seed
-
     cfg = opts.extraction
     tilde = []
     for side, g in enumerate((pair.g1, pair.g2)):

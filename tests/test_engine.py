@@ -471,8 +471,8 @@ class TestExactFrontEnd:
             pair = synth_gmp(SynthSpec(m=801, p=400, n=400, rank_frac=0.6, seed=94)).pair
             opts = GsvOptions(extraction=ExtractionConfig(tol=1e-12, seed=95))
         else:
-            pair = triangular_pair(self._tall_low_rank_pair()[0])
-            opts = GsvOptions(extraction=self._tall_low_rank_pair()[2])
+            tall, _, cfg = self._tall_low_rank_pair()
+            pair, opts = triangular_pair(tall), GsvOptions(extraction=cfg)
         cfg = opts.extraction
         rows = [extract_basis(g, _side_config(cfg, g, side)).b
                 for side, g in enumerate((pair.g1, pair.g2))]
