@@ -336,7 +336,8 @@ def _front_end(g: np.ndarray, cfg: ExtractionConfig, shortcut: bool, with_q: boo
 def _run_pipeline(pair: GmpPair, opts: GsvOptions, with_q: bool = False) -> _Pipeline:
     n = pair.n
     if opts.method == DIRECT:
-        (q1, c1), (q2, c2) = (None, pair.g1), (None, pair.g2)
+        c1, c2 = pair.g1, pair.g2
+        q1 = q2 = None
     else:
         cfg = opts.extraction
         q1, c1 = _front_end(pair.g1, _side_config(cfg, pair.g1, 0), False, with_q)
