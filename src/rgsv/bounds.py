@@ -118,7 +118,7 @@ def quantity_error_bounds(
     certificate is flagged vacuous. Entries with a zero GSV contribute
     zero to their own bound and to the entropy sensitivities.
     """
-    if e_script < 0:
+    if not e_script >= 0:  # also rejects NaN
         raise ValidationError(f"e_script must be >= 0, got {e_script}")
     if spectrum.n < 2:
         raise ValidationError("bounds need a spectrum of length >= 2")

@@ -160,11 +160,12 @@ class GsvSpectrum:
         n = a.size
         if self.r < 0 or self.s < 0 or self.r + self.s > n:
             raise ValidationError(f"invalid counts r={self.r}, s={self.s} for n={n}")
-        if np.any(a < 0) or np.any(a > 1) or np.any(b < 0) or np.any(b > 1):
+        # positive tests, so that a NaN fails each of them
+        if not (np.all((a >= 0) & (a <= 1)) and np.all((b >= 0) & (b <= 1))):
             raise ValidationError("GSVs must lie in [0, 1]")
-        if np.any(np.diff(a) > 1e-12) or np.any(np.diff(b) < -1e-12):
+        if not (np.all(np.diff(a) <= 1e-12) and np.all(np.diff(b) >= -1e-12)):
             raise ValidationError("alphas must be nonincreasing and betas nondecreasing")
-        if float(np.max(np.abs(a**2 + b**2 - 1.0))) > 1e-12:
+        if not float(np.max(np.abs(a**2 + b**2 - 1.0))) <= 1e-12:
             raise ValidationError("alpha_i^2 + beta_i^2 = 1 violated beyond 1e-12")
         if np.any(b[: self.r] != 0.0) or np.any(a[self.r + self.s:] != 0.0):
             raise ValidationError("classified-zero entries must be exactly 0")
@@ -269,12 +270,23 @@ def _singular_values(block: np.ndarray) -> np.ndarray:
     return core.svd(block, compute_uv=False).s
 
 
+# What the caller of ``_run_pipeline`` reads, and so what it keeps (see _Pipeline)
+_SPECTRUM = "spectrum"  # compute_gsv: the L blocks only
+_PROJECTION = "projection"  # projected_pair: each sketched side's Q and rows
+_FACTORS = "factors"  # recover_gsvd: a Q for every compressed side
+
+
 @dataclass(frozen=True)
 class _Pipeline:
-    q1: np.ndarray | None  # None: the side is not compressed (direct, or exact)
+    # Q of each side: None with method="direct" and in spectrum mode, and
+    # in projection mode for an exact side; factors mode gives an exact
+    # side the Q of its reduced QR
+    q1: np.ndarray | None
     q2: np.ndarray | None
-    c1: np.ndarray  # Q^H G; the matrix itself (direct) or its R (exact side)
-    c2: np.ndarray
+    # Q^H G; the matrix itself (direct) or its R (exact side). None except
+    # in projection mode
+    c1: np.ndarray | None
+    c2: np.ndarray | None
     l1_block: np.ndarray
     l2_block: np.ndarray
     r_tilde: np.ndarray
@@ -314,45 +326,52 @@ def _r_only(g: np.ndarray) -> np.ndarray:
     return np.linalg.qr(g, mode="r")
 
 
-def _front_end(g: np.ndarray, cfg: ExtractionConfig, shortcut: bool, with_q: bool):
-    """(Q, C) of one side of a randomized solve (see ``compute_gsv``): a
-    sketch's basis and rows Q^H G, or for an exact side None and its R,
-    or with ``with_q`` its reduced QR. With ``shortcut`` an eligible side
-    goes exact without a sketch."""
+def _front_end(g: np.ndarray, cfg: ExtractionConfig, shortcut: bool, reads: str):
+    """(Q, C, exact) of one side of a randomized solve (see ``compute_gsv``):
+    a sketch's basis and rows Q^H G, or for an exact side None and its R,
+    or in factors mode its reduced QR. Spectrum mode returns no Q. With
+    ``shortcut`` an eligible side goes exact without a sketch."""
     n = g.shape[1]
+    keep_q = reads != _SPECTRUM
     if g.shape[0] < _TALL_ASPECT * n or cfg.max_cols not in (None, n):
         basis = extract_basis(g, cfg)
-        return basis.q, basis.b
+        return basis.q if keep_q else None, basis.b, False
     if not shortcut:
         cross = _crossover(n)
         basis = extract_basis(g, dataclasses.replace(cfg, max_cols=cross))
         if basis.converged or basis.q.shape[1] < cross:
-            return basis.q, basis.b
-    if with_q:
-        return core.reduced_qr(g)
-    return None, _r_only(g)
+            return basis.q if keep_q else None, basis.b, False
+        del basis  # the discarded probe is not alive beside the QR
+    if reads == _FACTORS:
+        return *core.reduced_qr(g), True
+    return None, _r_only(g), True
 
 
-def _run_pipeline(pair: GmpPair, opts: GsvOptions, with_q: bool = False) -> _Pipeline:
+def _run_pipeline(pair: GmpPair, opts: GsvOptions, reads: str) -> _Pipeline:
     n = pair.n
     if opts.method == DIRECT:
         c1, c2 = pair.g1, pair.g2
         q1 = q2 = None
+        uncompressed = True
     else:
         cfg = opts.extraction
-        q1, c1 = _front_end(pair.g1, _side_config(cfg, pair.g1, 0), False, with_q)
+        q1, c1, exact1 = _front_end(pair.g1, _side_config(cfg, pair.g1, 0), False, reads)
         # a solve needs l1 + l2 >= n, so a sketch of g2 would keep >= n - l1 columns
-        q2, c2 = _front_end(pair.g2, _side_config(cfg, pair.g2, 1),
-                            n - c1.shape[0] >= _crossover(n), with_q)
+        q2, c2, exact2 = _front_end(pair.g2, _side_config(cfg, pair.g2, 1),
+                                    n - c1.shape[0] >= _crossover(n), reads)
+        # an exact side's R has its matrix's singular values, a sketch's rows need not
+        uncompressed = exact1 and exact2
     l1, l2 = c1.shape[0], c2.shape[0]
     if l1 + l2 < n:
         raise RankDeficiencyError(
             f"compressed pair has {l1} + {l2} rows < {n} columns; "
             "tighten the extraction tolerance or raise max_cols"
         )
-    qf = core.reduced_qr(np.vstack([c1, c2]))
+    stack = np.vstack([c1, c2])
+    if reads != _PROJECTION:
+        c1 = c2 = None  # the blocks are not alive beside the stack's QR
+    qf = core.reduced_qr(stack)
     sv = np.linalg.svd(qf.r, compute_uv=False)
-    uncompressed = q1 is None and q2 is None
     _require_full_rank(sv, "stacked pair" if uncompressed else "compressed stacked pair")
     if uncompressed:
         pair._record_stack_extremes(sv)
@@ -394,12 +413,17 @@ def compute_gsv(pair: GmpPair, opts: GsvOptions | None = None) -> GsvSpectrum:
     (13-20% slower solves at 801/400/400), so such sides are always
     sketched.
 
+    Memory. No sketched basis Q, discarded sketch or compressed block is
+    held past its last reader, so at its peak a solve holds the pair, the
+    rows compressed so far and the working copy of one step: for a tall
+    exact side, the copy of that side that its R-only QR factors.
+
     Raises RankDeficiencyError when the stacked pair, or on the
     randomized path the compressed pair (fewer than n rows, or
     sigma_min(R) <= 1e-12 * sigma_max(R)), is numerically rank deficient.
     """
     opts = opts or GsvOptions()
-    pl = _run_pipeline(pair, opts)
+    pl = _run_pipeline(pair, opts, _SPECTRUM)
     return spectrum_from_l_blocks(pl.l1_block, pl.l2_block, pair.n, opts.classify_tol)
 
 
@@ -417,7 +441,7 @@ def projected_pair(pair: GmpPair, opts: GsvOptions | None = None) -> GmpPair:
     raises.
     """
     opts = opts or GsvOptions()
-    pl = _run_pipeline(pair, opts)
+    pl = _run_pipeline(pair, opts, _PROJECTION)
     g1 = pair.g1 if pl.q1 is None else pl.q1 @ pl.c1
     g2 = pair.g2 if pl.q2 is None else pl.q2 @ pl.c2
     proj = GmpPair(g1, g2)
@@ -497,7 +521,7 @@ def recover_gsvd(pair: GmpPair, opts: GsvOptions | None = None) -> GsvdFactors:
         raise RecoveryError(
             f"full recovery needs m >= n and p >= n, got ({m}, {p}, {n})"
         )
-    pl = _run_pipeline(pair, opts, with_q=True)
+    pl = _run_pipeline(pair, opts, _FACTORS)
     spec = spectrum_from_l_blocks(pl.l1_block, pl.l2_block, n, opts.classify_tol)
     tol = opts.classify_tol
     if pl.l1_block.shape[0] <= pl.l2_block.shape[0]:

@@ -42,7 +42,7 @@ class ExtractionConfig:
     blocksize  sketch width per iteration (clamped to the column count).
     seed       base seed for the Gaussian sketches.
     max_cols   optional cap on the number of basis columns.
-    trim_tol   relative threshold below which a block column is dropped;
+    trim_tol   finite relative threshold below which a block column is dropped;
                0 disables trimming and keeps every sampled column.
     """
 
@@ -59,8 +59,8 @@ class ExtractionConfig:
             raise ValidationError(f"blocksize must be >= 1, got {self.blocksize}")
         if self.max_cols is not None and self.max_cols < 1:
             raise ValidationError(f"max_cols must be >= 1, got {self.max_cols}")
-        if self.trim_tol < 0:
-            raise ValidationError(f"trim_tol must be >= 0, got {self.trim_tol}")
+        if not 0 <= self.trim_tol < math.inf:  # NaN or inf would trim every column
+            raise ValidationError(f"trim_tol must be finite and >= 0, got {self.trim_tol}")
 
 
 @dataclass

@@ -193,6 +193,11 @@ class TestQuantityErrorBounds:
         assert cert.d1_bound == 0.0 and cert.d2_bound == 0.0
         assert not cert.vacuous
 
+    @pytest.mark.parametrize("e_script", [math.nan, np.float64("nan"), np.array(math.nan)])
+    def test_rejects_nan_budget(self, e_script):
+        with pytest.raises(ValidationError):
+            quantity_error_bounds(make_spectrum([0.8, 0.3], [0.6, math.sqrt(1 - 0.09)]), e_script)
+
     def test_uniform_spectrum_entropy_bound_vanishes(self):
         sq2 = math.sqrt(2) / 2
         spec = make_spectrum([sq2] * 6, [sq2] * 6)

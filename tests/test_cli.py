@@ -161,6 +161,15 @@ def test_bounds_rejects_bad_oversample_without_k(pair_files, tmp_path, oversampl
     assert not out.exists()
 
 
+@pytest.mark.parametrize("trim_tol", ["nan", "inf"])
+def test_gsv_rejects_non_finite_trim_tol(pair_files, tmp_path, trim_tol):
+    # a validation error (5), not the rank error (6) of an emptied basis
+    g1, g2 = pair_files
+    out = tmp_path / "gsv.csv"
+    assert main(["gsv", "--g1", str(g1), "--g2", str(g2), "--trim-tol", trim_tol, "-o", str(out)]) == 5
+    assert not out.exists()
+
+
 def test_bounds_has_no_method_flag(pair_files, capsys):
     # bounds always centres on the direct spectrum and sizes the budget by
     # the randomized solve, so a --method flag would do nothing

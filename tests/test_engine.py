@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -76,6 +77,17 @@ class TestGsvSpectrum:
         b = np.array([1e-13, math.sqrt(1 - 0.25)])
         with pytest.raises(ValidationError):
             GsvSpectrum(a, b, r=1, s=1)
+
+    @pytest.mark.parametrize("alphas, betas, r", [
+        ([math.nan, 0.6], [math.nan, 0.8], 0),  # every comparison with NaN is false
+        ([0.8, math.nan], [0.6, 0.8], 0),
+        ([1.0, 0.6], [0.0, math.nan], 1),
+    ])
+    def test_rejects_nan(self, alphas, betas, r):
+        with pytest.raises(ValidationError):
+            GsvSpectrum(np.array(alphas), np.array(betas), r=r, s=2 - r)
+        with pytest.raises(ValidationError):
+            classify_spectrum(alphas, betas)
 
     def test_counts(self):
         spec = make_spectrum([1.0, 0.6, 0.0], [0.0, 0.8, 1.0])
@@ -402,7 +414,12 @@ class TestExactFrontEnd:
         pair, _ = structured_pair(alphas, m=150, p=130, seed=91, field=field)
         opts = GsvOptions(extraction=cfg)
         direct = compute_gsv(pair, GsvOptions(method="direct"))  # records the stack norms
-        assert spectrum_gap(compute_gsv(pair, opts), direct) <= 1e-12
+        spec = compute_gsv(pair, opts)
+        assert spectrum_gap(spec, direct) <= 1e-12
+        # spectrum mode changes what a solve keeps, never what it computes
+        pl = rgsv.engine._run_pipeline(pair, opts, rgsv.engine._PROJECTION)
+        want = spectrum_from_l_blocks(pl.l1_block, pl.l2_block, pair.n, opts.classify_tol)
+        assert np.array_equal(spec.alphas, want.alphas) and np.array_equal(spec.betas, want.betas)
         TestRecoverGsvd._check_factors(pair, recover_gsvd(pair, opts))
         proj = projected_pair(pair, opts)
         for side, (got, g) in enumerate(((proj.g1, pair.g1), (proj.g2, pair.g2))):
@@ -462,6 +479,50 @@ class TestExactFrontEnd:
         compute_gsv(pair, GsvOptions(extraction=dataclasses.replace(cfg, max_cols=79)))
         assert [(g is pair.g1, cap) for g, cap, _ in calls] == [(True, 79), (False, 79)]
         assert r_only == []
+
+    @pytest.mark.parametrize("case", ["tall_low_rank", "both_exact"])
+    def test_no_basis_is_alive_at_an_r_only_qr(self, case, monkeypatch):
+        # a sketched g1's Q is not read by a spectrum solve, nor is a
+        # discarded probe: neither may be alive while a side is factored
+        if case == "tall_low_rank":
+            pair, _, cfg = self._tall_low_rank_pair()
+            sketched, factored = 1, [pair.p]
+        else:  # each side's probe is discarded
+            alphas, cfg, _ = exact_front_end_cases()[case]
+            pair, _ = structured_pair(alphas, m=150, p=130, seed=91)
+            sketched, factored = 2, [pair.m, pair.p]
+        bases, r_only = [], []
+        extract, qr = rgsv.engine.extract_basis, np.linalg.qr
+
+        def recording_extract(g, cfg):
+            basis = extract(g, cfg)
+            bases.append(weakref.ref(basis.q))
+            return basis
+
+        def checking_qr(a, mode="reduced"):
+            if mode == "r":
+                assert all(ref() is None for ref in bases), "a basis outlives its last reader"
+                r_only.append(a.shape[0])
+            return qr(a, mode=mode)
+
+        monkeypatch.setattr(rgsv.engine, "extract_basis", recording_extract)
+        monkeypatch.setattr(np.linalg, "qr", checking_qr)
+        compute_gsv(pair, GsvOptions(extraction=cfg))
+        assert len(bases) == sketched and r_only == factored
+
+    def test_only_uncompressed_solves_record_the_stack_norms(self, monkeypatch):
+        # a sketched side's rows do not keep its matrix's singular values
+        pair, _, cfg = self._tall_low_rank_pair()
+        compute_gsv(pair, GsvOptions(extraction=cfg))
+        assert "_stack_extremes" not in pair.__dict__
+        # cli_files scaled down: both sides rank 30 > ceil(50/3), so both go exact
+        pair = synth_gmp(SynthSpec(m=250, p=200, n=50, rank_frac=0.6, seed=97)).pair
+        _, r_only = self._record(monkeypatch)
+        compute_gsv(pair, GsvOptions(extraction=ExtractionConfig(seed=98)))
+        assert r_only == [pair.m, pair.p] and "_stack_extremes" in pair.__dict__
+        s = np.linalg.svd(pair.stacked(), compute_uv=False)
+        assert abs(pair.stack_norm2 - s[0]) <= 1e-12 * s[0]
+        assert abs(pair.stack_pinv_norm - 1 / s[-1]) <= 1e-12 / s[-1]
 
     @pytest.mark.parametrize("case", ["not_tall", "triangular"])
     def test_other_pairs_keep_the_sketched_pipeline(self, case, monkeypatch):

@@ -173,6 +173,13 @@ def test_config_validation():
         ExtractionConfig(max_cols=0)
 
 
+@pytest.mark.parametrize("trim_tol", [math.nan, math.inf])
+def test_config_rejects_non_finite_trim_tol(trim_tol):
+    # either would trim every sampled column
+    with pytest.raises(ValidationError):
+        ExtractionConfig(trim_tol=trim_tol)
+
+
 class TestResidualNorm:
     def test_exact_range_projection(self):
         g = gaussian_matrix(40, 10, seed=26)
