@@ -2,9 +2,9 @@
 
 Matrices are plain numpy arrays, real (float64) or complex (complex128).
 ``as_matrix`` is the single validation gate: 2-D, nonempty, all entries
-finite. Factorizations are LAPACK-backed (Householder QR, CholeskyQR2 for
-tall narrow panels, dense SVD) with a fixed phase convention so that
-factors are deterministic and usable in golden tests.
+finite. Factorizations are LAPACK-backed (Householder QR, dense SVD) with
+a fixed phase convention so that factors are deterministic and usable in
+golden tests.
 """
 
 from __future__ import annotations
@@ -84,96 +84,25 @@ def gaussian_matrix(rows: int, cols: int, seed: int, field: str = REAL) -> np.nd
     return gaussian_block(seeded_rng(seed), rows, cols, field)
 
 
-# CholeskyQR2 fast path of reduced_qr: panels at most this many columns
-# wide and at least this many times taller than wide.
-_CHOLQR_MAX_COLS = 128
-_CHOLQR_MIN_ASPECT = 4
-# Largest accepted condition number of a Cholesky factor R (kappa_2(R) is
-# the panel's own). The cheap ||R||_1 * ||R^-1||_1 is tested first; it is at
-# least kappa_2(R)/n, so it alone admits kappa_2 up to about 128 * 1e5 ~ 1e7
-# < u^(-1/2). Only a factor it rejects pays for R's singular values and is
-# accepted when kappa_2(R) <= 1e5, which keeps that worst case unchanged.
-_CHOLQR_MAX_COND = 1e5
-
-
 def reduced_qr(m) -> QrFactors:
-    """Reduced (economy) QR.
-
-    Tall, narrow panels (at most 128 columns and at least four times as
-    many rows as columns, the shape of a sketch block) take CholeskyQR2:
-    R1 = chol(Y^H Y), P = Y R1^-1, R2 = chol(P^H P), Q = P R2^-1 and
-    R = R2 R1, all BLAS-3. The panel falls back to Householder reflections
-    when its Gram matrix is not finite, a Cholesky factorization fails, or
-    a Cholesky factor is too ill-conditioned: ||R||_1 * ||R^-1||_1 above
-    1e5 and, tested only then, kappa_2(R) above 1e5 as well. So
-    ill-conditioned and rank-deficient panels get the Householder factors.
-    Every other shape uses Householder reflections.
+    """Reduced (economy) QR by Householder reflections (LAPACK geqrf).
 
     The phase convention makes the diagonal of R real and nonnegative,
     which fixes the factors uniquely for full-column-rank input. Rank
     deficiency is permitted; trailing diagonal entries of R may be ~0.
     """
-    a = as_matrix(m)
-    rows, cols = a.shape
-    if cols <= _CHOLQR_MAX_COLS and rows >= _CHOLQR_MIN_ASPECT * cols:
-        factors = _cholesky_qr2(a)
-        if factors is not None:
-            return factors
-    return _householder_qr(a)
-
-
-def _cholesky_qr2(a: np.ndarray) -> QrFactors | None:
-    """CholeskyQR2 factors of a, or None when either pass is rejected."""
-    first = _cholesky_factor(a)
-    if first is None:
-        return None
-    r1, r1_inv = first
-    p = a @ r1_inv
-    second = _cholesky_factor(p)
-    if second is None:
-        return None
-    r2, r2_inv = second
-    return QrFactors(p @ r2_inv, r2 @ r1)
-
-
-def _householder_qr(a: np.ndarray) -> QrFactors:
-    q, r = np.linalg.qr(a, mode="reduced")
+    q, r = np.linalg.qr(as_matrix(m), mode="reduced")
     d = np.diagonal(r)
     if np.iscomplexobj(r):
         absd = np.abs(d)
         ph = np.where(absd > 0, d / np.where(absd > 0, absd, 1.0), 1.0)
     else:
         ph = np.where(d < 0.0, -1.0, 1.0)
+    # rebind q before scaling r: LAPACK's unscaled Q is then freed first,
+    # which keeps it out of the peak of a stacked QR
     q = q * ph
     r = r * np.conj(ph)[:, None]
     return QrFactors(q, r)
-
-
-def _cholesky_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(R, R^-1) with R upper triangular, positive diagonal and
-    R^H R = a^H a, or None when the Gram matrix is not finite, is not
-    numerically positive definite, or R is too ill-conditioned by both its
-    1-norm and its 2-norm condition number."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = a.conj().T @ a
-    if not np.all(np.isfinite(gram)):
-        return None
-    try:
-        r = np.linalg.cholesky(gram).conj().T
-    except np.linalg.LinAlgError:
-        return None
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # LU of a triangular matrix never pivots, so this is back substitution
-        r_inv = np.linalg.inv(r)
-        cond = np.linalg.norm(r, 1) * np.linalg.norm(r_inv, 1)
-    if not cond <= _CHOLQR_MAX_COND:  # also rejects inf and NaN
-        try:
-            s = np.linalg.svd(r, compute_uv=False)
-        except np.linalg.LinAlgError:
-            return None
-        if not s[0] <= _CHOLQR_MAX_COND * s[-1]:
-            return None
-    return r, r_inv
 
 
 def svd(m, compute_uv: bool = True) -> SvdFactors:

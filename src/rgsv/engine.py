@@ -404,14 +404,16 @@ def compute_gsv(pair: GmpPair, opts: GsvOptions | None = None) -> GsvSpectrum:
 
     Cost model: a sketch keeping k columns of an m x n side costs about
     4 m n k flops (G Omega, P^H G and two reorthogonalization passes); an
-    R-only QR costs 2 m n^2 - 2/3 n^3. Measured per side at 3000 x 1200
-    (2-core Xeon, OpenBLAS, 1 thread), the sketch won at k = 300 (201 vs
-    318 ms) and lost at k = 600 (478 vs 274 ms), and a full-rank side took
-    1.0-1.3 s to sketch against 0.27-0.32 s to factor; the switch sits at
-    n/3. On a side that is not tall an exact side adds n - k rows to the
-    stacked QR and to the block SVDs, which cost more than it saves
-    (13-20% slower solves at 801/400/400), so such sides are always
-    sketched.
+    R-only QR costs 2 m n^2 - 2/3 n^3. Measured per side on a rank-k
+    3000 x 1200 side at the default tol (2-core Xeon, OpenBLAS, 1 thread,
+    medians of 3 x 15 runs), the sketch won at k = 200 (222 vs 276 ms),
+    was level or lost at k = 300 (335 vs 287 ms) and lost at k = 400 =
+    n/3 (426 vs 300 ms) and k = 600 (721 vs 297 ms), and a full-rank
+    side took 1.0-1.3 s to sketch against 0.27-0.32 s to factor. The
+    switch sits at n/3, above the crossover near n/4 these runs show. On
+    a side that is not tall an exact side adds n - k rows to the stacked
+    QR and to the block SVDs, which cost more than it saves (13-20%
+    slower solves at 801/400/400), so such sides are always sketched.
 
     Memory. No sketched basis Q, discarded sketch or compressed block is
     held past its last reader, so at its peak a solve holds the pair, the

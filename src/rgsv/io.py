@@ -41,11 +41,13 @@ def read_matrix(path) -> np.ndarray:
     try:
         with open(path, "r") as fh:
             first = fh.readline()
+        if not first.startswith(_MM_MAGIC):
+            return _read_csv_matrix(path)
     except OSError as exc:
         raise ParseError(f"{path}: cannot read: {exc}") from exc
-    if first.startswith(_MM_MAGIC):
-        return _read_matrix_market(path)
-    return _read_csv_matrix(path)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: cannot decode: {exc}") from exc
+    return _read_matrix_market(path)
 
 
 def _read_matrix_market(path: Path) -> np.ndarray:

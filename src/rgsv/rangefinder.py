@@ -3,18 +3,18 @@
 ``extract_basis`` builds Q block by block from Gaussian sketches until the
 Frobenius residual ||(I - QQ^H)G||_F falls below a tolerance, every block
 being projected against the kept blocks (twice, to contain roundoff)
-before its reduced QR; such tall, narrow panels take ``core.reduced_qr``'s
-CholeskyQR2 path, with a Householder fallback for ill-conditioned ones.
-Each kept block P also yields its compressed rows P^H G, which give the
-captured energy and are returned as ``BasisResult.b = Q^H G`` (the QB form
-of the blocked rangefinder), so callers need not form Q^H G again. The
-squared residual is maintained cumulatively as ||G||_F^2 minus the
-captured energy, which keeps each iteration at O(m*n*b). That difference
-cancels below about sqrt(eps) ||G||_F, so when tol is no more than 10x
-that floor, a residual estimated below 10 sqrt(eps) ||G||_F is replaced by
-the explicit ||G - QB||_F (one O(m*n*k) product, then O(m*n*b) per block)
-for both the history entry and the stop test. ``residual_norm`` is the
-explicit reference evaluation used to validate the reported value.
+before its Householder QR (``core.reduced_qr``), which also factors the
+rank-deficient panel that crosses the numerical rank. Each kept block P
+also yields its compressed rows P^H G, which give the captured energy and
+are returned as ``BasisResult.b = Q^H G`` (the QB form of the blocked
+rangefinder), so callers need not form Q^H G again. The squared residual
+is maintained cumulatively as ||G||_F^2 minus the captured energy, which
+keeps each iteration at O(m*n*b). That difference cancels below about
+sqrt(eps) ||G||_F, so when tol is no more than 10x that floor, a residual
+estimated below 10 sqrt(eps) ||G||_F is replaced by the explicit
+||G - QB||_F (one O(m*n*k) product, then O(m*n*b) per block) for both
+the history entry and the stop test. ``residual_norm`` is the explicit
+reference evaluation used to validate the reported value.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ _CANCELLATION_MARGIN = 10.0
 class ExtractionConfig:
     """Knobs for basis extraction.
 
-    tol        absolute Frobenius residual target; None means 1e-10*||G||_F.
+    tol        finite positive absolute Frobenius residual target; None means
+               1e-10*||G||_F.
     blocksize  sketch width per iteration (clamped to the column count).
     seed       base seed for the Gaussian sketches.
     max_cols   optional cap on the number of basis columns.
@@ -53,8 +54,8 @@ class ExtractionConfig:
     trim_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.tol is not None and not self.tol > 0:
-            raise ValidationError(f"tol must be positive, got {self.tol}")
+        if self.tol is not None and not 0 < self.tol < math.inf:  # inf stops with no basis
+            raise ValidationError(f"tol must be finite and positive, got {self.tol}")
         if self.blocksize < 1:
             raise ValidationError(f"blocksize must be >= 1, got {self.blocksize}")
         if self.max_cols is not None and self.max_cols < 1:
@@ -130,8 +131,6 @@ def extract_basis(g, cfg: ExtractionConfig | None = None) -> BasisResult:
         width = min(b, n - i * b)
         if max_cols is not None:
             width = min(width, max_cols - kept)
-            if width <= 0:
-                break
         y = a @ core.gaussian_block(rng, n, width, field)
         for _ in range(2):
             for qb in blocks:

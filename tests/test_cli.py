@@ -170,6 +170,16 @@ def test_gsv_rejects_non_finite_trim_tol(pair_files, tmp_path, trim_tol):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["gsv", "extract"])
+def test_rejects_infinite_tol(pair_files, tmp_path, command):
+    # gsv would exit 6 on an empty basis, extract 0 with one marked converged
+    g1, g2 = pair_files
+    inputs = ["--g1", str(g1), "--g2", str(g2)] if command == "gsv" else ["--input", str(g1)]
+    out = tmp_path / "out.csv"
+    assert main([command, *inputs, "--tol", "inf", "-o", str(out)]) == 5
+    assert not out.exists()
+
+
 def test_bounds_has_no_method_flag(pair_files, capsys):
     # bounds always centres on the direct spectrum and sizes the budget by
     # the randomized solve, so a --method flag would do nothing
@@ -211,6 +221,14 @@ class TestErrorExits:
         proc = run_cli("gsv", "--g1", str(bad), "--g2", str(ok))
         assert proc.returncode == 3
         assert "category=parse" in proc.stderr
+
+    def test_undecodable_file_exit(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\xff\xfe1,0\n0,1\n")
+        ok = tmp_path / "ok.csv"
+        ok.write_text("1,0\n0,1\n")
+        assert main(["gsv", "--g1", str(bad), "--g2", str(ok)]) == 3
+        assert "category=parse" in capsys.readouterr().err
 
     def test_missing_file_exit(self, tmp_path):
         proc = run_cli("gsv", "--g1", str(tmp_path / "no.mtx"),

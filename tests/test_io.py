@@ -70,6 +70,17 @@ class TestReadMatrix:
         with pytest.raises(ParseError, match=r":2:"):
             read_matrix(f)
 
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe1,2\n",
+        b"1,2\n3,\xff\n",
+        b"1,2\n" * 4096 + b"3,\xff\n",  # past the chunk that sniffing decodes
+    ], ids=["first_line", "second_line", "past_first_chunk"])
+    def test_undecodable_file_is_a_parse_error(self, tmp_path, content):
+        f = tmp_path / "bytes.csv"
+        f.write_bytes(content)
+        with pytest.raises(ParseError, match="bytes.csv"):
+            read_matrix(f)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             read_matrix(tmp_path / "absent.mtx")

@@ -173,6 +173,13 @@ def test_config_validation():
         ExtractionConfig(max_cols=0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_config_rejects_non_finite_tol(tol):
+    # tol=inf would stop before the first block, with an empty basis
+    with pytest.raises(ValidationError):
+        ExtractionConfig(tol=tol)
+
+
 @pytest.mark.parametrize("trim_tol", [math.nan, math.inf])
 def test_config_rejects_non_finite_trim_tol(trim_tol):
     # either would trim every sampled column
