@@ -138,9 +138,17 @@ def _cmd_bounds(args) -> int:
         raise ValidationError(f"oversample must be >= 2, got {args.oversample}")
     pair = triangular_pair(_load_pair(args))
     spec_direct = compute_gsv(pair, _gsv_options(args, DIRECT))
-    # --k and --oversample are validated before anything is written
-    sides = () if args.k is None else ("first", "second")
-    projector = {w: projector_bound(pair, spec_direct, args.k, args.oversample, w) for w in sides}
+    # --k is checked before anything is written; a side too small for it has no bound
+    projector, unfit = {}, []
+    for which in () if args.k is None else ("first", "second"):
+        try:
+            bound = projector_bound(pair, spec_direct, args.k, args.oversample, which)
+            projector[which] = f"{bound:.6e}"
+        except ValidationError as exc:
+            projector[which] = f"not applicable: {exc}"
+            unfit.append(exc)
+    if len(unfit) == 2:
+        raise unfit[0]
     pair_proj = projected_pair(pair, _gsv_options(args, RANDOMIZED))
     e_script = perturbation_bound(pair, pair_proj)
     eta = pair.stack_norm2 ** 2
@@ -148,7 +156,7 @@ def _cmd_bounds(args) -> int:
     io.write_report(cert, args.output, args.format)
     for which, bound in projector.items():
         print(f"projector_bound[{which}] (k={args.k}, "
-              f"oversample={args.oversample}): {bound:.6e}", file=sys.stderr)
+              f"oversample={args.oversample}): {bound}", file=sys.stderr)
     return 0
 
 

@@ -132,8 +132,6 @@ def sum_sq(a: np.ndarray) -> float:
     combined exactly with math.fsum, so repeated accumulation of many small
     blocks does not drift.
     """
-    if a.size == 0:
-        return 0.0
     per_col = _squared_entries(a).sum(axis=0)
     return float(math.fsum(np.atleast_1d(per_col)))
 

@@ -468,17 +468,13 @@ def triangular_pair(pair: GmpPair) -> GmpPair:
 
 def _orthonormal_completion(cols: np.ndarray, count: int) -> np.ndarray:
     """``count`` orthonormal columns orthogonal to the orthonormal block
-    ``cols`` (dim x have): the trailing columns of the reduced Householder Q
-    of [cols, I[:, :count]]. That Q is orthonormal by construction and its
-    leading columns span ``cols``, also when columns of I lie in that span;
-    it costs O(dim (have + count)^2) and never forms a dim x dim matrix."""
+    ``cols`` (dim x have, have + count <= dim): the trailing columns of the
+    reduced Householder Q of [cols, I[:, :count]], orthonormal by
+    construction, whose leading columns span ``cols`` even when columns of
+    I lie in that span; O(dim (have + count)^2) work, no dim x dim matrix."""
     dim, have = cols.shape
     if count == 0:
         return np.zeros((dim, 0), dtype=cols.dtype)
-    if have + count > dim:
-        raise RecoveryError(
-            f"cannot complete {have} columns with {count} more in dimension {dim}"
-        )
     q, _ = np.linalg.qr(np.hstack([cols, np.eye(dim, count, dtype=cols.dtype)]))
     return q[:, have:]
 

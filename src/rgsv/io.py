@@ -1,7 +1,10 @@
 """Matrix files and report serialization.
 
 Matrices travel as Matrix Market files (dense array or coordinate, real
-or complex, via scipy) or as headerless CSV. scipy.io is imported only
+or complex, via scipy) or as headerless CSV, which numpy's ``loadtxt``
+parses: float64, or complex128 when a cell is complex (``2+3j``,
+``(2+3j)``, ``-4j``); ``inf`` and ``nan`` parse, Python's ``1+2J`` and
+``1_000`` do not, and ``#`` starts no comment. scipy.io is imported only
 when a Matrix Market file is read or written, so CSV-only runs never load
 it. Reports serialize to CSV (per-index rows followed by a scalar block)
 or JSON, with floats at full round-trip precision; ``_layout`` describes
@@ -13,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import sys
+import warnings
 from collections.abc import Sequence
 from io import StringIO
 from pathlib import Path
@@ -34,15 +38,13 @@ def read_matrix(path) -> np.ndarray:
     """Read a matrix from a Matrix Market or headerless CSV file.
 
     The format is sniffed from the first line. Coordinate Matrix Market
-    entries are densified. CSV cells may be real or complex literals
-    (``1.5``, ``2+3j``).
+    entries are densified. CSV cells are read as the module docstring says.
     """
     path = Path(path)
     try:
         with open(path, "r") as fh:
-            first = fh.readline()
-        if not first.startswith(_MM_MAGIC):
-            return _read_csv_matrix(path)
+            if not fh.readline().startswith(_MM_MAGIC):
+                return _read_csv_matrix(path, fh)
     except OSError as exc:
         raise ParseError(f"{path}: cannot read: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -59,41 +61,38 @@ def _read_matrix_market(path: Path) -> np.ndarray:
         raise ParseError(f"{path}: invalid Matrix Market file: {exc}") from exc
     if not isinstance(mat, np.ndarray):
         mat = mat.toarray()
-    if mat.ndim == 1:
-        mat = mat.reshape(-1, 1)
     return core.as_matrix(mat, str(path))
 
 
-def _read_csv_matrix(path: Path) -> np.ndarray:
-    rows = []
-    ncols = None
-    with open(path, "r") as fh:
+def _read_csv_matrix(path: Path, fh) -> np.ndarray:
+    for dtype in (np.float64, np.complex128):
+        fh.seek(0)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no rows: an error below
+                mat = np.loadtxt((line for line in fh if not line.isspace()), dtype,
+                                 delimiter=",", comments=None, ndmin=2)
+            break
+        except ValueError as exc:
+            error = exc
+    else:
+        # name the first physical line numpy rejects or whose width differs
+        fh.seek(0)
+        ncols = None
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if line.isspace():
                 continue
-            cells = [c.strip() for c in line.split(",")]
-            parsed = []
-            for col, cell in enumerate(cells, start=1):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    try:
-                        parsed.append(complex(cell))
-                    except ValueError:
-                        raise ParseError(
-                            f"{path}:{lineno}: column {col}: not a number: {cell!r}"
-                        ) from None
-            if ncols is None:
-                ncols = len(parsed)
-            elif len(parsed) != ncols:
-                raise ParseError(
-                    f"{path}:{lineno}: expected {ncols} columns, found {len(parsed)}"
-                )
-            rows.append(parsed)
-    if not rows:
+            try:
+                width = np.loadtxt([line], complex, delimiter=",", comments=None).size
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from None
+            ncols = ncols or width
+            if width != ncols:
+                raise ParseError(f"{path}:{lineno}: expected {ncols} columns, found {width}")
+        raise ParseError(f"{path}: {error}")
+    if mat.shape[0] == 0:
         raise ParseError(f"{path}: no data rows")
-    return core.as_matrix(np.array(rows), str(path))
+    return core.as_matrix(mat, str(path))
 
 
 def write_matrix(path, m) -> None:
@@ -109,8 +108,6 @@ def write_matrix(path, m) -> None:
 def _num(x) -> str:
     if x is None:
         return ""
-    if isinstance(x, str):
-        return x
     if isinstance(x, (bool, np.bool_)):
         return str(bool(x)).lower()
     if isinstance(x, (int, np.integer)):

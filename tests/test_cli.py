@@ -142,6 +142,22 @@ def test_bounds_certificate(pair_files, tmp_path):
     assert "projector_bound[second]" in proc.stderr
 
 
+def test_bounds_k_that_fits_one_side(tmp_path, capsys):
+    # k + oversample = 13 fits g1 (min(40, 20) = 20) but not g2 (min(10, 20) = 10)
+    write_matrix(tmp_path / "g1.mtx", gaussian_matrix(40, 20, seed=1))
+    write_matrix(tmp_path / "g2.mtx", gaussian_matrix(10, 20, seed=2))
+    out = tmp_path / "cert.csv"
+    argv = ["bounds", "--g1", str(tmp_path / "g1.mtx"), "--g2", str(tmp_path / "g2.mtx"),
+            "--k", "8", "-o", str(out)]
+    assert main(argv) == 0
+    assert out.read_text().startswith("index,p1_bound,p2_bound\n")
+    first, second = capsys.readouterr().err.splitlines()
+    assert first.startswith("projector_bound[first] (k=8, oversample=5): ")
+    float(first.rsplit(" ", 1)[1])
+    assert second.startswith("projector_bound[second] (k=8, oversample=5): not applicable: ")
+    assert "exceeds min dimension 10" in second
+
+
 @pytest.mark.parametrize("k", ["1", "20"])
 def test_bounds_rejects_bad_k_before_writing(pair_files, tmp_path, k):
     # k = 1 is below the minimum; k = 20 plus the oversample exceeds n = 12

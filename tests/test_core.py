@@ -17,6 +17,7 @@ from rgsv import (
     reduced_qr,
     svd,
 )
+from rgsv.core import sum_sq
 
 
 class TestAsMatrix:
@@ -191,6 +192,11 @@ class TestFrobeniusNorm:
         m = gaussian_matrix(30, 8, seed=11)
         q, _ = reduced_qr(gaussian_matrix(30, 30, seed=12))
         assert abs(frobenius_norm(q @ m) - frobenius_norm(m)) <= 1e-12 * frobenius_norm(m)
+
+    @pytest.mark.parametrize("shape", [(0, 5), (4, 0), (0,)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_sum_sq_of_empty_input_is_zero(self, shape, dtype):
+        assert sum_sq(np.zeros(shape, dtype)) == 0.0
 
 
 def _phase_normalized_qr(a):

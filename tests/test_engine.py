@@ -192,13 +192,23 @@ class TestComputeGsv:
         assert spectrum_gap(l1, l2) <= 1e-8
         assert spectrum_gap(l1, merged) <= 1e-8
 
-    def test_zero_first_matrix(self):
-        # g1 = 0 is a valid pair when g2 has full rank; all alphas vanish
+    @pytest.mark.parametrize("method", ["direct", "randomized"])
+    def test_zero_first_matrix(self, method):
+        # g1 = 0 is a valid pair when g2 has full rank; all alphas vanish.
+        # A randomized solve keeps no rows of g1, so its block is empty
         pair = GmpPair(np.zeros((4, 3)), gaussian_matrix(5, 3, seed=11))
-        spec = compute_gsv(pair, GsvOptions(method="direct"))
+        spec = compute_gsv(pair, GsvOptions(method=method))
         assert np.array_equal(spec.alphas, np.zeros(3))
         assert np.array_equal(spec.betas, np.ones(3))
         assert (spec.r, spec.s) == (0, 0)
+
+    @pytest.mark.parametrize("method", ["direct", "randomized"])
+    def test_zero_second_matrix(self, method):
+        pair = GmpPair(gaussian_matrix(5, 3, seed=11), np.zeros((4, 3)))
+        spec = compute_gsv(pair, GsvOptions(method=method))
+        assert np.array_equal(spec.alphas, np.ones(3))
+        assert np.array_equal(spec.betas, np.zeros(3))
+        assert (spec.r, spec.s) == (3, 0)
 
     def test_wide_first_matrix(self):
         # m < n forces zero alphas at the tail

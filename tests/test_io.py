@@ -70,6 +70,57 @@ class TestReadMatrix:
         with pytest.raises(ParseError, match=r":2:"):
             read_matrix(f)
 
+    def test_csv_blank_lines_skipped(self, tmp_path):
+        f = tmp_path / "gaps.csv"
+        f.write_text("1,2\n\n  \t\n3,4\n\n")
+        m = read_matrix(f)
+        assert m.dtype == np.float64
+        assert np.array_equal(m, [[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("content", ["", "\n \n\n"], ids=["empty", "blank_only"])
+    def test_csv_without_rows(self, tmp_path, content):
+        f = tmp_path / "none.csv"
+        f.write_text(content)
+        with pytest.raises(ParseError, match="none.csv: no data rows"):
+            read_matrix(f)
+
+    def test_csv_hash_is_not_a_comment(self, tmp_path):
+        f = tmp_path / "hash.csv"
+        f.write_text("1,2\n3,#4\n")
+        with pytest.raises(ParseError, match=r":2:"):
+            read_matrix(f)
+
+    def test_csv_bad_cell_after_blank_line_names_its_physical_line(self, tmp_path):
+        f = tmp_path / "bad.csv"
+        f.write_text("1,2\n\n3,x\n")
+        with pytest.raises(ParseError, match=r"bad.csv:3: .*column 2"):
+            read_matrix(f)
+
+    def test_csv_accepted_literals(self, tmp_path):
+        f = tmp_path / "lit.csv"
+        f.write_text(" (1+2j) ,2j,inf\r\nnan,Infinity , -1.5e-3\r\n")
+        with pytest.raises(ValidationError, match="non-finite"):
+            read_matrix(f)  # every cell parsed; only the non-finite ones are refused
+        f.write_text(" (1+2j) ,2j\r\n-1.5e-3 , 4\r\n")
+        assert np.array_equal(read_matrix(f), [[1 + 2j, 2j], [-1.5e-3, 4]])
+
+    @pytest.mark.parametrize("cell", ["1+2J", "1_000"])
+    def test_csv_rejects_literals_numpy_does_not_parse(self, tmp_path, cell):
+        # Python's float() and complex() accept these; numpy's parser does not
+        f = tmp_path / "lit.csv"
+        f.write_text(f"1,2\n3,{cell}\n")
+        with pytest.raises(ParseError, match=r"lit.csv:2: .*column 2"):
+            read_matrix(f)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_csv_savetxt_round_trip_bitwise(self, tmp_path, field):
+        m = gaussian_matrix(9, 4, seed=0, field=field)
+        f = tmp_path / "m.csv"
+        np.savetxt(f, m, fmt="%.17g", delimiter=",")
+        back = read_matrix(f)
+        assert back.dtype == m.dtype
+        assert back.tobytes() == m.tobytes()
+
     @pytest.mark.parametrize("content", [
         b"\xff\xfe1,2\n",
         b"1,2\n3,\xff\n",
@@ -101,6 +152,16 @@ def test_csv_read_leaves_scipy_io_unloaded(tmp_path):
                           capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("content", ["", "\n \n"], ids=["empty", "blank_only"])
+def test_cli_rowless_csv_exits_parse_without_warning(tmp_path, content):
+    f = tmp_path / "none.csv"
+    f.write_text(content)
+    argv = [sys.executable, "-m", "rgsv", "gsv", "--g1", str(f), "--g2", str(f)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 3
+    assert proc.stderr == f"error: category=parse: {f}: no data rows\n"
 
 
 class TestWriteMatrix:
