@@ -56,7 +56,9 @@ def _add_pair_inputs(p: argparse.ArgumentParser):
 def _add_extraction_options(p: argparse.ArgumentParser):
     p.add_argument("--tol", type=float, default=None,
                    help="absolute basis-extraction residual target (default 1e-10*||G||_F)")
-    p.add_argument("--blocksize", type=int, default=100)
+    p.add_argument("--blocksize", type=int, default=100,
+                   help="largest sketch block width; the first block is min(32, this) "
+                        "wide and each later one is sized from the residual")
     p.add_argument("--seed", type=int, default=None,
                    help="base seed (default: RGSV_SEED env var, then 0)")
     p.add_argument("--max-cols", type=int, default=None)

@@ -21,6 +21,8 @@ COMPLEX = "complex"
 
 _SEED_MASK = (1 << 64) - 1
 
+_BAND_BYTES = 1 << 20  # the largest band of ``row_bands``
+
 
 class QrFactors(NamedTuple):
     """Reduced QR factors: ``q`` has orthonormal columns, ``r`` is upper
@@ -125,15 +127,26 @@ def _squared_entries(a: np.ndarray) -> np.ndarray:
     return np.square(a)
 
 
+def row_bands(a: np.ndarray) -> list[slice]:
+    """Slices of consecutive rows of ``a``, in order and covering them all,
+    each band at most 1 MiB: a loop over them forms no temporary as large
+    as ``a``."""
+    row_bytes = a.itemsize * math.prod(a.shape[1:])
+    step = max(1, _BAND_BYTES // max(row_bytes, 1))
+    return [slice(i, i + step) for i in range(0, a.shape[0], step)]
+
+
 def sum_sq(a: np.ndarray) -> float:
     """Compensated sum of squared entry magnitudes.
 
-    Column sums use numpy's pairwise summation; the per-column partials are
-    combined exactly with math.fsum, so repeated accumulation of many small
-    blocks does not drift.
+    Each band of rows (``row_bands``) gives per-column sums; all partials
+    are combined exactly with math.fsum, so no temporary as large as ``a``
+    is formed and repeated accumulation of many small blocks does not
+    drift.
     """
-    per_col = _squared_entries(a).sum(axis=0)
-    return float(math.fsum(np.atleast_1d(per_col)))
+    return float(math.fsum(
+        x for band in row_bands(a) for x in np.atleast_1d(_squared_entries(a[band]).sum(axis=0))
+    ))
 
 
 def frobenius_norm(m) -> float:

@@ -2,16 +2,17 @@
 
 ``compute_gsv`` runs the two-phase pipeline: give each matrix a front end,
 stack the two compressed matrices, take the stack's reduced QR, and read
-the GSVs off the singular values of the smaller of the two Q-factor
-blocks. A side's front end is its randomized basis, whose compressed rows
-are the ``b`` rows (Q^H G) that extraction already formed, or, for a tall
-side that a sketch would not compress below a third of its columns, the R
-of an R-only QR (an exact side, with residual 0); ``compute_gsv`` states
-the rule and its cost model. Each side sketches from its own random
-stream, spawned from the base seed. The rank test runs on the singular
-values of the stack's n x n R factor rather than on the (m + p) x n stack;
-a projection cannot raise rank, so a rank-deficient pair is still
-rejected. ``method="direct"`` runs the identical stacking code with no
+the GSVs off its two Q-factor blocks: through the SVD of the shorter block
+and its right vectors when that block has at most n/2 rows, else by a
+values-only SVD of each. A side's front end is its randomized basis, whose
+compressed rows are the ``b`` rows (Q^H G) that extraction already formed,
+or, for a tall side that a sketch would not compress below a third of its
+columns, the R of an R-only QR (an exact side, with residual 0);
+``compute_gsv`` states the rule and its cost model. Each side sketches
+from its own random stream, spawned from the base seed. The rank test runs
+on the singular values of the stack's n x n R factor rather than on the
+(m + p) x n stack; a projection cannot raise rank, so a rank-deficient
+pair is still rejected. ``method="direct"`` runs the identical stacking code with no
 compression and serves as the oracle path; its R factor has the stack's
 singular values, so it also fills the pair's cached stack norms.
 ``projected_pair`` returns the pair (Q1 Q1^H G1, Q2 Q2^H G2) whose exact
@@ -246,16 +247,29 @@ def spectrum_from_l_blocks(
     Singular values of the first block give the alphas (descending,
     zero-padded at the tail), those of the second block the betas
     (ascending, zero-padded at the head); values are clamped into [0, 1]
-    against roundoff overshoot. Each pair keeps its smaller member, whose
-    absolute error is at working precision, and completes the larger one
-    through sqrt(1 - x^2); completing the small member instead would turn
-    eps-level error in a value near 1 into sqrt(eps) noise.
+    against roundoff overshoot. When the shorter block has k <= n/2 rows
+    it takes an SVD with its right vectors W1 (``_cs_step``), and the
+    longer block's values are those of its product with W1, which has k
+    columns, plus n - k exact ones; the longer block itself takes no SVD.
+    Otherwise each block takes a values-only SVD, which then costs less
+    (1 BLAS thread: real 58- and 400-row blocks of n = 400 took 5.0 ms by
+    W1 against 17.8 ms by two SVDs, complex 240- and 240-row ones 68
+    against 46 ms, with the two routes level near k = n/2). Each pair
+    keeps its smaller member, whose absolute error is at working
+    precision, and completes the larger one through sqrt(1 - x^2);
+    completing the small member instead would turn eps-level error in a
+    value near 1 into sqrt(eps) noise.
     """
+    l1, l2 = l1_block.shape[0], l2_block.shape[0]
+    if 2 * min(l1, l2) > n:
+        vals1, vals2 = _singular_values(l1_block), _singular_values(l2_block)
+    elif l1 <= l2:
+        vals1, vals2 = _short_block_values(l1_block, l2_block, n)
+    else:
+        vals2, vals1 = _short_block_values(l2_block, l1_block, n)
     a_raw = np.zeros(n)
-    vals1 = _singular_values(l1_block)
     a_raw[: vals1.size] = np.clip(vals1, 0.0, 1.0)
     b_raw = np.zeros(n)
-    vals2 = _singular_values(l2_block)
     if vals2.size:
         b_raw[n - vals2.size:] = np.clip(vals2, 0.0, 1.0)[::-1]
     small_a = a_raw <= b_raw
@@ -265,9 +279,31 @@ def spectrum_from_l_blocks(
 
 
 def _singular_values(block: np.ndarray) -> np.ndarray:
-    if block.shape[0] == 0:
+    if 0 in block.shape:
         return np.zeros(0)
     return core.svd(block, compute_uv=False).s
+
+
+def _short_block_values(la: np.ndarray, lb: np.ndarray, n: int):
+    """The descending singular values of the block la, with k < n rows and
+    no taller than lb, and the n of lb: those of Lb W1 (``_cs_step``),
+    after n - k exact ones for the directions la maps to 0."""
+    _, a, _, t = _cs_step(la, lb)
+    return a, np.concatenate([np.ones(n - a.size), _singular_values(t)])
+
+
+def _cs_step(la: np.ndarray, lb: np.ndarray):
+    """(Ua, a, W1, T) for the blocks la (no taller than lb) of a stack
+    [La; Lb] with orthonormal columns: the reduced SVD La = Ua diag(a) W1^H
+    and T = Lb W1, the first step of its CS decomposition (Paige & Saunders
+    1981). Since La^H La + Lb^H Lb = I, T has orthogonal columns of norms
+    sqrt(1 - a_i^2), and Lb maps each direction W1 misses to a unit
+    vector."""
+    if la.shape[0]:
+        ua, a, w1 = core.svd(la)
+    else:  # no rows: W1 has no columns
+        ua, a, w1 = la[:, :0], np.zeros(0), np.zeros((la.shape[1], 0), la.dtype)
+    return ua, a, w1, lb @ w1
 
 
 # What the caller of ``_run_pipeline`` reads, and so what it keeps (see _Pipeline)
@@ -337,9 +373,8 @@ def _front_end(g: np.ndarray, cfg: ExtractionConfig, shortcut: bool, reads: str)
         basis = extract_basis(g, cfg)
         return basis.q if keep_q else None, basis.b, False
     if not shortcut:
-        cross = _crossover(n)
-        basis = extract_basis(g, dataclasses.replace(cfg, max_cols=cross))
-        if basis.converged or basis.q.shape[1] < cross:
+        basis = extract_basis(g, dataclasses.replace(cfg, max_cols=_crossover(n)), probe=True)
+        if basis.converged:
             return basis.q if keep_q else None, basis.b, False
         del basis  # the discarded probe is not alive beside the QR
     if reads == _FACTORS:
@@ -393,14 +428,17 @@ def compute_gsv(pair: GmpPair, opts: GsvOptions | None = None) -> GsvSpectrum:
     Front ends. Sides run in order, g1 then g2, and cross = ceil(n/3).
     A side is eligible when it is tall (rows >= 4 n) and no cap binds (its
     clamped max_cols is None or n). An ineligible side is sketched to
-    extraction's own stopping rule. An eligible side is sketched with
-    max_cols = cross; if that sketch converges or keeps fewer than cross
-    columns it is used, otherwise it is dropped and the side goes exact:
-    its compressed block is the n x n R of an R-only Householder QR, Q is
-    never formed and the residual is 0. The wasted sketch is at most cross
-    columns wide. Since a solve needs l1 + l2 >= n rows, an eligible g2
-    with n - l1 >= cross would keep at least cross columns, so it goes
-    exact without a sketch.
+    extraction's own stopping rule. An eligible side is probed: extraction
+    with max_cols = cross and probe=True runs the usual block schedule
+    (a first block of min(32, blocksize) columns, then blocks sized from
+    the residual) but stops as soon as the kept columns plus the columns
+    the residual still predicts exceed cross. A probe that converges is
+    the side's sketch; any other is dropped and the side goes exact: its
+    compressed block is the n x n R of an R-only Householder QR, Q is
+    never formed and the residual is 0. A full-rank side therefore pays
+    one first block before its QR. Since a solve needs l1 + l2 >= n rows,
+    an eligible g2 with n - l1 >= cross would keep at least cross columns,
+    so it goes exact without a probe.
 
     Cost model: a sketch keeping k columns of an m x n side costs about
     4 m n k flops (G Omega, P^H G and two reorthogonalization passes); an
@@ -410,10 +448,15 @@ def compute_gsv(pair: GmpPair, opts: GsvOptions | None = None) -> GsvSpectrum:
     was level or lost at k = 300 (335 vs 287 ms) and lost at k = 400 =
     n/3 (426 vs 300 ms) and k = 600 (721 vs 297 ms), and a full-rank
     side took 1.0-1.3 s to sketch against 0.27-0.32 s to factor. The
-    switch sits at n/3, above the crossover near n/4 these runs show. On
-    a side that is not tall an exact side adds n - k rows to the stacked
-    QR and to the block SVDs, which cost more than it saves (13-20%
-    slower solves at 801/400/400), so such sides are always sketched.
+    switch sits at n/3, above the crossover near n/4 these runs show. A
+    side sent exact adds the cost of its one probe block, about
+    2 m n min(32, blocksize) flops for G Omega: on the real 1000/800/200
+    pair of the CLI benchmark both sides go exact after a 32-column block
+    each, and a solve took 27 ms against 37 ms when each probe filled
+    its 67-column cap (same machine, medians of 11). A side that is not
+    tall is always sketched. That is a rule, not a measured optimum: on
+    the complex 801/400/400 pair of acceptance criterion 1 a solve with
+    both sides exact measured 272 ms against 316 ms sketched.
 
     Memory. No sketched basis Q, discarded sketch or compressed block is
     held past its last reader, so at its peak a solve holds the pair, the
@@ -457,11 +500,14 @@ def triangular_pair(pair: GmpPair) -> GmpPair:
 
     It keeps what a certificate reads. The stack diag(Q1, Q2) [R1; R2]
     has the same singular values (stack norms, eta, the rank test) and
-    GSVs. ||Ri||_F = ||Gi||_F (default tol, trim cut). Ri Omega =
-    Qi^H (Gi Omega), so a randomized solve with the same seeds makes the
-    same decisions in exact arithmetic, returns bases rotated by Qi^H and
-    has ||Ri - Q~i B~i||_F = ||Gi - Qi Q~i B~i||_F. min(rows, n), and so
-    every ``max_cols`` clamp and ``projector_bound`` limit, is unchanged.
+    GSVs. ||Ri||_F = ||Gi||_F (default tol, trim cut), and min(rows, n),
+    and so every ``max_cols`` clamp and ``projector_bound`` limit, is
+    unchanged. A randomized solve of (R1, R2) need not make the decisions
+    a solve of (G1, G2) makes: Ri is square, so no side of it is tall and
+    each is sketched, where a tall Gi may go exact (see ``compute_gsv``).
+    Where both solves sketch a side, Ri Omega = Qi^H (Gi Omega), so with
+    the same seeds the sketch decides alike in exact arithmetic, returns
+    a basis rotated by Qi^H and has ||Ri - Q~i B~i||_F = ||Gi - Qi Q~i B~i||_F.
     """
     return GmpPair(_r_only(pair.g1), _r_only(pair.g2))
 
@@ -486,17 +532,19 @@ def _recover_shorter_first(la, lb, qa, qb, partner, zeros, tol):
     first ``zeros`` entries exactly 0. U is La's left singular vectors, V is
     Qb Lb W / b where b > 0, and a completion fills the rest of each."""
     n = la.shape[1]
-    # W must be n x n; a block with at least n rows yields it reduced
-    ua, _, wh = np.linalg.svd(la, full_matrices=la.shape[0] < n)
-    k = min(la.shape[0], n)
-    u_main = ua[:, :k] if qa is None else qa @ ua[:, :k]
+    ua, _, w, t = _cs_step(la, lb)
+    k = w.shape[1]
+    if k < n:  # W must be n x n: complete it by the directions la maps to 0
+        rest = _orthonormal_completion(w, n - k)
+        w, t = np.hstack([w, rest]), np.hstack([t, lb @ rest])
+    u_main = ua if qa is None else qa @ ua
     u = np.hstack([u_main, _orthonormal_completion(u_main, n - k)])
     if np.any(partner[zeros:] < tol):
         raise RecoveryError("interior GSV below classify_tol; recovery ill conditioned")
-    t = lb @ wh[zeros:].conj().T
+    t = t[:, zeros:]
     v_main = (t if qb is None else qb @ t) / partner[zeros:]
     v = np.hstack([_orthonormal_completion(v_main, zeros), v_main])
-    return u, v, wh
+    return u, v, w.conj().T
 
 
 def recover_gsvd(pair: GmpPair, opts: GsvOptions | None = None) -> GsvdFactors:

@@ -65,34 +65,54 @@ def _read_matrix_market(path: Path) -> np.ndarray:
 
 
 def _read_csv_matrix(path: Path, fh) -> np.ndarray:
-    for dtype in (np.float64, np.complex128):
+    first, last = [], [0, ""]  # the first data line; the last numpy read, with its number
+
+    def data_lines():
         fh.seek(0)
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isspace():
+                if not first:
+                    first.append(line)
+                last[:] = lineno, line
+                yield line
+
+    mat = None
+    for dtype in (np.float64, np.complex128):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # no rows: an error below
-                mat = np.loadtxt((line for line in fh if not line.isspace()), dtype,
-                                 delimiter=",", comments=None, ndmin=2)
+                mat = np.loadtxt(data_lines(), dtype, delimiter=",", comments=None, ndmin=2)
             break
+        except UnicodeDecodeError:
+            raise
         except ValueError as exc:
             error = exc
-    else:
-        # name the first physical line numpy rejects or whose width differs
-        fh.seek(0)
-        ncols = None
-        for lineno, line in enumerate(fh, start=1):
-            if line.isspace():
-                continue
-            try:
-                width = np.loadtxt([line], complex, delimiter=",", comments=None).size
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-            ncols = ncols or width
-            if width != ncols:
-                raise ParseError(f"{path}:{lineno}: expected {ncols} columns, found {width}")
-        raise ParseError(f"{path}: {error}")
+            # numpy reads one line at a time and stops at the line it rejects;
+            # a complex pass stops there too unless that line has a j or a "("
+            if "j" not in last[1] and "(" not in last[1]:
+                break
+    if mat is None:
+        raise _rejected_line(path, *last, first[0], dtype, error)
     if mat.shape[0] == 0:
         raise ParseError(f"{path}: no data rows")
     return core.as_matrix(mat, str(path))
+
+
+def _rejected_line(path: Path, lineno: int, line: str, first: str, dtype, error) -> ParseError:
+    """The error naming the physical line a ``dtype`` pass of numpy's
+    parser stopped at, when that line fails alone or its width differs
+    from the first data line's; otherwise numpy's own ``error``."""
+    def width(text):
+        return np.loadtxt([text], dtype, delimiter=",", comments=None).size
+
+    try:
+        found = width(line)
+    except ValueError as exc:
+        return ParseError(f"{path}:{lineno}: {exc}")
+    expected = width(first)
+    if found != expected:
+        return ParseError(f"{path}:{lineno}: expected {expected} columns, found {found}")
+    return ParseError(f"{path}: {error}")
 
 
 def write_matrix(path, m) -> None:

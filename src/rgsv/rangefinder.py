@@ -4,10 +4,12 @@
 Frobenius residual ||(I - QQ^H)G||_F falls below a tolerance, every block
 being projected against the kept blocks (twice, to contain roundoff)
 before its Householder QR (``core.reduced_qr``), which also factors the
-rank-deficient panel that crosses the numerical rank. Each kept block P
-also yields its compressed rows P^H G, which give the captured energy and
-are returned as ``BasisResult.b = Q^H G`` (the QB form of the blocked
-rangefinder), so callers need not form Q^H G again. The squared residual
+rank-deficient panel that crosses the numerical rank. ``blocksize`` is the
+largest block width: the first block is at most 32 columns wide and each
+later one is sized from the decay seen so far (see ``extract_basis``).
+Each kept block P also yields its compressed rows P^H G, which give the
+captured energy and are returned as ``BasisResult.b = Q^H G`` (the QB
+form of the blocked rangefinder), so callers need not form Q^H G again. The squared residual
 is maintained cumulatively as ||G||_F^2 minus the captured energy, which
 keeps each iteration at O(m*n*b). That difference cancels below about
 sqrt(eps) ||G||_F, so when tol is no more than 10x that floor, a residual
@@ -33,6 +35,11 @@ from .errors import DimensionError, ValidationError
 # floor, and below it, if tol is too, the residual is taken explicitly.
 _CANCELLATION_MARGIN = 10.0
 
+# The first block's width (at most blocksize), and the columns each later
+# block samples beyond the predicted need (see extract_basis).
+_FIRST_WIDTH = 32
+_OVERSAMPLE = 10
+
 
 @dataclass(frozen=True)
 class ExtractionConfig:
@@ -40,7 +47,9 @@ class ExtractionConfig:
 
     tol        finite positive absolute Frobenius residual target; None means
                1e-10*||G||_F.
-    blocksize  sketch width per iteration (clamped to the column count).
+    blocksize  largest sketch width of one iteration; the first block is
+               min(32, blocksize) wide and later ones are sized from the
+               residual (see extract_basis).
     seed       base seed for the Gaussian sketches.
     max_cols   optional cap on the number of basis columns.
     trim_tol   finite relative threshold below which a block column is dropped;
@@ -83,17 +92,28 @@ class BasisResult:
     block_widths: list[int] = field(default_factory=list)
 
 
-def extract_basis(g, cfg: ExtractionConfig | None = None) -> BasisResult:
+def extract_basis(g, cfg: ExtractionConfig | None = None, *, probe: bool = False) -> BasisResult:
     """Extract an approximate orthonormal basis of the column space of g.
 
     The residual test runs before the first iteration, so a zero matrix
-    yields an empty basis immediately. The loop visits ceil(n/blocksize)
-    blocks (the last one narrower when blocksize does not divide n) and
-    after exhausting them the basis reproduces g to roundoff. It stops
-    early, unconverged, once the residual is below trim_tol * ||G||_F
-    without reaching tol: a further block would be trimmed whole. Failure
-    to reach tol is not an error: the result carries converged=False and
-    the full residual history.
+    yields an empty basis immediately. The first block is
+    min(32, blocksize) columns wide. After a block kept whole, whose rows
+    P^H G have smallest singular value smin, the loop predicts that
+    need = ceil((res^2 - tol^2) / smin^2) more columns are needed, taking
+    no direction left in the residual to carry more energy than smin^2;
+    the next block is min(blocksize, need + 10) wide (the randQB_EI
+    schedule of Yu, Gu & Li 2018; Halko, Martinsson & Tropp 2011, 4.2-4.4).
+    A partly trimmed block keeps the width. Blocks never sample more than
+    n columns in all, after which the basis reproduces g to roundoff, nor
+    keep more than max_cols. The loop stops early, unconverged, once the
+    residual is below trim_tol * ||G||_F without reaching tol: a further
+    block would be trimmed whole. Failure to reach tol is not an error:
+    the result carries converged=False and the full residual history.
+
+    ``probe`` makes max_cols a budget rather than a width to fill: the loop
+    also stops, unconverged, as soon as kept + need exceeds max_cols, so a
+    side whose basis would not fit pays for one block, not for max_cols
+    columns.
     """
     cfg = cfg or ExtractionConfig()
     a = core.as_matrix(g, "g")
@@ -109,6 +129,8 @@ def extract_basis(g, cfg: ExtractionConfig | None = None) -> BasisResult:
         raise ValidationError(
             f"max_cols={max_cols} exceeds min(rows, cols)={min(m, n)}"
         )
+    if probe and max_cols is None:
+        raise ValidationError("a probe needs max_cols as its budget")
 
     blocks: list[np.ndarray] = []  # kept orthonormal blocks of Q, in order
     rows: list[np.ndarray] = []  # their compressed rows P^H G
@@ -117,21 +139,20 @@ def extract_basis(g, cfg: ExtractionConfig | None = None) -> BasisResult:
     if normf == 0.0 or normf < tol:
         return BasisResult(*_join(blocks, rows, a), history, True, 0, widths)
 
-    b = min(cfg.blocksize, n)
-    nblocks = -(-n // b)
     rng = core.seeded_rng(cfg.seed)
     floor = _CANCELLATION_MARGIN * math.sqrt(np.finfo(np.float64).eps) * normf
     explicit = None  # G - QB, once the residual is evaluated explicitly
     captured_parts: list[float] = []
     converged = False
-    iterations = 0
-    kept = 0
+    kept = sampled = 0
+    width = min(_FIRST_WIDTH, cfg.blocksize)
 
-    for i in range(nblocks):
-        width = min(b, n - i * b)
+    while sampled < n:
+        width = min(width, n - sampled)
         if max_cols is not None:
             width = min(width, max_cols - kept)
         y = a @ core.gaussian_block(rng, n, width, field)
+        sampled += width
         for _ in range(2):
             for qb in blocks:
                 y -= qb @ (qb.conj().T @ y)
@@ -146,26 +167,54 @@ def extract_basis(g, cfg: ExtractionConfig | None = None) -> BasisResult:
             rows.append(bp)
             kept += p.shape[1]
             if explicit is not None:
-                explicit -= p @ bp
+                _subtract_product(explicit, p, bp)
         widths.append(p.shape[1])
         res = math.sqrt(max(gf2 - math.fsum(captured_parts), 0.0))
         if explicit is None and tol <= floor and res < floor:
             explicit = a.copy()
             for qb, rb in zip(blocks, rows):
-                explicit -= qb @ rb
+                _subtract_product(explicit, qb, rb)
         if explicit is not None:
             res = math.sqrt(core.sum_sq(explicit))
         history.append(res)
-        iterations = i + 1
         if res < tol:
             converged = True
             break
         if res < trim_cut:  # a further block would be trimmed whole
             break
+        if p.shape[1] == width:
+            need = _predicted_need(res * res - tol * tol, rows[-1], n)
+            if probe and kept + need > max_cols:
+                break
+            width = min(cfg.blocksize, need + _OVERSAMPLE)
         if max_cols is not None and kept >= max_cols:
             break
 
-    return BasisResult(*_join(blocks, rows, a), history, converged, iterations, widths)
+    explicit = None  # not alive beside both copies of Q in _join
+    return BasisResult(*_join(blocks, rows, a), history, converged, len(widths), widths)
+
+
+def _predicted_need(excess: float, block_rows: np.ndarray, n: int) -> int:
+    """ceil(excess / smin^2), at least 1 and at most n, for the smallest
+    singular value smin of the rows P^H G of the block just kept: the
+    columns still needed to remove ``excess`` squared residual if no
+    remaining direction carries more energy than the block's weakest.
+    smin^2 is the smallest eigenvalue of their Gram matrix, which for a
+    100 x 400 complex block costs 2.3 ms against 5.7 ms for an SVD (1 BLAS
+    thread). Its error, about eps * ||P^H G||^2, matters only when smin is
+    below about sqrt(eps) times the block's largest; it then changes the
+    next block's width, never when the loop stops."""
+    smin2 = float(np.linalg.eigvalsh(block_rows @ block_rows.conj().T)[0])
+    if smin2 <= 0 or excess >= n * smin2:
+        return n
+    return max(1, math.ceil(excess / smin2))
+
+
+def _subtract_product(out: np.ndarray, p: np.ndarray, b: np.ndarray) -> None:
+    """out -= p @ b, one band of rows (``core.row_bands``) at a time, so
+    that no product as large as out is formed beside it."""
+    for band in core.row_bands(out):
+        out[band] -= p[band] @ b
 
 
 def _join(blocks: list[np.ndarray], rows: list[np.ndarray], a: np.ndarray):

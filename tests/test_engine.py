@@ -387,6 +387,86 @@ class TestRecoverGsvd:
         assert spectrum_gap(recover_gsvd(pair, opts).spectrum, compute_gsv(pair, opts)) == 0.0
 
 
+def _l_blocks(betas, l1, l2, seed, field):
+    """Blocks L1 (l1 x n) and L2 (l2 x n) of a stack with orthonormal
+    columns whose GSV betas are ``betas`` (ascending, alphas sqrt(1 - b^2)):
+    Li = Ui diag(values) W^H over the directions where that block's value
+    is nonzero."""
+    betas = np.asarray(betas, dtype=np.float64)
+    n = betas.size
+    w = reduced_qr(gaussian_matrix(n, n, seed, field)).q
+    blocks = []
+    for i, (rows, vals) in enumerate(((l1, np.sqrt(1.0 - betas**2)), (l2, betas))):
+        on = np.flatnonzero(vals)
+        u = reduced_qr(gaussian_matrix(rows, on.size, seed + 1 + i, field)).q if on.size else (
+            np.zeros((rows, 0)))
+        blocks.append(u @ (vals[on, None] * w[:, on].conj().T))
+    return blocks
+
+
+def _two_svd_spectrum(l1_block, l2_block, n, classify_tol):
+    """The spectrum read by a values-only SVD of each block."""
+    a, b = np.zeros(n), np.zeros(n)
+    for block, out, flip in ((l1_block, a, False), (l2_block, b, True)):
+        s = np.clip(np.linalg.svd(block, compute_uv=False), 0.0, 1.0) if block.size else []
+        if flip:
+            out[n - len(s):] = s[::-1]
+        else:
+            out[:len(s)] = s
+    small_a = a <= b
+    return classify_spectrum(np.where(small_a, a, np.sqrt(1.0 - b**2)),
+                             np.where(small_a, np.sqrt(1.0 - a**2), b), classify_tol)
+
+
+def short_block_cases():
+    """(betas, l1, l2, classify_tol, read through W1) by name. The shorter
+    block is read through its right vectors W1 when it has at most n/2
+    rows, else both blocks take a values-only SVD."""
+    tiny = [1e-13, 1.000001e-13, 1e-11, 1e-9, 1.001e-9, 1.002e-9]
+    return {
+        # tiny betas clustered at 1e-9 to 1e-13, read through L2 W1
+        "tiny_l1_short": (tiny + [0.5, 0.8] + [1.0] * 8, 8, 18, 1e-15, True),
+        # the same betas as the shorter block's own values
+        "tiny_l2_short": ([0.0] * 8 + tiny + [0.5, 0.8], 18, 8, 1e-15, True),
+        "l1_below_n": (np.linspace(0.1, 0.9, 6).tolist() + [1.0] * 6, 6, 12, 1e-10, True),
+        "l2_below_n": ([0.0] * 6 + np.linspace(0.1, 0.9, 6).tolist(), 12, 6, 1e-10, True),
+        # 7 alphas of 1, 3 interior pairs, 2 alphas of 0
+        "both_below_n": ([0.0] * 7 + [0.2, 0.5, 0.8] + [1.0] * 2, 10, 5, 1e-10, True),
+        "empty_l1": ([1.0] * 12, 0, 13, 1e-10, True),
+        "empty_l2": ([0.0] * 12, 13, 0, 1e-10, True),
+        # a shorter block of 7 > n/2 rows: two values-only SVDs
+        "over_half": ([0.0] * 5 + [0.2, 0.5, 0.8] + [1.0] * 4, 8, 7, 1e-10, False),
+    }
+
+
+class TestShortBlockSpectrum:
+    """A block with at most n/2 rows is read through its SVD's right
+    vectors, and the longer block takes no SVD of its own."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("case", list(short_block_cases()))
+    def test_matches_two_values_only_svds(self, case, field, monkeypatch):
+        betas, l1, l2, tol, through_w1 = short_block_cases()[case]
+        n = len(betas)
+        l1_block, l2_block = _l_blocks(betas, l1, l2, seed=60, field=field)
+        want = _two_svd_spectrum(l1_block, l2_block, n, tol)
+        shapes = []
+        svd = rgsv.core.svd
+
+        def recording_svd(m, compute_uv=True):
+            shapes.append(np.shape(m))
+            return svd(m, compute_uv)
+
+        monkeypatch.setattr(rgsv.core, "svd", recording_svd)
+        got = spectrum_from_l_blocks(l1_block, l2_block, n, tol)
+        assert (got.r, got.s) == (want.r, want.s)
+        assert spectrum_gap(got, want) <= 1e-14
+        tiny = np.asarray(betas) < 1e-8  # kept at working precision by both routes
+        assert np.all(np.abs(got.betas - want.betas)[tiny] <= np.finfo(float).eps)
+        longer = (max(l1, l2), n)
+        assert (longer not in shapes) == through_w1
+
+
 def test_options_validation():
     with pytest.raises(ValidationError):
         GsvOptions(classify_tol=0.5)
@@ -448,14 +528,14 @@ class TestExactFrontEnd:
 
     @staticmethod
     def _record(monkeypatch):
-        """The (matrix, max_cols, kept columns) of every extraction the
-        engine runs, and the row counts of every R-only QR."""
+        """The (matrix, max_cols, probe, block widths kept) of every
+        extraction the engine runs, and the row counts of every R-only QR."""
         calls, r_only = [], []
         extract, qr = rgsv.engine.extract_basis, np.linalg.qr
 
-        def recording_extract(g, cfg):
-            basis = extract(g, cfg)
-            calls.append((g, cfg.max_cols, basis.q.shape[1]))
+        def recording_extract(g, cfg, probe=False):
+            basis = extract(g, cfg, probe=probe)
+            calls.append((g, cfg.max_cols, probe, basis.block_widths))
             return basis
 
         def recording_qr(a, mode="reduced"):
@@ -467,28 +547,79 @@ class TestExactFrontEnd:
         monkeypatch.setattr(np.linalg, "qr", recording_qr)
         return calls, r_only
 
+    @staticmethod
+    def _record_draws(monkeypatch):
+        """("block", width) for every Gaussian sketch block drawn."""
+        events, draw = [], rgsv.core.gaussian_block
+
+        def recording_draw(rng, rows, cols, field="real"):
+            events.append(("block", cols))
+            return draw(rng, rows, cols, field)
+
+        monkeypatch.setattr(rgsv.core, "gaussian_block", recording_draw)
+        return events
+
     def test_low_rank_side_is_still_sketched(self, monkeypatch):
+        # the probe's first block, min(32, blocksize) capped at ceil(80/3),
+        # holds the rank-8 side's basis, so it converges in that block
         pair, truth, cfg = self._tall_low_rank_pair()
         calls, _ = self._record(monkeypatch)
         spec = compute_gsv(pair, GsvOptions(extraction=cfg))
         assert spectrum_gap(spec, truth) <= 1e-9
-        g, cap, kept = calls[0]
-        assert g is pair.g1 and cap == 27 and kept <= 27
+        g, cap, probe, widths = calls[0]
+        assert g is pair.g1 and cap == 27 and probe and len(widths) == 1 and widths[0] <= 27
 
     def test_full_rank_g2_never_enters_extraction(self, monkeypatch):
         # g1 keeps l1 <= 27 rows, so g2 must keep n - l1 >= 53 >= ceil(80/3)
         pair, _, cfg = self._tall_low_rank_pair()
         calls, r_only = self._record(monkeypatch)
         compute_gsv(pair, GsvOptions(extraction=cfg))
-        assert [g is pair.g2 for g, _, _ in calls] == [False]
+        assert [g is pair.g2 for g, _, _, _ in calls] == [False]
         assert r_only == [pair.p]
 
     def test_binding_max_cols_keeps_both_sketches(self, monkeypatch):
         pair, _, cfg = self._tall_low_rank_pair()
         calls, r_only = self._record(monkeypatch)
         compute_gsv(pair, GsvOptions(extraction=dataclasses.replace(cfg, max_cols=79)))
-        assert [(g is pair.g1, cap) for g, cap, _ in calls] == [(True, 79), (False, 79)]
+        assert [(g is pair.g1, cap, probe) for g, cap, probe, _ in calls] == [
+            (True, 79, False), (False, 79, False)]
         assert r_only == []
+
+    @pytest.mark.parametrize("blocksize", [100, 16])
+    def test_full_rank_tall_side_pays_one_block(self, blocksize, monkeypatch):
+        # a full-rank 1000 x 200 side predicts far more than ceil(200/3) =
+        # 67 columns after its first block, so its probe stops there; a
+        # probe that filled the cap drew 67 columns before its R-only QR
+        pair = random_pair(1000, 1000, 200, seed=80)
+        events = self._record_draws(monkeypatch)
+        qr = np.linalg.qr
+
+        def recording_qr(a, mode="reduced"):
+            if mode == "r":
+                events.append(("r", a.shape[0]))
+            return qr(a, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "qr", recording_qr)
+        opts = GsvOptions(extraction=ExtractionConfig(seed=81, blocksize=blocksize))
+        spec = compute_gsv(pair, opts)
+        first = min(32, blocksize)
+        assert events == [("block", first), ("r", 1000)] * 2
+        assert spectrum_gap(spec, compute_gsv(pair, GsvOptions(method="direct"))) <= 1e-12
+
+    def test_low_rank_tall_side_stays_sketched(self, monkeypatch):
+        # a rank-12 1200 x 120 side stays sketched under the cap of 40 and
+        # samples at most its rank plus the oversampling of 10 plus the
+        # first block of 32 columns
+        g1 = gaussian_matrix(1200, 12, seed=82) @ (
+            np.geomspace(1.0, 1e-4, 12)[:, None] * gaussian_matrix(12, 120, seed=83))
+        pair = GmpPair(g1, gaussian_matrix(600, 120, seed=84))
+        calls, r_only = self._record(monkeypatch)
+        draws = self._record_draws(monkeypatch)
+        compute_gsv(pair, GsvOptions(extraction=ExtractionConfig(seed=85)))
+        (g, cap, probe, widths), = calls
+        assert g is pair.g1 and cap == 40 and probe and sum(widths) == 12
+        assert sum(cols for _, cols in draws) <= 12 + 10 + 32
+        assert r_only == [pair.p]  # g2 must keep 108 >= 40 rows: exact unsketched
 
     @pytest.mark.parametrize("case", ["tall_low_rank", "both_exact"])
     def test_no_basis_is_alive_at_an_r_only_qr(self, case, monkeypatch):
@@ -504,8 +635,8 @@ class TestExactFrontEnd:
         bases, r_only = [], []
         extract, qr = rgsv.engine.extract_basis, np.linalg.qr
 
-        def recording_extract(g, cfg):
-            basis = extract(g, cfg)
+        def recording_extract(g, cfg, probe=False):
+            basis = extract(g, cfg, probe=probe)
             bases.append(weakref.ref(basis.q))
             return basis
 
@@ -570,7 +701,7 @@ def test_side_streams_are_independent_across_seeds(monkeypatch):
     monkeypatch.setattr(rgsv.engine, "extract_basis", recording)
     runs = [compute_gsv(pair, GsvOptions(extraction=ExtractionConfig(tol=1e-12, seed=s)))
             for s in (100, 101, 100)]
-    first_block = [gaussian_matrix(20, 20, seed) for seed in seeds]  # blocksize min(100, n)
+    first_block = [gaussian_matrix(20, 20, seed) for seed in seeds]  # min(32, blocksize, n) wide
     assert not np.array_equal(first_block[1], first_block[2])
     assert seeds[:2] == seeds[4:]
     assert np.array_equal(runs[0].alphas, runs[2].alphas)

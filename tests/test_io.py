@@ -112,6 +112,33 @@ class TestReadMatrix:
         with pytest.raises(ParseError, match=r"lit.csv:2: .*column 2"):
             read_matrix(f)
 
+    @pytest.mark.parametrize("content,bad_line,passes", [
+        ("1,2\n" * 50 + "\n3,x\n" + "1,2\n" * 50, 52, [51, 1]),
+        ("1+2j,0\n3,x\n4,5\n", 2, [1, 2, 1]),
+    ], ids=["real", "complex"])
+    def test_csv_rejected_file_is_parsed_once_per_field(self, tmp_path, monkeypatch,
+                                                       content, bad_line, passes):
+        # numpy stops at the line it rejects; a real file takes no complex
+        # pass, and only the rejected line is parsed again, alone
+        f = tmp_path / "bad.csv"
+        f.write_text(content)
+        lines_read, loadtxt = [], np.loadtxt
+
+        def counting(lines, *args, **kwargs):
+            lines_read.append(0)
+
+            def counted():
+                for line in lines:
+                    lines_read[-1] += 1
+                    yield line
+
+            return loadtxt(counted(), *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counting)
+        with pytest.raises(ParseError, match=rf"bad.csv:{bad_line}: .*column 2"):
+            read_matrix(f)
+        assert lines_read == passes
+
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_csv_savetxt_round_trip_bitwise(self, tmp_path, field):
         m = gaussian_matrix(9, 4, seed=0, field=field)

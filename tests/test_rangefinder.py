@@ -13,6 +13,7 @@ from rgsv import (
     gaussian_matrix,
     residual_norm,
 )
+from rgsv import core
 from rgsv.core import reduced_qr, sum_sq
 
 
@@ -267,3 +268,42 @@ def test_extraction_stops_at_the_trim_floor():
     nrm = frobenius_norm(g)
     assert res.residual_history[-1] < 1e-12 * nrm
     assert abs(res.residual_history[-1] - residual_norm(g, res.q)) <= 1e-14 * nrm
+
+
+def test_block_widths_follow_the_residual(monkeypatch):
+    # the first block is min(32, blocksize) wide; after a block kept whole
+    # the next is min(blocksize, ceil((res^2 - tol^2) / smin(P^H G)^2) + 10)
+    # criterion 10's spectrum: 40 values in [0.5, 1] above a 1e-10 tail
+    g = _decaying_matrix(np.concatenate([np.linspace(1.0, 0.5, 40), np.full(80, 1e-10)]))
+    draws, draw = [], core.gaussian_block
+
+    def recording(rng, rows, cols, field="real"):
+        draws.append(cols)
+        return draw(rng, rows, cols, field)
+
+    monkeypatch.setattr(core, "gaussian_block", recording)
+    tol = 1e-6 * frobenius_norm(g)
+    res = extract_basis(g, ExtractionConfig(tol=tol, blocksize=100, seed=40))
+    assert res.converged and draws[0] == 32 and res.block_widths[0] == 32
+    smin = np.linalg.svd(res.b[:32], compute_uv=False)[-1]
+    need = math.ceil((res.residual_history[1] ** 2 - tol**2) / smin**2)
+    assert draws[1] == min(100, need + 10) < 120 - 32
+    assert sum(draws) < 100  # a fixed 100-column block would sample 100
+
+
+def _decaying_matrix(s):
+    u = reduced_qr(gaussian_matrix(300, s.size, seed=41)).q
+    v = reduced_qr(gaussian_matrix(s.size, s.size, seed=42)).q
+    return (u * s) @ v.T
+
+
+def test_probe_stops_once_its_basis_would_not_fit():
+    # a full-rank side predicts far more than the budget of 30 after its
+    # first block; without probe the same cap is filled
+    g = gaussian_matrix(300, 90, seed=43)
+    cfg = ExtractionConfig(blocksize=10, seed=44, max_cols=30)
+    probe = extract_basis(g, cfg, probe=True)
+    assert probe.block_widths == [10] and not probe.converged
+    assert extract_basis(g, cfg).block_widths == [10, 10, 10]
+    with pytest.raises(ValidationError):
+        extract_basis(g, ExtractionConfig(), probe=True)  # no budget
