@@ -28,12 +28,13 @@ from .core import (
 from .engine import (
     GmpPair,
     GsvOptions,
+    GsvRun,
     GsvSpectrum,
     GsvdFactors,
     classify_spectrum,
     compute_gsv,
-    projected_pair,
     recover_gsvd,
+    run,
 )
 from .errors import (
     ConvergenceError,
@@ -63,6 +64,7 @@ __all__ = [
     "GmpPair",
     "GsvError",
     "GsvOptions",
+    "GsvRun",
     "GsvSpectrum",
     "GsvdFactors",
     "InfeasibleRankError",
@@ -84,7 +86,6 @@ __all__ = [
     "frobenius_norm",
     "gaussian_matrix",
     "perturbation_bound",
-    "projected_pair",
     "projector_bound",
     "quantity_error_bounds",
     "read_matrix",
@@ -93,6 +94,7 @@ __all__ = [
     "relative_significance",
     "report_to_dict",
     "residual_norm",
+    "run",
     "shannon_entropy",
     "svd",
     "synth_gmp",

@@ -1,10 +1,13 @@
 """Error certificates for the randomized pipeline.
 
 Three certified quantities: the expected squared basis-extraction residual
-for a fixed-size Gaussian sketch, the perturbation budget linking a pair
-and a perturbed copy of it to their GSV deviation, and first-order bounds
-on how far every comparative-analysis quantity can move under that
-budget.
+for a fixed-size Gaussian sketch (``projector_bound``), the perturbation
+budget e linking a pair to its GSV deviation from a perturbed copy
+(``perturbation_bound``), and first-order bounds on how far every
+comparative-analysis quantity can move under e
+(``quantity_error_bounds``). The perturbed copy is an explicit pair, or
+a solve's ``engine.GsvRun``: e is then the a-posteriori certificate of
+the spectrum that run returned (Halko, Martinsson & Tropp 2011, 4.3).
 """
 
 from __future__ import annotations
@@ -16,8 +19,10 @@ import numpy as np
 
 from . import core
 from .analysis import eigenexpression_fractions, shannon_entropy
-from .engine import GmpPair, GsvSpectrum
+from .engine import GmpPair, GsvRun, GsvSpectrum
 from .errors import DimensionError, ValidationError
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -29,7 +34,8 @@ class BoundCertificate:
     in which case ``vacuous`` is set); p1_bounds/p2_bounds and
     d1_bound/d2_bound are first-order per-entry and scalar caps with the
     sub-linear remainder dropped. ``eta`` is the stacked-pair conditioning
-    factor when the caller supplies it.
+    factor sigma_max^2 when the caller supplies it (``rgsv bounds``: that
+    of the run's R~).
     """
 
     e_script: float
@@ -54,7 +60,10 @@ def projector_bound(
 
     The bound is eta * (k/(oversample - 1) + 1) times the squared GSV tail
     the sketch cannot capture: the alphas beyond index k for g1, the
-    n - k smallest betas for g2.
+    n - k smallest betas for g2. eta = ``pair.stack_norm2`` squared, whose
+    first read costs one SVD of the (m + p) x n stack; the tail is read
+    from ``spectrum`` as given, so a computed spectrum moves it by its own
+    error.
     """
     if which not in ("first", "second"):
         raise ValidationError(f"which must be 'first' or 'second', got {which!r}")
@@ -76,24 +85,33 @@ def projector_bound(
     return eta * prefactor * tail
 
 
-def perturbation_bound(pair: GmpPair, pair_tilde: GmpPair) -> float:
-    """Perturbation budget sqrt(2) * ||stack difference||_F * min of the
-    two stacked pseudoinverse norms. Bounds the root-sum-square (and hence
-    the per-index) GSV deviation between the two pairs.
+def perturbation_bound(pair: GmpPair, pair_tilde: GmpPair | GsvRun) -> float:
+    """Perturbation budget e = sqrt(2) * ||E||_F * ||A^+||_2 for the
+    stacked pair perturbed to A = stack + E. Bounds the root-sum-square
+    (and hence the per-index) GSV deviation between the two.
 
-    The difference is evaluated explicitly, one block at a time, so no
-    stack is formed. A pseudoinverse norm costs an SVD of its stack only
-    when the pair has none recorded: after a direct ``compute_gsv`` of
-    ``pair`` and for a ``projected_pair`` as ``pair_tilde`` (the
-    a-posteriori certificate of the randomized solve) both are free. On a
-    ``triangular_pair`` (``rgsv bounds``) every block is at most n x n.
+    For an explicit ``pair_tilde`` E is summed one band of rows at a time
+    (``core.sum_sq``), and ||A^+||_2 is the smaller of the two stacked
+    pseudoinverse norms, each one SVD of its (m + p) x n stack on first
+    read. For a ``GsvRun`` of ``pair`` nothing is factored: A is the run's
+    projected stack, ||E||_F the hypot of its residuals and ||A^+||_2 =
+    1/sigma_min(R~). A rounding allowance sqrt(2) * n * eps *
+    sigma_max(R~)/sigma_min(R~) covers the floating-point solve of A, so a
+    both-exact run is not certified at exactly 0.
     """
+    if isinstance(pair_tilde, GsvRun):
+        sv = pair_tilde.r_singular_values
+        if sv.size != pair.n:
+            raise DimensionError(f"run has {sv.size} singular values for {pair.n} columns")
+        smax, smin = float(sv[0]), float(sv[-1])
+        return math.sqrt(2.0) * (math.hypot(*pair_tilde.residuals) + pair.n * _EPS * smax) / smin
     if pair.g1.shape != pair_tilde.g1.shape or pair.g2.shape != pair_tilde.g2.shape:
         raise DimensionError("pairs must have identical shapes")
-    # a pseudoinverse norm not yet recorded factors its stack; read both
-    # before any difference exists so the two are never alive together
+    # a pseudoinverse norm factors its stack; read both before any
+    # difference band exists
     pinv_norm = min(pair.stack_pinv_norm, pair_tilde.stack_pinv_norm)
-    dsq = core.sum_sq(pair_tilde.g1 - pair.g1) + core.sum_sq(pair_tilde.g2 - pair.g2)
+    dsq = (core.sum_sq(pair_tilde.g1, lambda band: pair.g1[band])
+           + core.sum_sq(pair_tilde.g2, lambda band: pair.g2[band]))
     return math.sqrt(2.0) * math.sqrt(dsq) * pinv_norm
 
 

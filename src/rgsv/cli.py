@@ -6,10 +6,13 @@ save a pair with its true spectrum), bounds (error certificates). All
 randomness flows from --seed, which defaults to the RGSV_SEED environment
 variable and then to 0.
 
-bounds reduces the pair to its triangular factors (R1, R2), centres the
-certificate on the exact direct spectrum of (R1, R2) and sizes it by the
-perturbation budget between (R1, R2) and the projected pair of the
-randomized solve on it; nothing after the two R-only QRs is taller than 2n.
+bounds runs the one randomized solve that gsv runs with the same flags
+(``engine.run``), centres the certificate on the spectrum it returns and
+sizes it by that run's perturbation budget, read off its residuals and R
+factor: no stack of the pair is factored. --k adds a projector bound per
+side, from the run's spectrum, which is off by at most the budget, and
+from eta = ``stack_norm2`` squared, which costs one SVD of the
+(m + p) x n stack.
 """
 
 from __future__ import annotations
@@ -22,8 +25,7 @@ from pathlib import Path
 from . import io
 from .analysis import compare
 from .bounds import perturbation_bound, projector_bound, quantity_error_bounds
-from .engine import (DIRECT, RANDOMIZED, GmpPair, GsvOptions, compute_gsv, projected_pair,
-                     triangular_pair)
+from .engine import DIRECT, RANDOMIZED, GmpPair, GsvOptions, compute_gsv, run
 from .errors import GsvError, ValidationError
 from .rangefinder import ExtractionConfig, extract_basis
 from .synthetic import SynthSpec, synth_gmp
@@ -87,9 +89,9 @@ def _extraction_config(args) -> ExtractionConfig:
     )
 
 
-def _gsv_options(args, method: str | None = None) -> GsvOptions:
+def _gsv_options(args) -> GsvOptions:
     return GsvOptions(extraction=_extraction_config(args), classify_tol=args.classify_tol,
-                      method=method or args.method)
+                      method=args.method)
 
 
 def _load_pair(args) -> GmpPair:
@@ -138,23 +140,22 @@ def _cmd_synth(args) -> int:
 def _cmd_bounds(args) -> int:
     if args.oversample < 2:  # projector_bound's rule, also when --k is absent
         raise ValidationError(f"oversample must be >= 2, got {args.oversample}")
-    pair = triangular_pair(_load_pair(args))
-    spec_direct = compute_gsv(pair, _gsv_options(args, DIRECT))
+    pair = _load_pair(args)
+    solve = run(pair, _gsv_options(args))
     # --k is checked before anything is written; a side too small for it has no bound
     projector, unfit = {}, []
     for which in () if args.k is None else ("first", "second"):
         try:
-            bound = projector_bound(pair, spec_direct, args.k, args.oversample, which)
+            bound = projector_bound(pair, solve.spectrum, args.k, args.oversample, which)
             projector[which] = f"{bound:.6e}"
         except ValidationError as exc:
             projector[which] = f"not applicable: {exc}"
             unfit.append(exc)
     if len(unfit) == 2:
         raise unfit[0]
-    pair_proj = projected_pair(pair, _gsv_options(args, RANDOMIZED))
-    e_script = perturbation_bound(pair, pair_proj)
-    eta = pair.stack_norm2 ** 2
-    cert = quantity_error_bounds(spec_direct, e_script, eta=eta)
+    e_script = perturbation_bound(pair, solve)
+    eta = float(solve.r_singular_values[0]) ** 2
+    cert = quantity_error_bounds(solve.spectrum, e_script, eta=eta)
     io.write_report(cert, args.output, args.format)
     for which, bound in projector.items():
         print(f"projector_bound[{which}] (k={args.k}, "
@@ -206,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oversample", type=int, default=5)
     _add_gsv_options(p, method=False)
     _add_output(p)
-    p.set_defaults(func=_cmd_bounds)
+    p.set_defaults(func=_cmd_bounds, method=RANDOMIZED)
 
     return parser
 

@@ -136,16 +136,20 @@ def row_bands(a: np.ndarray) -> list[slice]:
     return [slice(i, i + step) for i in range(0, a.shape[0], step)]
 
 
-def sum_sq(a: np.ndarray) -> float:
-    """Compensated sum of squared entry magnitudes.
+def sum_sq(a: np.ndarray, minus=None) -> float:
+    """Compensated sum of squared entry magnitudes of ``a``, or of
+    ``a - minus(band)`` when ``minus`` gives the rows to subtract from each
+    band of rows (``row_bands``) of ``a``, as for a residual G - QB.
 
-    Each band of rows (``row_bands``) gives per-column sums; all partials
-    are combined exactly with math.fsum, so no temporary as large as ``a``
-    is formed and repeated accumulation of many small blocks does not
-    drift.
+    Each band gives per-column sums; all partials are combined exactly
+    with math.fsum, so no temporary as large as ``a`` is formed and
+    repeated accumulation of many small blocks does not drift.
     """
+    def rows(band):
+        return a[band] if minus is None else a[band] - minus(band)
+
     return float(math.fsum(
-        x for band in row_bands(a) for x in np.atleast_1d(_squared_entries(a[band]).sum(axis=0))
+        x for band in row_bands(a) for x in np.atleast_1d(_squared_entries(rows(band)).sum(axis=0))
     ))
 
 

@@ -12,15 +12,13 @@ columns, the R of an R-only QR (an exact side, with residual 0);
 from its own random stream, spawned from the base seed. The rank test runs
 on the singular values of the stack's n x n R factor rather than on the
 (m + p) x n stack; a projection cannot raise rank, so a rank-deficient
-pair is still rejected. ``method="direct"`` runs the identical stacking code with no
-compression and serves as the oracle path; its R factor has the stack's
-singular values, so it also fills the pair's cached stack norms.
-``projected_pair`` returns the pair (Q1 Q1^H G1, Q2 Q2^H G2) whose exact
-GSVs the randomized path computes, an exact side being its own matrix,
-with its stack norms taken from the compressed R factor, so the
-perturbation budget needs no SVD of either (m + p) x n stack.
-``triangular_pair`` returns the R factors (R1, R2) of G1 = Q1 R1 and
-G2 = Q2 R2, which keep every quantity a certificate reads.
+pair is still rejected. ``method="direct"`` runs the identical stacking
+code with no compression and serves as the oracle path.
+``run`` is the same solve with what its a-posteriori certificate
+``bounds.perturbation_bound(pair, run(pair, opts))`` reads (Halko,
+Martinsson & Tropp 2011, 4.3): each sketched side's explicit residual
+||G - QB||_F and the singular values of the compressed stack's R factor,
+which are those of the projected stack [Q1 B1; Q2 B2].
 ``recover_gsvd`` rebuilds the full factorization
 G1 = U diag(alpha) R, G2 = V diag(beta) R on demand by one recovery,
 run on the mirrored pair (G2, G1) when L1 is the taller block; no square
@@ -31,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,11 +56,10 @@ class GmpPair:
     checks the shapes, including m + p >= n. It does not factor the
     stack: the numerical rank test (sigma_min <= 1e-12 * sigma_max raises
     RankDeficiencyError) runs on the R factor of the stacked pair inside
-    ``compute_gsv`` and ``recover_gsvd``. The stack's extreme singular
-    values behind ``stack_norm2`` and ``stack_pinv_norm`` are those of
-    that R factor: a direct solve, or ``projected_pair`` for the pair it
-    returns, records them. Otherwise they come from an SVD of the stack
-    the first time either norm is read, under the same rank test.
+    ``compute_gsv``, ``run`` and ``recover_gsvd``. No solve reads or fills
+    ``stack_norm2`` and ``stack_pinv_norm``: both come from one SVD of the
+    (m + p) x n stack the first time either is read, under the same rank
+    test.
     """
 
     g1: np.ndarray
@@ -106,24 +104,17 @@ class GmpPair:
         _require_full_rank(s, "stacked pair")
         return float(s[0]), float(s[-1])
 
-    def _record_stack_extremes(self, s: np.ndarray) -> None:
-        """Fill the stack-norm cache, unless it is already set, from the
-        descending singular values ``s`` of a matrix with the same singular
-        values as the stack, which already passed the rank test."""
-        self.__dict__.setdefault("_stack_extremes", (float(s[0]), float(s[-1])))
-
     @property
     def stack_norm2(self) -> float:
-        """Largest singular value of the stacked pair (recorded by a solve,
-        else computed once on first use; raises RankDeficiencyError for a
-        rank-deficient stack)."""
+        """Largest singular value of the stacked pair (computed once on
+        first use; raises RankDeficiencyError for a rank-deficient stack)."""
         return self._stack_extremes[0]
 
     @property
     def stack_pinv_norm(self) -> float:
-        """Spectral norm of the stacked pair's pseudoinverse (recorded by a
-        solve, else computed once on first use; raises RankDeficiencyError
-        for a rank-deficient stack)."""
+        """Spectral norm of the stacked pair's pseudoinverse (computed once
+        on first use; raises RankDeficiencyError for a rank-deficient
+        stack)."""
         return 1.0 / self._stack_extremes[1]
 
 
@@ -208,6 +199,18 @@ class GsvdFactors:
     v: np.ndarray
     r_factor: np.ndarray
     spectrum: GsvSpectrum
+
+
+@dataclass(frozen=True)
+class GsvRun:
+    """One solve (see ``run``): its spectrum, bitwise ``compute_gsv``'s;
+    the explicit residuals ||Gi - Qi Bi||_F, B = Q^H G, of its sides, 0
+    for an exact side and for method="direct"; and the descending singular
+    values of its compressed stack's R factor, those of [Q1 B1; Q2 B2]."""
+
+    spectrum: GsvSpectrum
+    residuals: tuple[float, float]
+    r_singular_values: np.ndarray
 
 
 def classify_spectrum(alphas, betas, classify_tol: float = 1e-10) -> GsvSpectrum:
@@ -308,21 +311,18 @@ def _cs_step(la: np.ndarray, lb: np.ndarray):
 
 # What the caller of ``_run_pipeline`` reads, and so what it keeps (see _Pipeline)
 _SPECTRUM = "spectrum"  # compute_gsv: the L blocks only
-_PROJECTION = "projection"  # projected_pair: each sketched side's Q and rows
+_CERTIFICATE = "certificate"  # run: also each sketched side's explicit residual
 _FACTORS = "factors"  # recover_gsvd: a Q for every compressed side
 
 
 @dataclass(frozen=True)
 class _Pipeline:
-    # Q of each side: None with method="direct" and in spectrum mode, and
-    # in projection mode for an exact side; factors mode gives an exact
-    # side the Q of its reduced QR
+    # Q of each side, kept in factors mode only, where an exact side has
+    # the Q of its reduced QR; None with method="direct"
     q1: np.ndarray | None
     q2: np.ndarray | None
-    # Q^H G; the matrix itself (direct) or its R (exact side). None except
-    # in projection mode
-    c1: np.ndarray | None
-    c2: np.ndarray | None
+    # ||G - QB||_F per side, taken for a sketched side in certificate mode, else 0
+    residuals: tuple[float, float]
     l1_block: np.ndarray
     l2_block: np.ndarray
     r_tilde: np.ndarray
@@ -356,30 +356,29 @@ def _crossover(n: int) -> int:
     return -(-n // 3)
 
 
-def _r_only(g: np.ndarray) -> np.ndarray:
-    """The min(rows, n) x n R of a Householder QR of g (LAPACK geqrf; Q is
-    never formed)."""
-    return np.linalg.qr(g, mode="r")
-
-
 def _front_end(g: np.ndarray, cfg: ExtractionConfig, shortcut: bool, reads: str):
-    """(Q, C, exact) of one side of a randomized solve (see ``compute_gsv``):
-    a sketch's basis and rows Q^H G, or for an exact side None and its R,
-    or in factors mode its reduced QR. Spectrum mode returns no Q. With
-    ``shortcut`` an eligible side goes exact without a sketch."""
+    """(Q, C, residual) of one side of a randomized solve (see
+    ``compute_gsv``): a sketch's rows C = Q^H G, with its Q in factors
+    mode only and its explicit ||G - QC||_F in certificate mode only (else
+    0); or an exact side's R, or in factors mode its reduced QR, and 0.
+    With ``shortcut`` an eligible side goes exact without a sketch."""
     n = g.shape[1]
-    keep_q = reads != _SPECTRUM
     if g.shape[0] < _TALL_ASPECT * n or cfg.max_cols not in (None, n):
         basis = extract_basis(g, cfg)
-        return basis.q if keep_q else None, basis.b, False
-    if not shortcut:
+    elif shortcut:
+        basis = None
+    else:
         basis = extract_basis(g, dataclasses.replace(cfg, max_cols=_crossover(n)), probe=True)
-        if basis.converged:
-            return basis.q if keep_q else None, basis.b, False
-        del basis  # the discarded probe is not alive beside the QR
+        if not basis.converged:
+            basis = None  # the discarded probe is not alive beside the QR
+    if basis is not None:
+        residual = 0.0
+        if reads == _CERTIFICATE:  # explicit, before Q is dropped
+            residual = math.sqrt(core.sum_sq(g, lambda band: basis.q[band] @ basis.b))
+        return basis.q if reads == _FACTORS else None, basis.b, residual
     if reads == _FACTORS:
-        return *core.reduced_qr(g), True
-    return None, _r_only(g), True
+        return *core.reduced_qr(g), 0.0
+    return None, np.linalg.qr(g, mode="r"), 0.0  # LAPACK geqrf: Q is never formed
 
 
 def _run_pipeline(pair: GmpPair, opts: GsvOptions, reads: str) -> _Pipeline:
@@ -387,15 +386,14 @@ def _run_pipeline(pair: GmpPair, opts: GsvOptions, reads: str) -> _Pipeline:
     if opts.method == DIRECT:
         c1, c2 = pair.g1, pair.g2
         q1 = q2 = None
-        uncompressed = True
+        residuals = (0.0, 0.0)
     else:
         cfg = opts.extraction
-        q1, c1, exact1 = _front_end(pair.g1, _side_config(cfg, pair.g1, 0), False, reads)
+        q1, c1, res1 = _front_end(pair.g1, _side_config(cfg, pair.g1, 0), False, reads)
         # a solve needs l1 + l2 >= n, so a sketch of g2 would keep >= n - l1 columns
-        q2, c2, exact2 = _front_end(pair.g2, _side_config(cfg, pair.g2, 1),
-                                    n - c1.shape[0] >= _crossover(n), reads)
-        # an exact side's R has its matrix's singular values, a sketch's rows need not
-        uncompressed = exact1 and exact2
+        q2, c2, res2 = _front_end(pair.g2, _side_config(cfg, pair.g2, 1),
+                                  n - c1.shape[0] >= _crossover(n), reads)
+        residuals = (res1, res2)
     l1, l2 = c1.shape[0], c2.shape[0]
     if l1 + l2 < n:
         raise RankDeficiencyError(
@@ -403,14 +401,11 @@ def _run_pipeline(pair: GmpPair, opts: GsvOptions, reads: str) -> _Pipeline:
             "tighten the extraction tolerance or raise max_cols"
         )
     stack = np.vstack([c1, c2])
-    if reads != _PROJECTION:
-        c1 = c2 = None  # the blocks are not alive beside the stack's QR
+    c1 = c2 = None  # the blocks are not alive beside the stack's QR
     qf = core.reduced_qr(stack)
     sv = np.linalg.svd(qf.r, compute_uv=False)
-    _require_full_rank(sv, "stacked pair" if uncompressed else "compressed stacked pair")
-    if uncompressed:
-        pair._record_stack_extremes(sv)
-    return _Pipeline(q1, q2, c1, c2, qf.q[:l1], qf.q[l1:], qf.r, sv)
+    _require_full_rank(sv, "stacked pair" if opts.method == DIRECT else "compressed stacked pair")
+    return _Pipeline(q1, q2, residuals, qf.q[:l1], qf.q[l1:], qf.r, sv)
 
 
 def compute_gsv(pair: GmpPair, opts: GsvOptions | None = None) -> GsvSpectrum:
@@ -472,44 +467,22 @@ def compute_gsv(pair: GmpPair, opts: GsvOptions | None = None) -> GsvSpectrum:
     return spectrum_from_l_blocks(pl.l1_block, pl.l2_block, pair.n, opts.classify_tol)
 
 
-def projected_pair(pair: GmpPair, opts: GsvOptions | None = None) -> GmpPair:
-    """The pair (Q1 B1, Q2 B2), B = Q^H G, whose exact GSVs ``compute_gsv``
-    returns for ``opts``: each matrix projected onto its extracted basis.
+def run(pair: GmpPair, opts: GsvOptions | None = None) -> GsvRun:
+    """The solve ``compute_gsv`` runs for ``opts``, with what its
+    a-posteriori certificate reads (see ``GsvRun``).
 
-    Its stack diag(Q1, Q2) [B1; B2] has the singular values of the
-    compressed stack's R factor, which the solve already computed and
-    rank-tested, so its ``stack_norm2`` and ``stack_pinv_norm`` cost no
-    further factorization. An exact side (see ``compute_gsv``) is the
-    pair's own matrix, the very array: its stack term is Qi Ri = Gi and
-    its residual is 0. With method="direct" nothing is compressed and the
-    result holds the pair's own matrices. Raises what ``compute_gsv``
-    raises.
+    Its exact GSVs are those of the projected pair (Q1 B1, Q2 B2), an exact
+    side being its own matrix, so ``bounds.perturbation_bound(pair, run)``
+    bounds the deviation of ``run.spectrum`` from the pair's own GSVs. Each
+    sketched side's residual is evaluated right after its extraction, one
+    band of rows at a time, and its Q is then dropped: the front ends,
+    seeds and spectrum are ``compute_gsv``'s, and the peak exceeds its by
+    at most the residual's bands. Raises what ``compute_gsv`` raises.
     """
     opts = opts or GsvOptions()
-    pl = _run_pipeline(pair, opts, _PROJECTION)
-    g1 = pair.g1 if pl.q1 is None else pl.q1 @ pl.c1
-    g2 = pair.g2 if pl.q2 is None else pl.q2 @ pl.c2
-    proj = GmpPair(g1, g2)
-    proj._record_stack_extremes(pl.r_singular_values)
-    return proj
-
-
-def triangular_pair(pair: GmpPair) -> GmpPair:
-    """The pair (R1, R2) of R-only Householder QRs G1 = Q1 R1, G2 = Q2 R2
-    (LAPACK geqrf, Q is never formed), each Ri min(rows, n) x n.
-
-    It keeps what a certificate reads. The stack diag(Q1, Q2) [R1; R2]
-    has the same singular values (stack norms, eta, the rank test) and
-    GSVs. ||Ri||_F = ||Gi||_F (default tol, trim cut), and min(rows, n),
-    and so every ``max_cols`` clamp and ``projector_bound`` limit, is
-    unchanged. A randomized solve of (R1, R2) need not make the decisions
-    a solve of (G1, G2) makes: Ri is square, so no side of it is tall and
-    each is sketched, where a tall Gi may go exact (see ``compute_gsv``).
-    Where both solves sketch a side, Ri Omega = Qi^H (Gi Omega), so with
-    the same seeds the sketch decides alike in exact arithmetic, returns
-    a basis rotated by Qi^H and has ||Ri - Q~i B~i||_F = ||Gi - Qi Q~i B~i||_F.
-    """
-    return GmpPair(_r_only(pair.g1), _r_only(pair.g2))
+    pl = _run_pipeline(pair, opts, _CERTIFICATE)
+    spec = spectrum_from_l_blocks(pl.l1_block, pl.l2_block, pair.n, opts.classify_tol)
+    return GsvRun(spec, pl.residuals, pl.r_singular_values)
 
 
 def _orthonormal_completion(cols: np.ndarray, count: int) -> np.ndarray:

@@ -232,6 +232,8 @@ def residual_norm(g, q) -> float:
     """Explicit evaluation of ||(I - QQ^H)G||_F.
 
     This is the non-cumulative reference; an empty basis returns ||G||_F.
+    The residual is taken one band of rows at a time (``core.sum_sq``), so
+    no m x n temporary is formed.
     """
     a = core.as_matrix(g, "g")
     qa = np.asarray(q)
@@ -241,7 +243,5 @@ def residual_norm(g, q) -> float:
         raise DimensionError(
             f"q has {qa.shape[0]} rows but g has {a.shape[0]}"
         )
-    if qa.shape[1] == 0:
-        return core.frobenius_norm(a)
-    resid = a - qa @ (qa.conj().T @ a)
-    return math.sqrt(core.sum_sq(resid))
+    b = qa.conj().T @ a
+    return math.sqrt(core.sum_sq(a, lambda band: qa[band] @ b))

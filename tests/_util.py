@@ -49,11 +49,13 @@ def spectrum_gap(s1: GsvSpectrum, s2: GsvSpectrum) -> float:
     )
 
 
-def explicit_stack_budget(pair, opts, exact=()):
-    """The perturbation budget of a randomized solve with nothing reused:
-    explicit projections Q (Q^H G) with the engine's per-side seeds, the
-    sides in ``exact`` (0: g1, 1: g2) left as they are, and an SVD of both
-    (m + p) x n stacks."""
+def explicit_run_budget(pair, opts, exact=()):
+    """The certificate of a randomized solve with nothing reused: explicit
+    projections Q (Q^H G) with the engine's per-side seeds, the sides in
+    ``exact`` (0: g1, 1: g2) left as they are, the whole difference from
+    the pair, and an SVD of the projected (m + p) x n stack for its
+    extreme singular values, with the rounding allowance of
+    ``perturbation_bound``."""
     cfg = opts.extraction
     tilde = []
     for side, g in enumerate((pair.g1, pair.g2)):
@@ -62,10 +64,17 @@ def explicit_stack_budget(pair, opts, exact=()):
             continue
         q = extract_basis(g, dataclasses.replace(cfg, seed=_side_seed(cfg.seed, side))).q
         tilde.append(q @ (q.conj().T @ g))
-    stack = np.vstack([pair.g1, pair.g2])
     tilde = np.vstack(tilde)
-    smin = max(np.linalg.svd(a, compute_uv=False)[-1] for a in (stack, tilde))
-    return math.sqrt(2.0) * np.linalg.norm(tilde - stack) / smin
+    s = np.linalg.svd(tilde, compute_uv=False)
+    resid = np.linalg.norm(tilde - pair.stacked())
+    return math.sqrt(2.0) * (resid + pair.n * np.finfo(float).eps * s[0]) / s[-1]
+
+
+def allowance(pair, solve):
+    """The rounding allowance of the certificate of a run of ``pair``: its
+    budget with both residuals 0."""
+    sv = solve.r_singular_values
+    return math.sqrt(2.0) * (pair.n * np.finfo(float).eps * float(sv[0])) / float(sv[-1])
 
 
 def record_rows(monkeypatch, *targets):

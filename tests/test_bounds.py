@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from _util import explicit_stack_budget, make_spectrum, random_pair, structured_pair
+from _util import allowance, explicit_run_budget, make_spectrum, random_pair, structured_pair
 
 from rgsv import (
+    DimensionError,
     ExtractionConfig,
     GmpPair,
     GsvOptions,
@@ -12,13 +13,13 @@ from rgsv import (
     compute_gsv,
     extract_basis,
     gaussian_matrix,
+    frobenius_norm,
     perturbation_bound,
-    projected_pair,
     projector_bound,
     quantity_error_bounds,
     residual_norm,
+    run,
 )
-from rgsv.engine import triangular_pair
 
 
 def decaying_pair(n=100, m=220, p=180, seed=0, base=0.95, ratio=0.82):
@@ -123,10 +124,21 @@ class TestPerturbationBound:
             assert np.max(np.abs(s.betas - st.betas)) <= budget + 1e-12
 
 
+def deviation(s1, s2):
+    return max(float(np.max(np.abs(s1.alphas - s2.alphas))),
+               float(np.max(np.abs(s1.betas - s2.betas))))
+
+
+def assert_same_spectrum(got, want):
+    assert np.array_equal(got.alphas, want.alphas) and np.array_equal(got.betas, want.betas)
+    assert (got.r, got.s) == (want.r, want.s)
+
+
 class TestProjectedPairBudget:
     """The certificate of a randomized solve, perturbation_bound(pair,
-    projected_pair(pair, opts)), reuses the solves' factors; it must equal
-    the budget computed with nothing reused."""
+    run(pair, opts)), is the budget of its projected pair (Q1 B1, Q2 B2)
+    read off the run's residuals and R factor; it must equal the budget
+    computed from that pair with nothing reused."""
 
     @staticmethod
     def _case(case):
@@ -148,39 +160,99 @@ class TestProjectedPairBudget:
     def test_matches_explicit_stacks(self, case):
         pair, cfg = self._case(case)
         opts = GsvOptions(extraction=cfg)
-        want = explicit_stack_budget(pair, opts)
-        compute_gsv(pair, GsvOptions(method="direct"))  # records the stack norms
-        got = perturbation_bound(pair, projected_pair(pair, opts))
+        want = explicit_run_budget(pair, opts)
+        got = perturbation_bound(pair, run(pair, opts))
         assert abs(got - want) <= 1e-10 * want
 
     @pytest.mark.parametrize(
         "case", ["real", "complex", "wide", "capped", "tail", "tail_complex"]
     )
-    def test_triangular_route(self, case):
-        # the route of `rgsv bounds`: the same certificate, computed on the
-        # pair's triangular factors
+    def test_covers_the_returned_spectrum(self, case):
         pair, cfg = self._case(case)
         opts = GsvOptions(extraction=cfg)
-        tri = triangular_pair(pair)
-        centre = compute_gsv(tri, GsvOptions(method="direct"))
-        budget = perturbation_bound(tri, projected_pair(tri, opts))
+        solve = run(pair, opts)
+        budget = perturbation_bound(pair, solve)
         if case in ("real", "complex", "wide"):
-            # exact low rank: both routes are at rounding level
+            # exact low rank: the budget is at rounding level
             assert budget <= 1e-12
-        else:
-            want = explicit_stack_budget(pair, opts)
-            assert abs(budget - want) <= 1e-6 * want
-        # the budget covers the spectrum the randomized solve returns
-        spec = compute_gsv(pair, opts)
+        spec = solve.spectrum
+        assert_same_spectrum(spec, compute_gsv(pair, opts))
+        centre = compute_gsv(pair, GsvOptions(method="direct"))
         rss = math.sqrt(float(np.sum((spec.alphas - centre.alphas) ** 2
                                      + (spec.betas - centre.betas) ** 2)))
-        assert rss <= budget + 1e-12
+        assert rss <= budget
 
     def test_direct_projection_is_the_pair(self):
+        # nothing is compressed: the residuals are 0 and the budget is the
+        # rounding allowance alone
         pair = random_pair(30, 25, 12, seed=76)
-        proj = projected_pair(pair, GsvOptions(method="direct"))
-        assert np.array_equal(proj.g1, pair.g1) and np.array_equal(proj.g2, pair.g2)
-        assert perturbation_bound(pair, proj) == 0.0
+        solve = run(pair, GsvOptions(method="direct"))
+        assert solve.residuals == (0.0, 0.0)
+        assert perturbation_bound(pair, solve) == allowance(pair, solve)
+        assert_same_spectrum(solve.spectrum, compute_gsv(pair, GsvOptions(method="direct")))
+
+    def test_run_of_another_shape(self):
+        pair = random_pair(30, 25, 12, seed=76)
+        with pytest.raises(DimensionError):
+            perturbation_bound(pair, run(random_pair(30, 25, 13, seed=76)))
+
+
+def soundness_cases():
+    """(pair, options) by name for the run certificate. The tails sit at
+    1e-6, 1e-8 and 1e-9 of ||G1||_F (n = 60, 40 interior GSVs and 20 at the
+    tail), both at the default tol with blocksize 10, where the tail is
+    captured near the cancellation floor of the residual estimate, and at
+    a tol above the tail, which leaves it as the residual."""
+    cases = {}
+    for t in (1e-6, 1e-8, 1e-9):
+        alphas = np.concatenate([np.linspace(0.99, 0.3, 40), np.full(20, t)])
+        for field in ("real", "complex"):
+            pair = structured_pair(alphas, 120, 100, seed=110, field=field)[0]
+            cases[f"tail{t:.0e}-{field}-default_tol"] = (pair, ExtractionConfig(seed=111, blocksize=10))
+            tol = 10 * t * frobenius_norm(pair.g1)
+            cases[f"tail{t:.0e}-{field}-above_tail"] = (pair, ExtractionConfig(tol=tol, seed=112))
+    # tall, rows >= 4n: a rank-8 g1 with a 1e-8 tail fits its probe and is
+    # sketched; g2 must then keep >= 22 >= ceil(30/3) rows, so it goes exact
+    tall = np.concatenate([np.linspace(0.95, 0.5, 8), np.full(22, 1e-8)])
+    for field in ("real", "complex"):
+        pair = structured_pair(tall, 150, 130, seed=113, field=field)[0]
+        cases[f"tall_one_exact-{field}"] = (
+            pair, ExtractionConfig(tol=1e-7 * frobenius_norm(pair.g1), seed=114))
+    square = np.concatenate([np.linspace(0.99, 0.2, 50), np.full(10, 1e-7)])
+    pair = structured_pair(square, 60, 60, seed=115)[0]
+    cases["square_both_sketched"] = (pair, ExtractionConfig(tol=1e-6 * frobenius_norm(pair.g1),
+                                                            seed=116))
+    cases["both_exact"] = (random_pair(150, 130, 30, seed=117), ExtractionConfig(seed=118))
+    cases["direct"] = (random_pair(60, 50, 30, seed=119), "direct")
+    for cap in (25, 40, 49):
+        cases[f"capped{cap}"] = (random_pair(100, 100, 50, seed=40),
+                                 ExtractionConfig(seed=0, max_cols=cap))
+    return cases
+
+
+class TestRunCertificate:
+    """perturbation_bound(pair, run(pair, opts)) bounds the deviation of
+    the spectrum the run returns, which is bitwise compute_gsv's, from the
+    direct solve; a certificate over 0.5 is flagged vacuous."""
+
+    @pytest.mark.parametrize("case", list(soundness_cases()))
+    def test_sound(self, case):
+        pair, cfg = soundness_cases()[case]
+        opts = GsvOptions(method="direct") if cfg == "direct" else GsvOptions(extraction=cfg)
+        solve = run(pair, opts)
+        e = perturbation_bound(pair, solve)
+        direct = compute_gsv(pair, GsvOptions(method="direct"))
+        assert deviation(solve.spectrum, direct) <= e
+        assert quantity_error_bounds(solve.spectrum, e).vacuous == (e > 0.5)
+        assert_same_spectrum(solve.spectrum, compute_gsv(pair, opts))
+        if case.startswith("tall_one_exact"):
+            assert solve.residuals[0] > 0.0 and solve.residuals[1] == 0.0
+        if case in ("both_exact", "direct"):
+            assert solve.residuals == (0.0, 0.0) and e == allowance(pair, solve)
+        if case == "square_both_sketched":
+            assert min(solve.residuals) > 0.0
+        if case.startswith("capped"):  # a capped spectrum is never certified clean
+            assert e > 0.5
 
 
 class TestQuantityErrorBounds:

@@ -1,13 +1,17 @@
+import hashlib
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from _util import child_env, record_rows
+from _util import allowance, child_env, record_rows
 
+import rgsv.cli
 import rgsv.core
-from rgsv import GmpPair, gaussian_matrix, read_matrix, write_matrix
+import rgsv.engine
+from rgsv import (ExtractionConfig, GmpPair, GsvOptions, gaussian_matrix, perturbation_bound,
+                  read_matrix, run, write_matrix)
 from rgsv.cli import main
 
 
@@ -128,16 +132,18 @@ def test_bounds_certificate(pair_files, tmp_path):
     out = tmp_path / "cert.json"
     proc = run_cli(
         "bounds", "--g1", str(g1), "--g2", str(g2),
-        "--k", "4", "--oversample", "3", "--tol", "1e-12",
+        "--k", "4", "--oversample", "3", "--tol", "1e-12", "--seed", "3",
         "-o", str(out), "--format", "json",
     )
     assert proc.returncode == 0, proc.stderr
     with open(out) as fh:
         cert = json.load(fh)
     assert cert["kind"] == "bound_certificate"
-    assert cert["e_script"] >= 0
-    eta = GmpPair(read_matrix(g1), read_matrix(g2)).stack_norm2 ** 2
-    assert abs(cert["eta"] - eta) <= 1e-12 * eta
+    # eta and e are those of the run gsv makes with the same flags
+    pair = GmpPair(read_matrix(g1), read_matrix(g2))
+    solve = run(pair, GsvOptions(extraction=ExtractionConfig(tol=1e-12, seed=3)))
+    assert cert["eta"] == float(solve.r_singular_values[0]) ** 2
+    assert cert["e_script"] == perturbation_bound(pair, solve) > 0
     assert "projector_bound[first]" in proc.stderr
     assert "projector_bound[second]" in proc.stderr
 
@@ -197,8 +203,8 @@ def test_rejects_infinite_tol(pair_files, tmp_path, command):
 
 
 def test_bounds_has_no_method_flag(pair_files, capsys):
-    # bounds always centres on the direct spectrum and sizes the budget by
-    # the randomized solve, so a --method flag would do nothing
+    # bounds certifies the randomized solve that gsv runs by default; a
+    # direct solve's certificate would be its rounding allowance alone
     g1, g2 = pair_files
     with pytest.raises(SystemExit) as exc:
         main(["bounds", "--g1", str(g1), "--g2", str(g2), "--method", "direct"])
@@ -206,26 +212,87 @@ def test_bounds_has_no_method_flag(pair_files, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_bounds_factors_no_tall_matrix_but_its_two_r_only_qrs(tmp_path, monkeypatch):
+def _tall_pair_files(tmp_path, g1_rank):
+    """A 600/500/60 pair written to Matrix Market files: g1 of rank
+    ``g1_rank`` (60 for full rank), g2 full rank. Both sides are tall."""
+    g1 = gaussian_matrix(600, g1_rank, seed=53) @ gaussian_matrix(g1_rank, 60, seed=54)
+    files = tmp_path / "g1.mtx", tmp_path / "g2.mtx"
+    write_matrix(files[0], g1)
+    write_matrix(files[1], gaussian_matrix(500, 60, seed=55))
+    return files
+
+
+def _record_front_ends(monkeypatch):
+    """(matrix digest, config, probe) of every extraction the engine runs
+    and the rows of every R-only QR, in order."""
+    events = []
+    extract, qr = rgsv.engine.extract_basis, np.linalg.qr
+
+    def recording_extract(g, cfg, probe=False):
+        events.append(("extract", hashlib.sha256(g.tobytes()).hexdigest(), cfg, probe))
+        return extract(g, cfg, probe=probe)
+
+    def recording_qr(a, mode="reduced"):
+        if mode == "r":
+            events.append(("r", a.shape[0]))
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(rgsv.engine, "extract_basis", recording_extract)
+    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    return events
+
+
+def test_bounds_certifies_the_solve_gsv_runs(tmp_path, monkeypatch):
+    # a rank-12 g1 is sketched through its probe and g2 goes exact; bounds
+    # must make the same front ends and centre on the spectrum gsv writes
+    files = _tall_pair_files(tmp_path, g1_rank=12)
+    flags = ["--g1", str(files[0]), "--g2", str(files[1]), "--seed", "56"]
+    events = _record_front_ends(monkeypatch)
+    assert main(["gsv", *flags, "-o", str(tmp_path / "gsv.json"), "--format", "json"]) == 0
+    gsv_events = list(events)
+    events.clear()
+    centres = []
+    certify = rgsv.cli.quantity_error_bounds
+
+    def recording_certify(spectrum, e_script, eta=None):
+        centres.append(spectrum)
+        return certify(spectrum, e_script, eta=eta)
+
+    monkeypatch.setattr(rgsv.cli, "quantity_error_bounds", recording_certify)
+    assert main(["bounds", *flags, "-o", str(tmp_path / "cert.csv")]) == 0
+    assert [e[0] for e in gsv_events] == ["extract", "r"] and gsv_events[0][3]
+    assert events == gsv_events
+    written = json.loads((tmp_path / "gsv.json").read_text())
+    (spec,) = centres
+    assert spec.alphas.tolist() == written["alphas"] and spec.betas.tolist() == written["betas"]
+
+
+def test_bounds_of_a_both_exact_pair_is_the_rounding_allowance(tmp_path):
+    files = _tall_pair_files(tmp_path, g1_rank=60)
+    out = tmp_path / "cert.json"
+    argv = ["bounds", "--g1", str(files[0]), "--g2", str(files[1]), "--seed", "57",
+            "-o", str(out), "--format", "json"]
+    assert main(argv) == 0
+    pair = GmpPair(read_matrix(files[0]), read_matrix(files[1]))
+    solve = run(pair, GsvOptions(extraction=ExtractionConfig(seed=57)))
+    assert solve.residuals == (0.0, 0.0)
+    assert json.loads(out.read_text())["e_script"] == allowance(pair, solve)
+
+
+@pytest.mark.parametrize("k", [None, "4"])
+def test_bounds_factors_the_stack_only_for_k(tmp_path, monkeypatch, k):
+    # eta of --k's projector bound is stack_norm2^2, one SVD of the
+    # (m + p) x n stack; the certificate itself factors no stack
     m, p, n = 90, 80, 20
     files = tmp_path / "g1.mtx", tmp_path / "g2.csv"
     write_matrix(files[0], gaussian_matrix(m, n, seed=50))
     np.savetxt(files[1], gaussian_matrix(p, n, seed=51), delimiter=",")
-    rows = record_rows(monkeypatch, (np.linalg, "svd"), (rgsv.core, "reduced_qr"))
-    qr = np.linalg.qr
-    qr_calls = []
-
-    def recording_qr(a, mode="reduced"):
-        qr_calls.append((np.shape(a)[0], mode))
-        return qr(a, mode=mode)
-
-    monkeypatch.setattr(np.linalg, "qr", recording_qr)
-    argv = ["bounds", "--g1", str(files[0]), "--g2", str(files[1]), "--k", "4",
+    rows = record_rows(monkeypatch, (np.linalg, "svd"), (np.linalg, "qr"),
+                       (rgsv.core, "reduced_qr"), (rgsv.core, "svd"))
+    argv = ["bounds", "--g1", str(files[0]), "--g2", str(files[1]),
             "--seed", "52", "-o", str(tmp_path / "cert.csv")]
-    assert main(argv) == 0
-    assert sorted(call for call in qr_calls if call[0] > 2 * n) == [(p, "r"), (m, "r")]
-    assert rows and max(rows) <= 2 * n
-    assert m + p not in rows + [r for r, _ in qr_calls]
+    assert main(argv + (["--k", k] if k else [])) == 0
+    assert rows and rows.count(m + p) == (1 if k else 0)
 
 
 class TestErrorExits:

@@ -17,7 +17,7 @@ from rgsv import (
     reduced_qr,
     svd,
 )
-from rgsv.core import sum_sq
+from rgsv.core import row_bands, sum_sq
 
 
 class TestAsMatrix:
@@ -197,6 +197,20 @@ class TestFrobeniusNorm:
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_sum_sq_of_empty_input_is_zero(self, shape, dtype):
         assert sum_sq(np.zeros(shape, dtype)) == 0.0
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_sum_sq_of_a_difference_takes_one_call_per_band(self, field):
+        a = gaussian_matrix(3000, 100, seed=13, field=field)  # 2.4 or 4.8 MB: several bands
+        b = gaussian_matrix(3000, 100, seed=14, field=field)
+        bands = []
+
+        def minus(band):
+            bands.append(band)
+            return b[band]
+
+        want = np.linalg.norm(a - b) ** 2
+        assert abs(sum_sq(a, minus) - want) <= 1e-13 * want
+        assert bands == row_bands(a) and len(bands) > 1
 
 
 def _phase_normalized_qr(a):

@@ -1,10 +1,11 @@
 import dataclasses
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
-from _util import (explicit_stack_budget, make_spectrum, random_pair, record_rows, spectrum_gap,
+from _util import (explicit_run_budget, make_spectrum, random_pair, record_rows, spectrum_gap,
                    structured_pair)
 
 from rgsv import (
@@ -22,13 +23,14 @@ from rgsv import (
     frobenius_norm,
     gaussian_matrix,
     perturbation_bound,
-    projected_pair,
     recover_gsvd,
+    residual_norm,
+    run,
 )
 import rgsv.engine
 from rgsv import SynthSpec, extract_basis, synth_gmp
 from rgsv.core import reduced_qr
-from rgsv.engine import _side_config, spectrum_from_l_blocks, triangular_pair
+from rgsv.engine import _side_config, spectrum_from_l_blocks
 
 
 class TestGmpPair:
@@ -252,22 +254,20 @@ class TestComputeGsv:
         assert m + p in rows  # the recorder sees a stack factorization
 
     def test_certificate_takes_the_stack_norms_from_the_solves(self, monkeypatch):
-        # the direct solve's R factor and the randomized solve's R~ carry
-        # the singular values of both stacks, so no SVD of either runs
+        # the run's R~ carries the singular values of its projected stack,
+        # so its certificate factors neither (m + p) x n stack
         m, p, n = 60, 50, 30
         pair = GmpPair(gaussian_matrix(m, n, seed=47), gaussian_matrix(p, n, seed=48))
         rows = record_rows(monkeypatch, (np.linalg, "svd"))
-        compute_gsv(pair, GsvOptions(method="direct"))
-        assert pair.stack_pinv_norm > 0 and pair.stack_norm2 > 0
         opts = GsvOptions(extraction=ExtractionConfig(tol=1e-12, seed=49))
-        assert perturbation_bound(pair, projected_pair(pair, opts)) >= 0
+        assert perturbation_bound(pair, run(pair, opts)) > 0
         assert rows and m + p not in rows
+        assert "_stack_extremes" not in pair.__dict__
 
 
-def triangular_cases():
-    """Pairs for the triangular reduction, by name. The tails sit at 1e-6,
-    far from classify_tol, so no GSV can snap differently on the two
-    routes."""
+def run_cases():
+    """Pairs, none of them tall, so both sides are sketched, by name. The
+    tails sit at 1e-6, far from classify_tol."""
     tail = np.concatenate([np.linspace(0.99, 0.5, 20), np.full(10, 1e-6)])
     return {
         "real": random_pair(60, 50, 30, seed=80),
@@ -278,23 +278,24 @@ def triangular_cases():
     }
 
 
-class TestTriangularPair:
+class TestGsvRun:
     @pytest.mark.parametrize("case", ["real", "complex", "wide", "tail", "tail_complex"])
     def test_keeps_what_the_certificate_reads(self, case):
-        pair = triangular_cases()[case]
-        tri = triangular_pair(pair)
-        assert tri.g1.shape == (min(pair.m, pair.n), pair.n)
-        assert tri.g2.shape == (min(pair.p, pair.n), pair.n)
-        assert tri.g1.dtype == pair.g1.dtype
-        # neither pair has been solved, so both stack norms come from an
-        # SVD of each stack
-        for got, want in ((tri.stack_norm2, pair.stack_norm2),
-                          (tri.stack_pinv_norm, pair.stack_pinv_norm)):
-            assert abs(got - want) <= 1e-12 * want
-        for r, g in ((tri.g1, pair.g1), (tri.g2, pair.g2)):
-            assert abs(frobenius_norm(r) - frobenius_norm(g)) <= 1e-13 * frobenius_norm(g)
-        direct = GsvOptions(method="direct")
-        assert spectrum_gap(compute_gsv(tri, direct), compute_gsv(pair, direct)) <= 1e-12
+        # the residuals and R~'s singular values are those of the explicit
+        # projected pair (Q1 B1, Q2 B2), and the spectrum is compute_gsv's
+        pair = run_cases()[case]
+        opts = GsvOptions(extraction=ExtractionConfig(seed=85))
+        solve = run(pair, opts)
+        spec = compute_gsv(pair, opts)
+        assert np.array_equal(solve.spectrum.alphas, spec.alphas)
+        assert np.array_equal(solve.spectrum.betas, spec.betas)
+        tilde = []
+        for side, g in enumerate((pair.g1, pair.g2)):
+            basis = extract_basis(g, _side_config(opts.extraction, g, side))
+            tilde.append(basis.q @ basis.b)
+            assert abs(solve.residuals[side] - residual_norm(g, basis.q)) <= 1e-13 * frobenius_norm(g)
+        s = np.linalg.svd(np.vstack(tilde), compute_uv=False)
+        assert np.allclose(solve.r_singular_values, s, rtol=0, atol=1e-13 * s[0])
 
 
 class TestRecoverGsvd:
@@ -503,19 +504,17 @@ class TestExactFrontEnd:
         alphas, cfg, exact = exact_front_end_cases()[case]
         pair, _ = structured_pair(alphas, m=150, p=130, seed=91, field=field)
         opts = GsvOptions(extraction=cfg)
-        direct = compute_gsv(pair, GsvOptions(method="direct"))  # records the stack norms
+        direct = compute_gsv(pair, GsvOptions(method="direct"))
         spec = compute_gsv(pair, opts)
         assert spectrum_gap(spec, direct) <= 1e-12
-        # spectrum mode changes what a solve keeps, never what it computes
-        pl = rgsv.engine._run_pipeline(pair, opts, rgsv.engine._PROJECTION)
-        want = spectrum_from_l_blocks(pl.l1_block, pl.l2_block, pair.n, opts.classify_tol)
-        assert np.array_equal(spec.alphas, want.alphas) and np.array_equal(spec.betas, want.betas)
+        # certificate mode changes what a solve keeps, never what it computes
+        solve = run(pair, opts)
+        assert np.array_equal(spec.alphas, solve.spectrum.alphas)
+        assert np.array_equal(spec.betas, solve.spectrum.betas)
         TestRecoverGsvd._check_factors(pair, recover_gsvd(pair, opts))
-        proj = projected_pair(pair, opts)
-        for side, (got, g) in enumerate(((proj.g1, pair.g1), (proj.g2, pair.g2))):
-            assert (got is g) == (side in exact)
-        want = explicit_stack_budget(pair, opts, exact)
-        assert abs(perturbation_bound(pair, proj) - want) <= 1e-10 * want
+        assert [res == 0.0 for res in solve.residuals] == [side in exact for side in (0, 1)]
+        want = explicit_run_budget(pair, opts, exact)
+        assert abs(perturbation_bound(pair, solve) - want) <= 1e-10 * want
 
     @staticmethod
     def _tall_low_rank_pair():
@@ -623,8 +622,9 @@ class TestExactFrontEnd:
 
     @pytest.mark.parametrize("case", ["tall_low_rank", "both_exact"])
     def test_no_basis_is_alive_at_an_r_only_qr(self, case, monkeypatch):
-        # a sketched g1's Q is not read by a spectrum solve, nor is a
-        # discarded probe: neither may be alive while a side is factored
+        # a sketched g1's Q is not read by a spectrum solve, nor past its
+        # residual by run, nor is a discarded probe: none may be alive
+        # while a side is factored
         if case == "tall_low_rank":
             pair, _, cfg = self._tall_low_rank_pair()
             sketched, factored = 1, [pair.p]
@@ -648,22 +648,47 @@ class TestExactFrontEnd:
 
         monkeypatch.setattr(rgsv.engine, "extract_basis", recording_extract)
         monkeypatch.setattr(np.linalg, "qr", checking_qr)
-        compute_gsv(pair, GsvOptions(extraction=cfg))
-        assert len(bases) == sketched and r_only == factored
+        for solve in (compute_gsv, run):
+            bases.clear()
+            r_only.clear()
+            solve(pair, GsvOptions(extraction=cfg))
+            assert len(bases) == sketched and r_only == factored
 
-    def test_only_uncompressed_solves_record_the_stack_norms(self, monkeypatch):
-        # a sketched side's rows do not keep its matrix's singular values
-        pair, _, cfg = self._tall_low_rank_pair()
-        compute_gsv(pair, GsvOptions(extraction=cfg))
-        assert "_stack_extremes" not in pair.__dict__
-        # cli_files scaled down: both sides rank 30 > ceil(50/3), so both go exact
+    def test_run_peaks_at_most_one_band_above_the_solve(self):
+        # lowrank_tall's shape, 4000/4000/400: the banded residual of the
+        # sketched g1 adds at most one 1 MiB band to the solve's peak
+        alphas = np.concatenate([np.linspace(0.99, 0.5, 40),
+                                 1e-10 * np.geomspace(1.0, 1e-3, 360)])
+        pair, _ = structured_pair(alphas, m=4000, p=4000, seed=99)
+        opts = GsvOptions(extraction=ExtractionConfig(tol=1e-6 * frobenius_norm(pair.g1), seed=1))
+        peaks = []
+        for solve in (compute_gsv, run):
+            tracemalloc.start()
+            try:
+                solve(pair, opts)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2**20
+
+    def test_stack_norms_take_one_svd_on_first_read(self, monkeypatch):
+        # no solve fills the pair's stack norms, not even one whose R has the
+        # stack's singular values (cli_files scaled down: both sides rank
+        # 30 > ceil(50/3), so both go exact)
         pair = synth_gmp(SynthSpec(m=250, p=200, n=50, rank_frac=0.6, seed=97)).pair
         _, r_only = self._record(monkeypatch)
-        compute_gsv(pair, GsvOptions(extraction=ExtractionConfig(seed=98)))
-        assert r_only == [pair.m, pair.p] and "_stack_extremes" in pair.__dict__
+        rows = record_rows(monkeypatch, (np.linalg, "svd"))
+        opts = GsvOptions(extraction=ExtractionConfig(seed=98))
+        compute_gsv(pair, opts)
+        run(pair, opts)
+        compute_gsv(pair, GsvOptions(method="direct"))
+        assert r_only == [pair.m, pair.p] * 2 and "_stack_extremes" not in pair.__dict__
+        assert pair.m + pair.p not in rows
+        norm2, pinv_norm = pair.stack_norm2, pair.stack_pinv_norm
+        assert rows.count(pair.m + pair.p) == 1
         s = np.linalg.svd(pair.stacked(), compute_uv=False)
-        assert abs(pair.stack_norm2 - s[0]) <= 1e-12 * s[0]
-        assert abs(pair.stack_pinv_norm - 1 / s[-1]) <= 1e-12 / s[-1]
+        assert abs(norm2 - s[0]) <= 1e-12 * s[0]
+        assert abs(pinv_norm - 1 / s[-1]) <= 1e-12 / s[-1]
 
     @pytest.mark.parametrize("case", ["not_tall", "triangular"])
     def test_other_pairs_keep_the_sketched_pipeline(self, case, monkeypatch):
@@ -673,8 +698,10 @@ class TestExactFrontEnd:
             pair = synth_gmp(SynthSpec(m=801, p=400, n=400, rank_frac=0.6, seed=94)).pair
             opts = GsvOptions(extraction=ExtractionConfig(tol=1e-12, seed=95))
         else:
+            # the square R factors of the tall pair's R-only QRs
             tall, _, cfg = self._tall_low_rank_pair()
-            pair, opts = triangular_pair(tall), GsvOptions(extraction=cfg)
+            pair = GmpPair(*(np.linalg.qr(g, mode="r") for g in (tall.g1, tall.g2)))
+            opts = GsvOptions(extraction=cfg)
         cfg = opts.extraction
         rows = [extract_basis(g, _side_config(cfg, g, side)).b
                 for side, g in enumerate((pair.g1, pair.g2))]

@@ -24,7 +24,6 @@ def test_every_trace_target_resolves(monkeypatch):
 # What one `rgsv bounds` calls of the names the benchmark tracer wraps:
 # each per-layer metric of the command is built from one of these spans.
 BOUNDS_SPANS = (
-    ("rgsv.cli", "compute_gsv"),
     ("rgsv.cli", "perturbation_bound"),
     ("rgsv.cli", "quantity_error_bounds"),
     ("rgsv.engine", "extract_basis"),

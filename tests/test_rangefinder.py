@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,6 +203,21 @@ class TestResidualNorm:
         g = gaussian_matrix(6, 4, seed=28)
         with pytest.raises(DimensionError):
             residual_norm(g, np.zeros((5, 2)))
+
+    def test_forms_no_full_size_residual(self):
+        # the residual is summed one band of rows at a time: no 4000 x 400
+        # temporary (12.8 MB) beside g
+        g = gaussian_matrix(4000, 400, seed=29)
+        q = reduced_qr(gaussian_matrix(4000, 58, seed=30)).q
+        tracemalloc.start()
+        try:
+            got = residual_norm(g, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < g.nbytes / 2
+        want = np.linalg.norm(g - q @ (q.T @ g))
+        assert abs(got - want) <= 1e-12 * want
 
 
 def test_result_type():
