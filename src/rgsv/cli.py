@@ -6,13 +6,14 @@ save a pair with its true spectrum), bounds (error certificates). All
 randomness flows from --seed, which defaults to the RGSV_SEED environment
 variable and then to 0.
 
-bounds runs the one randomized solve that gsv runs with the same flags
-(``engine.run``), centres the certificate on the spectrum it returns and
-sizes it by that run's perturbation budget, read off its residuals and R
-factor: no stack of the pair is factored. --k adds a projector bound per
-side, from the run's spectrum, which is off by at most the budget, and
-from eta = ``stack_norm2`` squared, which costs one SVD of the
-(m + p) x n stack.
+gsv and compare write the spectrum of the one solve, ``engine.run``, via
+``compute_gsv``; bounds runs that solve with the same flags, centres the
+certificate on the spectrum it returns and sizes it by that run's
+perturbation budget, read off its residuals and R factor: no stack of the
+pair is factored. --k adds a projector bound per side, from the run's
+spectrum, which is off by at most the budget, and from eta = ``stack_norm2``
+squared, which costs one SVD of the (m + p) x n stack. A side that
+--max-cols stops unconverged is named in a warning on stderr.
 """
 
 from __future__ import annotations

@@ -1,35 +1,36 @@
 """Generalized singular values of a matrix pair via compressed bases.
 
-``compute_gsv`` runs the two-phase pipeline: give each matrix a front end,
-stack the two compressed matrices, take the stack's reduced QR, and read
-the GSVs off its two Q-factor blocks: through the SVD of the shorter block
-and its right vectors when that block has at most n/2 rows, else by a
-values-only SVD of each. A side's front end is its randomized basis, whose
-compressed rows are the ``b`` rows (Q^H G) that extraction already formed,
-or, for a tall side that a sketch would not compress below a third of its
-columns, the R of an R-only QR (an exact side, with residual 0);
-``compute_gsv`` states the rule and its cost model. Each side sketches
-from its own random stream, spawned from the base seed. The rank test runs
-on the singular values of the stack's n x n R factor rather than on the
-(m + p) x n stack; a projection cannot raise rank, so a rank-deficient
-pair is still rejected. ``method="direct"`` runs the identical stacking
-code with no compression and serves as the oracle path.
-``run`` is the same solve with what its a-posteriori certificate
+``run`` is the one solve: give each matrix a front end, stack the two
+compressed matrices, take the stack's reduced QR, and read the GSVs off its
+two Q-factor blocks: through the SVD of the shorter block and its right
+vectors when that block has at most n/2 rows, else by a values-only SVD of
+each. A side's front end is its randomized basis, whose compressed rows are
+the ``b`` rows (Q^H G) that extraction already formed, or, for a tall side
+that a sketch would not compress below a third of its columns, the R of an
+R-only QR (an exact side, with residual 0); ``run`` states the rule and its
+cost model. Each side sketches from its own random stream, spawned from the
+base seed. The rank test runs on the singular values of the stack's n x n R
+factor rather than on the (m + p) x n stack; a projection cannot raise
+rank, so a rank-deficient pair is still rejected. ``method="direct"`` runs
+the identical stacking code with no compression and serves as the oracle
+path. A run returns its spectrum with what its a-posteriori certificate
 ``bounds.perturbation_bound(pair, run(pair, opts))`` reads (Halko,
 Martinsson & Tropp 2011, 4.3): each sketched side's explicit residual
-||G - QB||_F and the singular values of the compressed stack's R factor,
-which are those of the projected stack [Q1 B1; Q2 B2].
+||G - QB||_F, which extraction reports as its last history entry, and the
+singular values of the compressed stack's R factor, which are those of the
+projected stack [Q1 B1; Q2 B2]. ``compute_gsv`` is the run's spectrum.
 ``recover_gsvd`` rebuilds the full factorization
-G1 = U diag(alpha) R, G2 = V diag(beta) R on demand by one recovery,
-run on the mirrored pair (G2, G1) when L1 is the taller block; no square
-Q is formed to complete the columns the data leave undetermined.
+G1 = U diag(alpha) R, G2 = V diag(beta) R on demand from the same solve,
+which then keeps each side's Q, by one recovery, run on the mirrored pair
+(G2, G1) when L1 is the taller block; no square Q is formed to complete
+the columns the data leave undetermined.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,7 @@ class GmpPair:
     checks the shapes, including m + p >= n. It does not factor the
     stack: the numerical rank test (sigma_min <= 1e-12 * sigma_max raises
     RankDeficiencyError) runs on the R factor of the stacked pair inside
-    ``compute_gsv``, ``run`` and ``recover_gsvd``. No solve reads or fills
+    ``run`` and ``recover_gsvd``. No solve reads or fills
     ``stack_norm2`` and ``stack_pinv_norm``: both come from one SVD of the
     (m + p) x n stack the first time either is read, under the same rank
     test.
@@ -203,10 +204,11 @@ class GsvdFactors:
 
 @dataclass(frozen=True)
 class GsvRun:
-    """One solve (see ``run``): its spectrum, bitwise ``compute_gsv``'s;
-    the explicit residuals ||Gi - Qi Bi||_F, B = Q^H G, of its sides, 0
-    for an exact side and for method="direct"; and the descending singular
-    values of its compressed stack's R factor, those of [Q1 B1; Q2 B2]."""
+    """One solve (see ``run``): its spectrum, which ``compute_gsv``
+    returns; the explicit residuals ||Gi - Qi Bi||_F, B = Q^H G, of its
+    sides, the last entries of their extraction histories, 0 for an exact
+    side and for method="direct"; and the descending singular values of
+    its compressed stack's R factor, those of [Q1 B1; Q2 B2]."""
 
     spectrum: GsvSpectrum
     residuals: tuple[float, float]
@@ -309,26 +311,6 @@ def _cs_step(la: np.ndarray, lb: np.ndarray):
     return ua, a, w1, lb @ w1
 
 
-# What the caller of ``_run_pipeline`` reads, and so what it keeps (see _Pipeline)
-_SPECTRUM = "spectrum"  # compute_gsv: the L blocks only
-_CERTIFICATE = "certificate"  # run: also each sketched side's explicit residual
-_FACTORS = "factors"  # recover_gsvd: a Q for every compressed side
-
-
-@dataclass(frozen=True)
-class _Pipeline:
-    # Q of each side, kept in factors mode only, where an exact side has
-    # the Q of its reduced QR; None with method="direct"
-    q1: np.ndarray | None
-    q2: np.ndarray | None
-    # ||G - QB||_F per side, taken for a sketched side in certificate mode, else 0
-    residuals: tuple[float, float]
-    l1_block: np.ndarray
-    l2_block: np.ndarray
-    r_tilde: np.ndarray
-    r_singular_values: np.ndarray  # of r_tilde, descending
-
-
 def _side_seed(seed: int, side: int) -> int:
     """The sketch seed of side 0 (g1) or 1 (g2): the first word of that
     side's child of SeedSequence(seed mod 2^64)."""
@@ -346,22 +328,23 @@ def _side_config(cfg: ExtractionConfig, g: np.ndarray, side: int) -> ExtractionC
 
 
 # A side with at least this many rows per column is tall: only there does
-# an R-only QR replace the sketch (see compute_gsv).
+# an R-only QR replace the sketch (see run).
 _TALL_ASPECT = 4
 
 
 def _crossover(n: int) -> int:
     """Kept width ceil(n/3) from which a tall side is cheaper to QR than
-    to sketch (see compute_gsv)."""
+    to sketch (see run)."""
     return -(-n // 3)
 
 
-def _front_end(g: np.ndarray, cfg: ExtractionConfig, shortcut: bool, reads: str):
-    """(Q, C, residual) of one side of a randomized solve (see
-    ``compute_gsv``): a sketch's rows C = Q^H G, with its Q in factors
-    mode only and its explicit ||G - QC||_F in certificate mode only (else
-    0); or an exact side's R, or in factors mode its reduced QR, and 0.
-    With ``shortcut`` an eligible side goes exact without a sketch."""
+def _front_end(g: np.ndarray, cfg: ExtractionConfig, shortcut: bool, keep_q: bool):
+    """(Q, C, residual, capped) of one side of a randomized solve (see
+    ``run``): a sketch's rows C = Q^H G, its Q if ``keep_q``, its explicit
+    ||G - QC||_F (its last history entry) and, if max_cols stopped it
+    unconverged above the trim floor, a note saying so; or an exact side's
+    R, or with ``keep_q`` its reduced QR, 0 and None. With ``shortcut`` an
+    eligible side goes exact without a sketch."""
     n = g.shape[1]
     if g.shape[0] < _TALL_ASPECT * n or cfg.max_cols not in (None, n):
         basis = extract_basis(g, cfg)
@@ -371,29 +354,33 @@ def _front_end(g: np.ndarray, cfg: ExtractionConfig, shortcut: bool, reads: str)
         basis = extract_basis(g, dataclasses.replace(cfg, max_cols=_crossover(n)), probe=True)
         if not basis.converged:
             basis = None  # the discarded probe is not alive beside the QR
-    if basis is not None:
-        residual = 0.0
-        if reads == _CERTIFICATE:  # explicit, before Q is dropped
-            residual = math.sqrt(core.sum_sq(g, lambda band: basis.q[band] @ basis.b))
-        return basis.q if reads == _FACTORS else None, basis.b, residual
-    if reads == _FACTORS:
-        return *core.reduced_qr(g), 0.0
-    return None, np.linalg.qr(g, mode="r"), 0.0  # LAPACK geqrf: Q is never formed
+    if basis is None:
+        if keep_q:
+            return *core.reduced_qr(g), 0.0, None
+        return None, np.linalg.qr(g, mode="r"), 0.0, None  # LAPACK geqrf: Q is never formed
+    normf, res = basis.residual_history[0], basis.residual_history[-1]
+    note = None
+    if basis.b.shape[0] == cfg.max_cols and not basis.converged and res >= cfg.trim_tol * normf:
+        note = (f"kept max_cols = {cfg.max_cols} columns at residual {res:.3e} "
+                f"> tol {cfg.tol_for(normf):.3e}")
+    return basis.q if keep_q else None, basis.b, res, note
 
 
-def _run_pipeline(pair: GmpPair, opts: GsvOptions, reads: str) -> _Pipeline:
+def _run_pipeline(pair: GmpPair, opts: GsvOptions, keep_q: bool):
+    """(run, Q1, Q2, the stack's QR factors, l1) of one solve (see ``run``);
+    the Qs, which ``recover_gsvd`` lifts by, are kept only with ``keep_q``."""
     n = pair.n
     if opts.method == DIRECT:
-        c1, c2 = pair.g1, pair.g2
-        q1 = q2 = None
-        residuals = (0.0, 0.0)
+        c1, c2, q1, q2, res1, res2 = pair.g1, pair.g2, None, None, 0.0, 0.0
     else:
         cfg = opts.extraction
-        q1, c1, res1 = _front_end(pair.g1, _side_config(cfg, pair.g1, 0), False, reads)
+        q1, c1, res1, cap1 = _front_end(pair.g1, _side_config(cfg, pair.g1, 0), False, keep_q)
         # a solve needs l1 + l2 >= n, so a sketch of g2 would keep >= n - l1 columns
-        q2, c2, res2 = _front_end(pair.g2, _side_config(cfg, pair.g2, 1),
-                                  n - c1.shape[0] >= _crossover(n), reads)
-        residuals = (res1, res2)
+        q2, c2, res2, cap2 = _front_end(pair.g2, _side_config(cfg, pair.g2, 1),
+                                        n - c1.shape[0] >= _crossover(n), keep_q)
+        capped = [f"g{i} {note}" for i, note in ((1, cap1), (2, cap2)) if note]
+        if capped:
+            warnings.warn("extraction stopped unconverged: " + "; ".join(capped))
     l1, l2 = c1.shape[0], c2.shape[0]
     if l1 + l2 < n:
         raise RankDeficiencyError(
@@ -405,11 +392,19 @@ def _run_pipeline(pair: GmpPair, opts: GsvOptions, reads: str) -> _Pipeline:
     qf = core.reduced_qr(stack)
     sv = np.linalg.svd(qf.r, compute_uv=False)
     _require_full_rank(sv, "stacked pair" if opts.method == DIRECT else "compressed stacked pair")
-    return _Pipeline(q1, q2, residuals, qf.q[:l1], qf.q[l1:], qf.r, sv)
+    spec = spectrum_from_l_blocks(qf.q[:l1], qf.q[l1:], n, opts.classify_tol)
+    return GsvRun(spec, (res1, res2), sv), q1, q2, qf, l1
 
 
 def compute_gsv(pair: GmpPair, opts: GsvOptions | None = None) -> GsvSpectrum:
-    """Compute the GSV spectrum of a pair.
+    """The GSV spectrum of a pair: that of ``run(pair, opts)``, whose
+    docstring states the front ends, the cost model and what it raises."""
+    return run(pair, opts).spectrum
+
+
+def run(pair: GmpPair, opts: GsvOptions | None = None) -> GsvRun:
+    """Solve for the GSV spectrum of a pair, with what its a-posteriori
+    certificate reads (see ``GsvRun``).
 
     method="randomized" compresses each matrix through its own front end;
     method="direct" runs the identical stacked-QR + SVD path with no
@@ -418,7 +413,9 @@ def compute_gsv(pair: GmpPair, opts: GsvOptions | None = None) -> GsvSpectrum:
     Each side sketches from its own stream, seeded by the first word of
     child 0 (g1) or 1 (g2) of SeedSequence(extraction.seed mod 2^64).spawn(2),
     so the streams of the two sides, and of nearby base seeds, are
-    independent.
+    independent. A sketch that max_cols stops unconverged, above the trim
+    floor, is named in one warning per solve, with its kept width, residual
+    and tol.
 
     Front ends. Sides run in order, g1 then g2, and cross = ceil(n/3).
     A side is eligible when it is tall (rows >= 4 n) and no cap binds (its
@@ -436,8 +433,9 @@ def compute_gsv(pair: GmpPair, opts: GsvOptions | None = None) -> GsvSpectrum:
     so it goes exact without a probe.
 
     Cost model: a sketch keeping k columns of an m x n side costs about
-    4 m n k flops (G Omega, P^H G and two reorthogonalization passes); an
-    R-only QR costs 2 m n^2 - 2/3 n^3. Measured per side on a rank-k
+    4 m n k flops (G Omega, P^H G and two reorthogonalization passes),
+    plus 2 m n k for its explicit residual; an R-only QR costs
+    2 m n^2 - 2/3 n^3. Measured per side on a rank-k
     3000 x 1200 side at the default tol (2-core Xeon, OpenBLAS, 1 thread,
     medians of 3 x 15 runs), the sketch won at k = 200 (222 vs 276 ms),
     was level or lost at k = 300 (335 vs 287 ms) and lost at k = 400 =
@@ -453,36 +451,23 @@ def compute_gsv(pair: GmpPair, opts: GsvOptions | None = None) -> GsvSpectrum:
     the complex 801/400/400 pair of acceptance criterion 1 a solve with
     both sides exact measured 272 ms against 316 ms sketched.
 
+    Certificate. The run's exact GSVs are those of the projected pair
+    (Q1 B1, Q2 B2), an exact side being its own matrix, so
+    ``bounds.perturbation_bound(pair, run)`` bounds the deviation of
+    ``run.spectrum`` from the pair's own GSVs.
+
     Memory. No sketched basis Q, discarded sketch or compressed block is
     held past its last reader, so at its peak a solve holds the pair, the
     rows compressed so far and the working copy of one step: for a tall
-    exact side, the copy of that side that its R-only QR factors.
+    exact side, the copy of that side that its R-only QR factors. A
+    sketch's explicit residual is taken inside extraction, one band of
+    rows at a time, so it forms no m x n temporary.
 
     Raises RankDeficiencyError when the stacked pair, or on the
     randomized path the compressed pair (fewer than n rows, or
     sigma_min(R) <= 1e-12 * sigma_max(R)), is numerically rank deficient.
     """
-    opts = opts or GsvOptions()
-    pl = _run_pipeline(pair, opts, _SPECTRUM)
-    return spectrum_from_l_blocks(pl.l1_block, pl.l2_block, pair.n, opts.classify_tol)
-
-
-def run(pair: GmpPair, opts: GsvOptions | None = None) -> GsvRun:
-    """The solve ``compute_gsv`` runs for ``opts``, with what its
-    a-posteriori certificate reads (see ``GsvRun``).
-
-    Its exact GSVs are those of the projected pair (Q1 B1, Q2 B2), an exact
-    side being its own matrix, so ``bounds.perturbation_bound(pair, run)``
-    bounds the deviation of ``run.spectrum`` from the pair's own GSVs. Each
-    sketched side's residual is evaluated right after its extraction, one
-    band of rows at a time, and its Q is then dropped: the front ends,
-    seeds and spectrum are ``compute_gsv``'s, and the peak exceeds its by
-    at most the residual's bands. Raises what ``compute_gsv`` raises.
-    """
-    opts = opts or GsvOptions()
-    pl = _run_pipeline(pair, opts, _CERTIFICATE)
-    spec = spectrum_from_l_blocks(pl.l1_block, pl.l2_block, pair.n, opts.classify_tol)
-    return GsvRun(spec, pl.residuals, pl.r_singular_values)
+    return _run_pipeline(pair, opts or GsvOptions(), False)[0]
 
 
 def _orthonormal_completion(cols: np.ndarray, count: int) -> np.ndarray:
@@ -523,8 +508,8 @@ def _recover_shorter_first(la, lb, qa, qb, partner, zeros, tol):
 def recover_gsvd(pair: GmpPair, opts: GsvOptions | None = None) -> GsvdFactors:
     """Recover the full decomposition from the compressed pipeline.
 
-    The front ends are those of ``compute_gsv``, except that an exact side
-    takes a reduced QR G = Q R, since its Q lifts the recovered factors.
+    The solve is ``run``'s, except that an exact side takes a reduced QR
+    G = Q R, since its Q lifts the recovered factors.
     When l1 <= l2 the recovery runs on (L1, L2) with the betas as
     partners; otherwise on the mirrored pair (G2, G1), with the reversed
     alphas as partners, and the columns of U and V and the rows of W^H are
@@ -540,14 +525,13 @@ def recover_gsvd(pair: GmpPair, opts: GsvOptions | None = None) -> GsvdFactors:
         raise RecoveryError(
             f"full recovery needs m >= n and p >= n, got ({m}, {p}, {n})"
         )
-    pl = _run_pipeline(pair, opts, _FACTORS)
-    spec = spectrum_from_l_blocks(pl.l1_block, pl.l2_block, n, opts.classify_tol)
-    tol = opts.classify_tol
-    if pl.l1_block.shape[0] <= pl.l2_block.shape[0]:
-        u, v, wh = _recover_shorter_first(
-            pl.l1_block, pl.l2_block, pl.q1, pl.q2, spec.betas, spec.r, tol)
+    solve, q1, q2, qf, l1 = _run_pipeline(pair, opts, True)
+    spec, tol = solve.spectrum, opts.classify_tol
+    l1_block, l2_block = qf.q[:l1], qf.q[l1:]
+    if l1 <= l2_block.shape[0]:
+        u, v, wh = _recover_shorter_first(l1_block, l2_block, q1, q2, spec.betas, spec.r, tol)
     else:
         v, u, wh = _recover_shorter_first(
-            pl.l2_block, pl.l1_block, pl.q2, pl.q1, spec.alphas[::-1], n - spec.r - spec.s, tol)
+            l2_block, l1_block, q2, q1, spec.alphas[::-1], n - spec.r - spec.s, tol)
         u, v, wh = u[:, ::-1], v[:, ::-1], wh[::-1]
-    return GsvdFactors(u, v, wh @ pl.r_tilde, spec)
+    return GsvdFactors(u, v, wh @ qf.r, spec)

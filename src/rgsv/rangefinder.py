@@ -15,8 +15,10 @@ keeps each iteration at O(m*n*b). That difference cancels below about
 sqrt(eps) ||G||_F, so when tol is no more than 10x that floor, a residual
 estimated below 10 sqrt(eps) ||G||_F is replaced by the explicit
 ||G - QB||_F (one O(m*n*k) product, then O(m*n*b) per block) for both
-the history entry and the stop test. ``residual_norm`` is the explicit
-reference evaluation used to validate the reported value.
+the history entry and the stop test. The last entry is explicit at any
+tol: ||G - QB||_F is taken once after the loop, one band of rows at a
+time, unless it already is, and ``converged`` is read from it.
+``residual_norm`` is the explicit reference evaluation.
 """
 
 from __future__ import annotations
@@ -62,6 +64,10 @@ class ExtractionConfig:
     max_cols: int | None = None
     trim_tol: float = 1e-12
 
+    def tol_for(self, normf: float) -> float:
+        """The absolute residual target for a matrix of Frobenius norm normf."""
+        return self.tol if self.tol is not None else 1e-10 * normf
+
     def __post_init__(self):
         if self.tol is not None and not 0 < self.tol < math.inf:  # inf stops with no basis
             raise ValidationError(f"tol must be finite and positive, got {self.tol}")
@@ -80,8 +86,10 @@ class BasisResult:
     q is the m x k orthonormal basis and b = q^H g its k x n compressed
     rows, formed block by block while the residual was tracked.
     residual_history[i] is the Frobenius residual after i iterations
-    (entry 0 is the residual of the empty basis); block_widths records how
-    many columns each iteration contributed after trimming.
+    (entry 0 is the residual of the empty basis, ||G||_F), and the last is
+    the explicit ||G - QB||_F but on a probe stopped on its budget;
+    block_widths records how many columns each iteration contributed after
+    trimming.
     """
 
     q: np.ndarray
@@ -113,7 +121,7 @@ def extract_basis(g, cfg: ExtractionConfig | None = None, *, probe: bool = False
     ``probe`` makes max_cols a budget rather than a width to fill: the loop
     also stops, unconverged, as soon as kept + need exceeds max_cols, so a
     side whose basis would not fit pays for one block, not for max_cols
-    columns.
+    columns. Its caller discards such a probe; its last entry is the estimate.
     """
     cfg = cfg or ExtractionConfig()
     a = core.as_matrix(g, "g")
@@ -122,7 +130,7 @@ def extract_basis(g, cfg: ExtractionConfig | None = None, *, probe: bool = False
 
     gf2 = core.sum_sq(a)
     normf = math.sqrt(gf2)
-    tol = cfg.tol if cfg.tol is not None else 1e-10 * normf
+    tol = cfg.tol_for(normf)
     trim_cut = cfg.trim_tol * normf
     max_cols = cfg.max_cols
     if max_cols is not None and max_cols > min(m, n):
@@ -143,7 +151,7 @@ def extract_basis(g, cfg: ExtractionConfig | None = None, *, probe: bool = False
     floor = _CANCELLATION_MARGIN * math.sqrt(np.finfo(np.float64).eps) * normf
     explicit = None  # G - QB, once the residual is evaluated explicitly
     captured_parts: list[float] = []
-    converged = False
+    converged = over_budget = False
     kept = sampled = 0
     width = min(_FIRST_WIDTH, cfg.blocksize)
 
@@ -185,13 +193,19 @@ def extract_basis(g, cfg: ExtractionConfig | None = None, *, probe: bool = False
         if p.shape[1] == width:
             need = _predicted_need(res * res - tol * tol, rows[-1], n)
             if probe and kept + need > max_cols:
+                over_budget = True
                 break
             width = min(cfg.blocksize, need + _OVERSAMPLE)
         if max_cols is not None and kept >= max_cols:
             break
 
+    estimated = explicit is None and not over_budget
     explicit = None  # not alive beside both copies of Q in _join
-    return BasisResult(*_join(blocks, rows, a), history, converged, len(widths), widths)
+    q, c = _join(blocks, rows, a)
+    if estimated:
+        history[-1] = math.sqrt(core.sum_sq(a, lambda band: q[band] @ c))
+        converged = history[-1] < tol
+    return BasisResult(q, c, history, converged, len(widths), widths)
 
 
 def _predicted_need(excess: float, block_rows: np.ndarray, n: int) -> int:
@@ -218,13 +232,14 @@ def _subtract_product(out: np.ndarray, p: np.ndarray, b: np.ndarray) -> None:
 
 
 def _join(blocks: list[np.ndarray], rows: list[np.ndarray], a: np.ndarray):
-    """(Q, Q^H G) from the kept blocks and their rows, each joined once.
-    The rows are joined and released first, so they are not alive beside
-    both copies of Q."""
+    """(Q, Q^H G) from the kept blocks and their rows, each joined once and
+    released. The rows are joined first, so they are not alive beside both
+    copies of Q."""
     m, n = a.shape
     c = np.vstack(rows) if rows else np.zeros((0, n), dtype=a.dtype)
     rows.clear()
     q = np.hstack(blocks) if blocks else np.zeros((m, 0), dtype=a.dtype)
+    blocks.clear()
     return q, c
 
 

@@ -21,6 +21,8 @@ from rgsv import (
     run,
 )
 
+EPS = float(np.finfo(np.float64).eps)
+
 
 def decaying_pair(n=100, m=220, p=180, seed=0, base=0.95, ratio=0.82):
     alphas = base * ratio ** np.arange(n)
@@ -161,8 +163,12 @@ class TestProjectedPairBudget:
         pair, cfg = self._case(case)
         opts = GsvOptions(extraction=cfg)
         want = explicit_run_budget(pair, opts)
-        got = perturbation_bound(pair, run(pair, opts))
-        assert abs(got - want) <= 1e-10 * want
+        solve = run(pair, opts)
+        got = perturbation_bound(pair, solve)
+        # a residual is explicit to eps ||G||_F: taken as extraction keeps
+        # its blocks, it need not round as G - Q (Q^H G) does
+        slack = math.sqrt(2.0) * EPS * frobenius_norm(pair.stacked()) / solve.r_singular_values[-1]
+        assert abs(got - want) <= 1e-10 * want + slack
 
     @pytest.mark.parametrize(
         "case", ["real", "complex", "wide", "capped", "tail", "tail_complex"]

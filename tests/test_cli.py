@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import subprocess
@@ -5,13 +6,14 @@ import sys
 
 import numpy as np
 import pytest
-from _util import allowance, child_env, record_rows
+from _util import allowance, child_env, record_rows, structured_pair
 
 import rgsv.cli
 import rgsv.core
 import rgsv.engine
-from rgsv import (ExtractionConfig, GmpPair, GsvOptions, gaussian_matrix, perturbation_bound,
-                  read_matrix, run, write_matrix)
+from rgsv import (ExtractionConfig, GmpPair, GsvOptions, extract_basis, frobenius_norm,
+                  gaussian_matrix, perturbation_bound, read_matrix, residual_norm, run,
+                  write_matrix)
 from rgsv.cli import main
 
 
@@ -107,6 +109,41 @@ def test_extract_history(pair_files, tmp_path):
     assert res["kind"] == "basis_result"
     assert res["columns"] >= 1
     assert len(res["residual_history"]) == res["iterations"] + 1
+
+
+def test_extract_reports_the_explicit_residual(tmp_path):
+    # lowrank_tall's g1, 4000 x 400 with 40 GSVs over a 1e-10 tail, at tol
+    # 1e-6 ||G1||_F: the cumulative estimate of the last residual cancels
+    # to 0.0, while ||G - QB||_F is about 1.4e-5
+    alphas = np.concatenate([np.linspace(0.99, 0.5, 40), 1e-10 * np.geomspace(1.0, 1e-3, 360)])
+    g = structured_pair(alphas, m=4000, p=400, seed=1)[0].g1
+    nrm = frobenius_norm(g)
+    basis = extract_basis(g, ExtractionConfig(tol=1e-6 * nrm, seed=1))
+    explicit = residual_norm(g, basis.q)
+    assert explicit > 1e-8 * nrm
+    assert abs(basis.residual_history[-1] - explicit) <= 1e-12 * nrm
+    write_matrix(tmp_path / "g1.mtx", g)
+    out = tmp_path / "basis.csv"
+    argv = ["extract", "--input", str(tmp_path / "g1.mtx"), "--tol", repr(1e-6 * nrm),
+            "--seed", "1", "-o", str(out)]
+    assert main(argv) == 0
+    rows = list(csv.reader(out.open()))
+    last = [row for row in rows[1:] if row[0].isdigit()][-1]
+    assert abs(float(last[1]) - explicit) <= 1e-12 * nrm
+
+
+@pytest.mark.parametrize("command", ["gsv", "compare", "bounds"])
+def test_a_capped_side_is_reported_on_stderr(pair_files, command):
+    # 8 of 12 columns cannot capture either full-rank side; the run is
+    # reported as before, and the warning names both sides
+    g1, g2 = pair_files
+    proc = run_cli(command, "--g1", str(g1), "--g2", str(g2), "--max-cols", "8", "--seed", "3")
+    assert proc.returncode == 0, proc.stderr
+    assert "extraction stopped unconverged: g1 kept max_cols = 8 columns" in proc.stderr
+    assert "; g2 kept max_cols = 8 columns" in proc.stderr
+    assert proc.stdout.splitlines()[0] == {"gsv": "index,alpha,beta",
+                                           "compare": "index,alpha,beta,rho,theta,p1,p2",
+                                           "bounds": "index,p1_bound,p2_bound"}[command]
 
 
 def test_synth_writes_pair_and_truth(tmp_path):

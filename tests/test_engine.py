@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -229,6 +230,37 @@ class TestComputeGsv:
         with pytest.raises(RankDeficiencyError):
             compute_gsv(pair, opts)
 
+    @pytest.mark.parametrize("cap", [25, 40, 49])
+    def test_capped_sides_are_reported(self, cap):
+        # both full-rank sides stop unconverged at the cap, and the spectrum
+        # is far from the direct one, (r, s) = (25, 0), (10, 30) and (1, 48)
+        # against (0, 50); one warning names each side and its numbers
+        pair = random_pair(100, 100, 50, seed=40)
+        opts = GsvOptions(extraction=ExtractionConfig(max_cols=cap))
+        with pytest.warns(UserWarning, match="extraction stopped unconverged") as record:
+            solve = run(pair, opts)
+        assert len(record) == 1
+        for side, g in enumerate((pair.g1, pair.g2)):
+            res, tol = solve.residuals[side], 1e-10 * frobenius_norm(g)
+            assert res > tol
+            assert (f"g{side + 1} kept max_cols = {cap} columns at residual {res:.3e} "
+                    f"> tol {tol:.3e}") in str(record[0].message)
+        with pytest.warns(UserWarning, match="extraction stopped unconverged"):
+            assert compute_gsv(pair, opts).s < 50
+
+    def test_a_side_at_the_trim_floor_is_not_reported(self):
+        # tol 1e-300 cannot be met: each rank-20 side stops at the trim
+        # floor, also where its 20 columns fill the cap, and is not reported
+        r_star = gaussian_matrix(40, 40, seed=100)
+        pair = GmpPair(gaussian_matrix(200, 20, seed=101) @ r_star[:20],
+                       gaussian_matrix(100, 20, seed=102) @ r_star[20:])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for cap in (None, 20):
+                solve = run(pair, GsvOptions(extraction=ExtractionConfig(
+                    tol=1e-300, max_cols=cap, seed=103)))
+                assert (solve.spectrum.r, solve.spectrum.s) == (20, 0)
+
     def test_max_cols_clamped_per_side(self):
         # p = 20 < max_cols = 25 <= m: the cap is valid for g1 only
         pair = random_pair(60, 20, 25, seed=42)
@@ -281,14 +313,11 @@ def run_cases():
 class TestGsvRun:
     @pytest.mark.parametrize("case", ["real", "complex", "wide", "tail", "tail_complex"])
     def test_keeps_what_the_certificate_reads(self, case):
-        # the residuals and R~'s singular values are those of the explicit
-        # projected pair (Q1 B1, Q2 B2), and the spectrum is compute_gsv's
+        # the residuals, R~'s singular values and the spectrum are those of
+        # the explicit projected pair (Q1 B1, Q2 B2)
         pair = run_cases()[case]
         opts = GsvOptions(extraction=ExtractionConfig(seed=85))
         solve = run(pair, opts)
-        spec = compute_gsv(pair, opts)
-        assert np.array_equal(solve.spectrum.alphas, spec.alphas)
-        assert np.array_equal(solve.spectrum.betas, spec.betas)
         tilde = []
         for side, g in enumerate((pair.g1, pair.g2)):
             basis = extract_basis(g, _side_config(opts.extraction, g, side))
@@ -296,6 +325,8 @@ class TestGsvRun:
             assert abs(solve.residuals[side] - residual_norm(g, basis.q)) <= 1e-13 * frobenius_norm(g)
         s = np.linalg.svd(np.vstack(tilde), compute_uv=False)
         assert np.allclose(solve.r_singular_values, s, rtol=0, atol=1e-13 * s[0])
+        projected = compute_gsv(GmpPair(*tilde), GsvOptions(method="direct"))
+        assert spectrum_gap(solve.spectrum, projected) <= 1e-12
 
 
 class TestRecoverGsvd:
@@ -505,12 +536,8 @@ class TestExactFrontEnd:
         pair, _ = structured_pair(alphas, m=150, p=130, seed=91, field=field)
         opts = GsvOptions(extraction=cfg)
         direct = compute_gsv(pair, GsvOptions(method="direct"))
-        spec = compute_gsv(pair, opts)
-        assert spectrum_gap(spec, direct) <= 1e-12
-        # certificate mode changes what a solve keeps, never what it computes
         solve = run(pair, opts)
-        assert np.array_equal(spec.alphas, solve.spectrum.alphas)
-        assert np.array_equal(spec.betas, solve.spectrum.betas)
+        assert spectrum_gap(solve.spectrum, direct) <= 1e-12
         TestRecoverGsvd._check_factors(pair, recover_gsvd(pair, opts))
         assert [res == 0.0 for res in solve.residuals] == [side in exact for side in (0, 1)]
         want = explicit_run_budget(pair, opts, exact)
@@ -622,8 +649,8 @@ class TestExactFrontEnd:
 
     @pytest.mark.parametrize("case", ["tall_low_rank", "both_exact"])
     def test_no_basis_is_alive_at_an_r_only_qr(self, case, monkeypatch):
-        # a sketched g1's Q is not read by a spectrum solve, nor past its
-        # residual by run, nor is a discarded probe: none may be alive
+        # a sketched g1's Q is not read past its extraction, which also
+        # takes its residual, nor is a discarded probe: none may be alive
         # while a side is factored
         if case == "tall_low_rank":
             pair, _, cfg = self._tall_low_rank_pair()
@@ -648,27 +675,30 @@ class TestExactFrontEnd:
 
         monkeypatch.setattr(rgsv.engine, "extract_basis", recording_extract)
         monkeypatch.setattr(np.linalg, "qr", checking_qr)
-        for solve in (compute_gsv, run):
-            bases.clear()
-            r_only.clear()
-            solve(pair, GsvOptions(extraction=cfg))
-            assert len(bases) == sketched and r_only == factored
+        solve = run(pair, GsvOptions(extraction=cfg))
+        assert len(bases) == sketched and r_only == factored
+        assert [res > 0 for res in solve.residuals] == [case == "tall_low_rank", False]
 
-    def test_run_peaks_at_most_one_band_above_the_solve(self):
-        # lowrank_tall's shape, 4000/4000/400: the banded residual of the
-        # sketched g1 adds at most one 1 MiB band to the solve's peak
+    def test_run_peaks_at_most_one_band_above_the_solve(self, monkeypatch):
+        # lowrank_tall's shape, 4000/4000/400: the banded explicit residual
+        # of the sketched g1 adds at most one 1 MiB band to the peak of the
+        # same solve with that residual not evaluated (its g1 converges
+        # either way, so both solves take the same steps)
         alphas = np.concatenate([np.linspace(0.99, 0.5, 40),
                                  1e-10 * np.geomspace(1.0, 1e-3, 360)])
         pair, _ = structured_pair(alphas, m=4000, p=4000, seed=99)
         opts = GsvOptions(extraction=ExtractionConfig(tol=1e-6 * frobenius_norm(pair.g1), seed=1))
-        peaks = []
-        for solve in (compute_gsv, run):
+        sum_sq, peaks = rgsv.core.sum_sq, []
+        for skipped in (True, False):
+            monkeypatch.setattr(rgsv.core, "sum_sq", lambda a, minus=None: (
+                0.0 if skipped and minus is not None else sum_sq(a, minus)))
             tracemalloc.start()
             try:
-                solve(pair, opts)
+                residuals = run(pair, opts).residuals
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
+        assert residuals[0] > 0
         assert peaks[1] <= peaks[0] + 2**20
 
     def test_stack_norms_take_one_svd_on_first_read(self, monkeypatch):

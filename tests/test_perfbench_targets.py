@@ -62,3 +62,37 @@ def test_bounds_enters_every_traced_span(tmp_path, monkeypatch):
     missed = [f"{owner.__name__}.{name}" for owner, name in owners
               if calls.get((owner, name), 0) < 1]
     assert not missed, missed
+
+
+def test_compare_solves_inside_the_traced_compute_gsv(tmp_path, monkeypatch):
+    # the tracer builds engine.* and rangefinder.* from the extract_basis,
+    # reduced_qr and svd spans whose parent is rgsv.analysis.compute_gsv,
+    # and engine.r/s from that span's spectrum: an in-process rgsv.compare
+    # and an `rgsv compare` must each solve inside exactly that span
+    import rgsv
+    from rgsv.cli import main
+
+    g1, g2 = rgsv.gaussian_matrix(40, 12, seed=63), rgsv.gaussian_matrix(30, 12, seed=64)
+    files = tmp_path / "g1.mtx", tmp_path / "g2.mtx"
+    rgsv.write_matrix(files[0], g1)
+    rgsv.write_matrix(files[1], g2)
+    argv = ["compare", "--g1", str(files[0]), "--g2", str(files[1]), "--seed", "65",
+            "-o", str(tmp_path / "report.json"), "--format", "json"]
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    try:
+        tr = importlib.import_module("tracing").Tracer()
+        with tr.operation("solve") as solve_root:
+            rgsv.compare(rgsv.GmpPair(g1, g2),
+                         rgsv.GsvOptions(extraction=rgsv.ExtractionConfig(seed=65)))
+        with tr.operation("cli") as cli_root:
+            assert main(argv) == 0
+    finally:
+        sys.modules.pop("tracing", None)
+    assert not tr.missing
+    for root in (solve_root, cli_root):
+        (solve,) = [i for i in tr.descendants(root) if tr.spans[i].name == "compute_gsv"]
+        assert tr.spans[tr.spans[solve].parent].name == "compare"
+        assert isinstance(tr.spans[solve].result, rgsv.GsvSpectrum)
+        inside = {tr.spans[i].name for i in tr.spans[solve].children}
+        assert {"extract_basis", "reduced_qr", "svd"} <= inside, inside

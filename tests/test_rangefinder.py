@@ -261,17 +261,20 @@ def test_residual_below_the_cancellation_floor_is_explicit(tail):
 
 
 def test_tolerance_above_the_floor_keeps_the_cumulative_estimate():
-    # at 1e-6 ||G||_F (67x the floor) every entry is ||G||_F^2 minus the
-    # captured energy of the kept blocks, also once it falls below the floor
+    # at 1e-6 ||G||_F (67x the floor) every entry but the last is ||G||_F^2
+    # minus the captured energy of the kept blocks, also once it falls below
+    # the floor; the last, which the estimate put at 0.0, is explicit
     g = _flat_tail_matrix(1e-10)
-    res = extract_basis(g, ExtractionConfig(tol=1e-6 * frobenius_norm(g), blocksize=10, seed=36))
+    nrm = frobenius_norm(g)
+    res = extract_basis(g, ExtractionConfig(tol=1e-6 * nrm, blocksize=10, seed=36))
     gf2 = sum_sq(g)
     parts, start = [], 0
-    for width in res.block_widths:
+    for width in res.block_widths[:-1]:
         parts.append(sum_sq(res.b[start:start + width]))
         start += width
         assert res.residual_history[len(parts)] == math.sqrt(max(gf2 - math.fsum(parts), 0.0))
-    assert res.residual_history[-1] < 1e-7 * frobenius_norm(g)  # below the floor
+    assert 0 < res.residual_history[-1] < 1e-7 * nrm  # below the floor
+    assert abs(res.residual_history[-1] - residual_norm(g, res.q)) <= 1e-12 * nrm
 
 
 def test_extraction_stops_at_the_trim_floor():
