@@ -93,9 +93,9 @@ def perturbation_bound(pair: GmpPair, pair_tilde: GmpPair | GsvRun) -> float:
     For an explicit ``pair_tilde`` E is summed one band of rows at a time
     (``core.sum_sq``), and ||A^+||_2 is the smaller of the two stacked
     pseudoinverse norms, each one SVD of its (m + p) x n stack on first
-    read. For a ``GsvRun`` of ``pair`` nothing is factored: A is the run's
-    projected stack, ||E||_F the hypot of its residuals and ||A^+||_2 =
-    1/sigma_min(R~). A rounding allowance sqrt(2) * n * eps *
+    read. For a ``GsvRun`` of ``pair`` only R~ is factored, on first read:
+    A is the run's projected stack, ||E||_F the hypot of its residuals and
+    ||A^+||_2 = 1/sigma_min(R~). A rounding allowance sqrt(2) * n * eps *
     sigma_max(R~)/sigma_min(R~) covers the floating-point solve of A, so a
     both-exact run is not certified at exactly 0.
     """

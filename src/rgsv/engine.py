@@ -9,16 +9,16 @@ the ``b`` rows (Q^H G) that extraction already formed, or, for a tall side
 that a sketch would not compress below a third of its columns, the R of an
 R-only QR (an exact side, with residual 0); ``run`` states the rule and its
 cost model. Each side sketches from its own random stream, spawned from the
-base seed. The rank test runs on the singular values of the stack's n x n R
-factor rather than on the (m + p) x n stack; a projection cannot raise
+base seed. The rank test runs on the stack's n x n R factor, by a shifted
+Cholesky that takes R's SVD only if it fails; a projection cannot raise
 rank, so a rank-deficient pair is still rejected. ``method="direct"`` runs
 the identical stacking code with no compression and serves as the oracle
 path. A run returns its spectrum with what its a-posteriori certificate
 ``bounds.perturbation_bound(pair, run(pair, opts))`` reads (Halko,
 Martinsson & Tropp 2011, 4.3): each sketched side's explicit residual
 ||G - QB||_F, which extraction reports as its last history entry, and the
-singular values of the compressed stack's R factor, which are those of the
-projected stack [Q1 B1; Q2 B2]. ``compute_gsv`` is the run's spectrum.
+compressed stack's R factor (its singular values, those of [Q1 B1; Q2 B2],
+are taken on first read). ``compute_gsv`` is the run's spectrum.
 ``recover_gsvd`` rebuilds the full factorization
 G1 = U diag(alpha) R, G2 = V diag(beta) R on demand from the same solve,
 which then keeps each side's Q, by one recovery, run on the mirrored pair
@@ -130,6 +130,23 @@ def _require_full_rank(s: np.ndarray, what: str) -> None:
         )
 
 
+def _rank_test(r: np.ndarray, what: str) -> None:
+    """``_require_full_rank`` of the stack's n x n R, whose SVD is taken only
+    if a Cholesky of R^H R - delta I fails, delta = 10 n eps tr(R^H R) =
+    20 n u ||R||_F^2 (u = eps/2), shifted in place. To first order (Higham
+    2002, 3.5, 3.6, 10.1), forming R^H R errs by (n + 2) u ||R||_F^2, the
+    shift by u ||R||_F^2, and a completed Cholesky is exact for a matrix
+    within (n + 2) u ||R||_F^2 (2-norms), so success proves sigma_min(R)^2 >=
+    (18 n - 5) u ||R||_F^2: sigma_min/sigma_max >= sqrt(13 n u) >> 1e-12."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the Cholesky
+        n, gram = r.shape[0], r.conj().T @ r
+        gram.flat[:: n + 1] -= 10 * n * np.finfo(np.float64).eps * float(np.trace(gram).real)
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        _require_full_rank(np.linalg.svd(r, compute_uv=False), what)
+
+
 @dataclass(frozen=True)
 class GsvSpectrum:
     """Paired GSV sequences with their block structure.
@@ -207,12 +224,16 @@ class GsvRun:
     """One solve (see ``run``): its spectrum, which ``compute_gsv``
     returns; the explicit residuals ||Gi - Qi Bi||_F, B = Q^H G, of its
     sides, the last entries of their extraction histories, 0 for an exact
-    side and for method="direct"; and the descending singular values of
-    its compressed stack's R factor, those of [Q1 B1; Q2 B2]."""
+    side and for method="direct"; and its compressed stack's n x n R
+    factor R~, whose singular values are those of [Q1 B1; Q2 B2]."""
 
     spectrum: GsvSpectrum
     residuals: tuple[float, float]
-    r_singular_values: np.ndarray
+    stack_r: np.ndarray
+
+    @functools.cached_property
+    def r_singular_values(self) -> np.ndarray:
+        return np.linalg.svd(self.stack_r, compute_uv=False)
 
 
 def classify_spectrum(alphas, betas, classify_tol: float = 1e-10) -> GsvSpectrum:
@@ -357,7 +378,7 @@ def _front_end(g: np.ndarray, cfg: ExtractionConfig, shortcut: bool, keep_q: boo
     if basis is None:
         if keep_q:
             return *core.reduced_qr(g), 0.0, None
-        return None, np.linalg.qr(g, mode="r"), 0.0, None  # LAPACK geqrf: Q is never formed
+        return None, core.r_factor(g), 0.0, None
     normf, res = basis.residual_history[0], basis.residual_history[-1]
     note = None
     if basis.b.shape[0] == cfg.max_cols and not basis.converged and res >= cfg.trim_tol * normf:
@@ -390,10 +411,10 @@ def _run_pipeline(pair: GmpPair, opts: GsvOptions, keep_q: bool):
     stack = np.vstack([c1, c2])
     c1 = c2 = None  # the blocks are not alive beside the stack's QR
     qf = core.reduced_qr(stack)
-    sv = np.linalg.svd(qf.r, compute_uv=False)
-    _require_full_rank(sv, "stacked pair" if opts.method == DIRECT else "compressed stacked pair")
+    del stack  # nor is the stack beside the rank test
+    _rank_test(qf.r, "stacked pair" if opts.method == DIRECT else "compressed stacked pair")
     spec = spectrum_from_l_blocks(qf.q[:l1], qf.q[l1:], n, opts.classify_tol)
-    return GsvRun(spec, (res1, res2), sv), q1, q2, qf, l1
+    return GsvRun(spec, (res1, res2), qf.r), q1, q2, qf, l1
 
 
 def compute_gsv(pair: GmpPair, opts: GsvOptions | None = None) -> GsvSpectrum:
@@ -426,11 +447,11 @@ def run(pair: GmpPair, opts: GsvOptions | None = None) -> GsvRun:
     the residual) but stops as soon as the kept columns plus the columns
     the residual still predicts exceed cross. A probe that converges is
     the side's sketch; any other is dropped and the side goes exact: its
-    compressed block is the n x n R of an R-only Householder QR, Q is
-    never formed and the residual is 0. A full-rank side therefore pays
-    one first block before its QR. Since a solve needs l1 + l2 >= n rows,
-    an eligible g2 with n - l1 >= cross would keep at least cross columns,
-    so it goes exact without a probe.
+    compressed block is the n x n R of an R-only Householder QR
+    (``core.r_factor``), Q is never formed and the residual is 0. A
+    full-rank side therefore pays one first block before its QR. Since a
+    solve needs l1 + l2 >= n rows, an eligible g2 with n - l1 >= cross
+    would keep at least cross columns, so it goes exact without a probe.
 
     Cost model: a sketch keeping k columns of an m x n side costs about
     4 m n k flops (G Omega, P^H G and two reorthogonalization passes),
@@ -456,12 +477,11 @@ def run(pair: GmpPair, opts: GsvOptions | None = None) -> GsvRun:
     ``bounds.perturbation_bound(pair, run)`` bounds the deviation of
     ``run.spectrum`` from the pair's own GSVs.
 
-    Memory. No sketched basis Q, discarded sketch or compressed block is
-    held past its last reader, so at its peak a solve holds the pair, the
-    rows compressed so far and the working copy of one step: for a tall
-    exact side, the copy of that side that its R-only QR factors. A
-    sketch's explicit residual is taken inside extraction, one band of
-    rows at a time, so it forms no m x n temporary.
+    Memory. No sketched basis Q, discarded sketch, compressed block or stack
+    is held past its last reader, so a solve peaks at the pair, the rows
+    compressed so far and one step's working copy: for an exact side, the
+    copy its R-only QR factors ((m + 3n)/2 rows from m >= 8 n on,
+    ``core.r_factor``); a sketch's explicit residual adds one band of rows.
 
     Raises RankDeficiencyError when the stacked pair, or on the
     randomized path the compressed pair (fewer than n rows, or

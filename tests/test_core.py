@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ from rgsv import (
     reduced_qr,
     svd,
 )
+from rgsv import core
 from rgsv.core import row_bands, sum_sq
 
 
@@ -129,6 +131,50 @@ class TestReducedQr:
         m = u @ u.T  # rank 1, 20 x 20
         q, r = reduced_qr(m)
         assert np.linalg.norm(q @ r - m) <= 1e-12 * np.linalg.norm(m)
+
+
+class TestRFactor:
+    """r_factor: one R-only QR below 8 n rows, two row blocks from there."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("rows,split", [(8 * 20 - 1, False), (8 * 20, True), (10 * 20, True)])
+    def test_matches_one_r_only_qr(self, rows, split, field, monkeypatch):
+        g = gaussian_matrix(rows, 20, seed=40, field=field)
+        want = np.linalg.svd(np.linalg.qr(g, mode="r"), compute_uv=False)
+        qr, calls = np.linalg.qr, []
+
+        def recording_qr(a, mode="reduced"):
+            calls.append((a.shape[0], mode))
+            return qr(a, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "qr", recording_qr)
+        r = core.r_factor(g)
+        assert r.shape == (20, 20) and np.all(r[np.tril_indices(20, -1)] == 0)
+        got = np.linalg.svd(r, compute_uv=False)
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+        top = (rows + 20) // 2
+        blocks = [(top, "r"), (rows - top, "r"), (40, "r")] if split else [(rows, "r")]
+        assert calls == blocks
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_rank_deficient_tall_side(self, field):
+        g = gaussian_matrix(300, 5, seed=41, field=field) @ gaussian_matrix(5, 20, seed=42, field=field)
+        want = np.linalg.svd(np.linalg.qr(g, mode="r"), compute_uv=False)
+        got = np.linalg.svd(core.r_factor(g), compute_uv=False)
+        assert np.all(np.abs(got - want) <= 1e-13 * want[0])
+        assert got[5] <= 1e-13 * got[0]
+
+    def test_holds_less_than_a_copy_of_its_input(self):
+        # one R-only QR copies the whole 4000 x 400 side (1.11 g.nbytes at
+        # its peak); two blocks peak at the copy of (m + 3n)/2 rows, 0.66
+        g = gaussian_matrix(4000, 400, seed=43)
+        tracemalloc.start()
+        try:
+            core.r_factor(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.7 * g.nbytes
 
 
 class TestSvd:

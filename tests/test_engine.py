@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 import warnings
 import weakref
 
@@ -329,6 +328,61 @@ class TestGsvRun:
         assert spectrum_gap(solve.spectrum, projected) <= 1e-12
 
 
+class TestRankTest:
+    """The stack's R is tested by a shifted Cholesky; it takes an SVD only
+    when that fails, or when the certificate reads its singular values."""
+
+    @staticmethod
+    def _record_svd(monkeypatch):
+        """The first argument of every np.linalg.svd call."""
+        args, svd = [], np.linalg.svd
+
+        def recording_svd(a, *rest, **kwargs):
+            args.append(a)
+            return svd(a, *rest, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        return args
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("method", ["randomized", "direct"])
+    def test_healthy_stack_takes_the_svd_of_r_only_on_read(self, method, field, monkeypatch):
+        pair = random_pair(60, 50, 30, seed=72, field=field)
+        args = self._record_svd(monkeypatch)
+        solve = run(pair, GsvOptions(method=method, extraction=ExtractionConfig(seed=73)))
+        assert not any(a is solve.stack_r for a in args)
+        sv = solve.r_singular_values
+        assert solve.r_singular_values is sv
+        assert sum(a is solve.stack_r for a in args) == 1
+        assert np.array_equal(sv, np.linalg.svd(solve.stack_r, compute_uv=False))
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("ratio", [1e-9, 1e-13])
+    def test_ill_conditioned_stack_takes_the_svd(self, ratio, field, monkeypatch):
+        # the direct stack [G1; 0] has G1's singular values geomspace(1, ratio):
+        # at 1e-9 the Cholesky fails and the SVD passes the 1e-12 rule
+        n = 12
+        u = reduced_qr(gaussian_matrix(40, n, seed=70, field=field)).q
+        v = reduced_qr(gaussian_matrix(n, n, seed=71, field=field)).q
+        pair = GmpPair((u * np.geomspace(1.0, ratio, n)) @ v.conj().T, np.zeros((6, n)))
+        args = self._record_svd(monkeypatch)
+        if ratio < 1e-12:
+            with pytest.raises(RankDeficiencyError):
+                compute_gsv(pair, GsvOptions(method="direct"))
+        else:
+            assert compute_gsv(pair, GsvOptions(method="direct")).r == n
+        assert [np.shape(a) for a in args].count((n, n)) == 1
+
+    def test_gram_overflow_takes_the_svd_without_a_warning(self):
+        # R^H R overflows at entries near 1e200; the Cholesky then fails
+        # quietly and the SVD decides
+        pair = random_pair(40, 30, 10, seed=74)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = compute_gsv(GmpPair(1e200 * pair.g1, 1e200 * pair.g2), GsvOptions(method="direct"))
+        assert spectrum_gap(got, compute_gsv(pair, GsvOptions(method="direct"))) <= 1e-12
+
+
 class TestRecoverGsvd:
     @staticmethod
     def _check_factors(pair, fac, tol=1e-8):
@@ -555,22 +609,22 @@ class TestExactFrontEnd:
     @staticmethod
     def _record(monkeypatch):
         """The (matrix, max_cols, probe, block widths kept) of every
-        extraction the engine runs, and the row counts of every R-only QR."""
+        extraction the engine runs, and the row counts of every side it
+        factors R-only."""
         calls, r_only = [], []
-        extract, qr = rgsv.engine.extract_basis, np.linalg.qr
+        extract, r_factor = rgsv.engine.extract_basis, rgsv.core.r_factor
 
         def recording_extract(g, cfg, probe=False):
             basis = extract(g, cfg, probe=probe)
             calls.append((g, cfg.max_cols, probe, basis.block_widths))
             return basis
 
-        def recording_qr(a, mode="reduced"):
-            if mode == "r":
-                r_only.append(a.shape[0])
-            return qr(a, mode=mode)
+        def recording_r_factor(g):
+            r_only.append(g.shape[0])
+            return r_factor(g)
 
         monkeypatch.setattr(rgsv.engine, "extract_basis", recording_extract)
-        monkeypatch.setattr(np.linalg, "qr", recording_qr)
+        monkeypatch.setattr(rgsv.core, "r_factor", recording_r_factor)
         return calls, r_only
 
     @staticmethod
@@ -660,46 +714,23 @@ class TestExactFrontEnd:
             pair, _ = structured_pair(alphas, m=150, p=130, seed=91)
             sketched, factored = 2, [pair.m, pair.p]
         bases, r_only = [], []
-        extract, qr = rgsv.engine.extract_basis, np.linalg.qr
+        extract, r_factor = rgsv.engine.extract_basis, rgsv.core.r_factor
 
         def recording_extract(g, cfg, probe=False):
             basis = extract(g, cfg, probe=probe)
             bases.append(weakref.ref(basis.q))
             return basis
 
-        def checking_qr(a, mode="reduced"):
-            if mode == "r":
-                assert all(ref() is None for ref in bases), "a basis outlives its last reader"
-                r_only.append(a.shape[0])
-            return qr(a, mode=mode)
+        def checking_r_factor(g):
+            assert all(ref() is None for ref in bases), "a basis outlives its last reader"
+            r_only.append(g.shape[0])
+            return r_factor(g)
 
         monkeypatch.setattr(rgsv.engine, "extract_basis", recording_extract)
-        monkeypatch.setattr(np.linalg, "qr", checking_qr)
+        monkeypatch.setattr(rgsv.core, "r_factor", checking_r_factor)
         solve = run(pair, GsvOptions(extraction=cfg))
         assert len(bases) == sketched and r_only == factored
         assert [res > 0 for res in solve.residuals] == [case == "tall_low_rank", False]
-
-    def test_run_peaks_at_most_one_band_above_the_solve(self, monkeypatch):
-        # lowrank_tall's shape, 4000/4000/400: the banded explicit residual
-        # of the sketched g1 adds at most one 1 MiB band to the peak of the
-        # same solve with that residual not evaluated (its g1 converges
-        # either way, so both solves take the same steps)
-        alphas = np.concatenate([np.linspace(0.99, 0.5, 40),
-                                 1e-10 * np.geomspace(1.0, 1e-3, 360)])
-        pair, _ = structured_pair(alphas, m=4000, p=4000, seed=99)
-        opts = GsvOptions(extraction=ExtractionConfig(tol=1e-6 * frobenius_norm(pair.g1), seed=1))
-        sum_sq, peaks = rgsv.core.sum_sq, []
-        for skipped in (True, False):
-            monkeypatch.setattr(rgsv.core, "sum_sq", lambda a, minus=None: (
-                0.0 if skipped and minus is not None else sum_sq(a, minus)))
-            tracemalloc.start()
-            try:
-                residuals = run(pair, opts).residuals
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert residuals[0] > 0
-        assert peaks[1] <= peaks[0] + 2**20
 
     def test_stack_norms_take_one_svd_on_first_read(self, monkeypatch):
         # no solve fills the pair's stack norms, not even one whose R has the

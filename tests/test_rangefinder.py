@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from _util import structured_pair
 
 from rgsv import (
     BasisResult,
@@ -14,7 +15,7 @@ from rgsv import (
     gaussian_matrix,
     residual_norm,
 )
-from rgsv import core
+from rgsv import core, rangefinder
 from rgsv.core import reduced_qr, sum_sq
 
 
@@ -84,6 +85,55 @@ def test_orthogonality_drift_bounded():
     l = res.q.shape[1]
     gram = res.q.conj().T @ res.q - np.eye(l)
     assert np.linalg.norm(gram) <= 1e-11 * math.sqrt(l)
+
+
+def _lowrank_tall_g1():
+    """lowrank_tall's g1 (4000 x 400, 40 GSVs over a 1e-10 tail) at tol
+    1e-6 ||G1||_F: its second block keeps 26 columns whose R diagonal
+    spans 4e9."""
+    alphas = np.concatenate([np.linspace(0.99, 0.5, 40), 1e-10 * np.geomspace(1.0, 1e-3, 360)])
+    g = structured_pair(alphas, m=4000, p=400, seed=1)[0].g1
+    return g, ExtractionConfig(tol=1e-6 * frobenius_norm(g), seed=1)
+
+
+@pytest.mark.parametrize("case", ["lowrank_tall", "item1_real", "item1_complex"])
+def test_basis_is_orthonormal_to_working_precision(case):
+    # a panel projected twice keeps columns near the trim floor whose R
+    # diagonal spans 1e9 and more; without a third pass Q loses
+    # orthogonality (1.2e-6 on lowrank_tall, 1.6e-4 on the complex 120 x 100
+    # case) and ||G - QB||_F is no projection residual
+    if case == "lowrank_tall":
+        g, cfg = _lowrank_tall_g1()
+    else:
+        alphas = np.concatenate([np.linspace(0.99, 0.3, 40), np.full(20, 1e-9)])
+        g = structured_pair(alphas, 120, 100, seed=110, field=case.split("_")[1])[0].g1
+        cfg = ExtractionConfig(tol=10 * 1e-9 * frobenius_norm(g))
+    res = extract_basis(g, cfg)
+    k = res.q.shape[1]
+    assert np.linalg.norm(res.q.conj().T @ res.q - np.eye(k)) <= 10 * k * np.finfo(float).eps
+    assert residual_norm(g, res.q) <= 1e-9 * frobenius_norm(g)
+    if case != "lowrank_tall":
+        assert res.converged and res.block_widths == [32, 28]
+
+
+def test_explicit_residual_adds_one_band_to_the_peak(monkeypatch):
+    # the last entry ||G - QB||_F is taken in one reused band of rows
+    # (at most 1 MiB) with its per-band partials: against the same
+    # extraction with that evaluation stubbed, the peak rises by no more
+    # (two bands when the product and the difference are formed apart)
+    g, cfg = _lowrank_tall_g1()
+    evaluate, peaks = rangefinder._explicit_residual, []
+    for stubbed in (True, False):
+        monkeypatch.setattr(rangefinder, "_explicit_residual",
+                            (lambda a, q, c: 0.0) if stubbed else evaluate)
+        tracemalloc.start()
+        try:
+            res = extract_basis(g, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert res.residual_history[-1] > 0
+    assert peaks[1] <= peaks[0] + 2**20 + 2**16
 
 
 def test_trim_disabled_keeps_all_sampled_columns():
@@ -203,6 +253,16 @@ class TestResidualNorm:
         g = gaussian_matrix(6, 4, seed=28)
         with pytest.raises(DimensionError):
             residual_norm(g, np.zeros((5, 2)))
+
+    @pytest.mark.parametrize("fields", [("real", "real"), ("complex", "complex"),
+                                        ("real", "complex")])
+    def test_any_memory_layout_and_field(self, fields):
+        # the band buffer is row-major whatever the layout of g and q, and
+        # complex when either is
+        g = np.asfortranarray(gaussian_matrix(300, 40, seed=31, field=fields[0]))
+        q = np.asfortranarray(reduced_qr(gaussian_matrix(300, 7, seed=32, field=fields[1])).q)
+        want = np.linalg.norm(g - q @ (q.conj().T @ g))
+        assert abs(residual_norm(g, q) - want) <= 1e-13 * want
 
     def test_forms_no_full_size_residual(self):
         # the residual is summed one band of rows at a time: no 4000 x 400
