@@ -110,8 +110,8 @@ def perturbation_bound(pair: GmpPair, pair_tilde: GmpPair | GsvRun) -> float:
     # a pseudoinverse norm factors its stack; read both before any
     # difference band exists
     pinv_norm = min(pair.stack_pinv_norm, pair_tilde.stack_pinv_norm)
-    dsq = (core.sum_sq(pair_tilde.g1, lambda band: pair.g1[band])
-           + core.sum_sq(pair_tilde.g2, lambda band: pair.g2[band]))
+    dsq = sum(core.sum_sq(t, lambda band, out, g=g: np.copyto(out, g[band]), g.dtype)
+              for t, g in ((pair_tilde.g1, pair.g1), (pair_tilde.g2, pair.g2)))
     return math.sqrt(2.0) * math.sqrt(dsq) * pinv_norm
 
 

@@ -100,10 +100,10 @@ def reduced_qr(m) -> QrFactors:
         ph = np.where(absd > 0, d / np.where(absd > 0, absd, 1.0), 1.0)
     else:
         ph = np.where(d < 0.0, -1.0, 1.0)
-    # rebind q before scaling r: LAPACK's unscaled Q is then freed first,
-    # which keeps it out of the peak of a stacked QR
-    q = q * ph
-    r = r * np.conj(ph)[:, None]
+    # scale in place: no Q-sized product beside LAPACK's Q, which keeps
+    # one Q out of the peak of a stacked QR
+    q *= ph
+    r *= np.conj(ph)[:, None]
     return QrFactors(q, r)
 
 
@@ -139,12 +139,6 @@ def svd(m, compute_uv: bool = True) -> SvdFactors:
     return SvdFactors(u, s, vh.conj().T)
 
 
-def _squared_entries(a: np.ndarray) -> np.ndarray:
-    if np.iscomplexobj(a):
-        return np.square(a.real) + np.square(a.imag)
-    return np.square(a)
-
-
 def row_bands(a: np.ndarray) -> list[slice]:
     """Slices of consecutive rows of ``a``, in order and covering them all,
     each band at most 1 MiB: a loop over them forms no temporary as large
@@ -154,21 +148,35 @@ def row_bands(a: np.ndarray) -> list[slice]:
     return [slice(i, i + step) for i in range(0, a.shape[0], step)]
 
 
-def sum_sq(a: np.ndarray, minus=None) -> float:
+def sum_sq(a: np.ndarray, minus=None, dtype=np.float64) -> float:
     """Compensated sum of squared entry magnitudes of ``a``, or of
-    ``a - minus(band)`` when ``minus`` gives the rows to subtract from each
-    band of rows (``row_bands``) of ``a``, as for a difference of two pairs.
+    ``a - M`` when ``minus(band, out)`` writes the rows ``band`` of M, of
+    dtype ``dtype``, into ``out``.
 
-    Each band gives per-column sums; all partials are combined exactly
-    with math.fsum, so no temporary as large as ``a`` is formed and
-    repeated accumulation of many small blocks does not drift.
+    Each band of rows (``row_bands``) is copied, or M's rows written and
+    subtracted, in one reused buffer of the result dtype, and squared
+    there; the per-column partials are combined exactly with math.fsum, so
+    no temporary as large as ``a`` is formed and repeated accumulation of
+    many small blocks does not drift. Its callers: ``frobenius_norm``;
+    ``extract_basis`` for ||G||_F^2, the captured energy and ||G - QB||_F,
+    which ``residual_norm`` also takes; and ``perturbation_bound`` for the
+    difference of two pairs, so every explicit residual is taken here.
     """
-    def rows(band):
-        return a[band] if minus is None else a[band] - minus(band)
-
-    return float(math.fsum(
-        x for band in row_bands(a) for x in np.atleast_1d(_squared_entries(rows(band)).sum(axis=0))
-    ))
+    bands = row_bands(a)
+    if not bands:
+        return 0.0
+    buf = np.empty(a[bands[0]].shape, np.result_type(a, dtype))
+    parts = []
+    for band in bands:
+        d = buf[: a[band].shape[0]]
+        if minus is None:
+            np.copyto(d, a[band])
+        else:
+            minus(band, d)
+            np.subtract(a[band], d, out=d)
+        d = d.view(np.float64)  # complex as (re, im) pairs
+        parts.append(np.square(d, out=d).sum(axis=0))
+    return math.fsum(x for part in parts for x in np.atleast_1d(part))
 
 
 def frobenius_norm(m) -> float:

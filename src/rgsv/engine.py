@@ -481,7 +481,9 @@ def run(pair: GmpPair, opts: GsvOptions | None = None) -> GsvRun:
     is held past its last reader, so a solve peaks at the pair, the rows
     compressed so far and one step's working copy: for an exact side, the
     copy its R-only QR factors ((m + 3n)/2 rows from m >= 8 n on,
-    ``core.r_factor``); a sketch's explicit residual adds one band of rows.
+    ``core.r_factor``); for a sketch, its basis and rows, whose every
+    explicit residual (``core.sum_sq``) adds one band of rows and keeps no
+    copy of G.
 
     Raises RankDeficiencyError when the stacked pair, or on the
     randomized path the compressed pair (fewer than n rows, or

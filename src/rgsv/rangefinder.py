@@ -18,13 +18,14 @@ P^H G, which give the captured energy and are returned as
 callers need not form Q^H G again. The squared residual is maintained
 cumulatively as ||G||_F^2 minus the captured energy, which keeps each
 iteration at O(m*n*b). That difference cancels below about
-sqrt(eps) ||G||_F, so when tol is no more than 10x that floor, a residual
-estimated below 10 sqrt(eps) ||G||_F is replaced by the explicit
-||G - QB||_F (one O(m*n*k) product, then O(m*n*b) per block) for both
-the history entry and the stop test. The last entry is explicit at any
-tol: ||G - QB||_F is taken once after the loop, one band of rows at a
-time, unless it already is, and ``converged`` is read from it.
-``residual_norm`` is the explicit reference evaluation.
+sqrt(eps) ||G||_F, so when tol is no more than 10x that floor, once the
+estimate falls below 10 sqrt(eps) ||G||_F, that history entry and every
+later one is the explicit ||G - QB||_F (O(m*n*k) each), and so is what
+the stop test reads. The last entry is explicit at any tol, taken after
+the loop unless it already is, and ``converged`` is read from it. Every
+explicit residual, that of ``residual_norm`` too, is ``core.sum_sq`` of
+G - QB, one band of rows of QB at a time, so extraction holds no array
+as large as G.
 """
 
 from __future__ import annotations
@@ -92,10 +93,12 @@ class BasisResult:
     q is the m x k orthonormal basis and b = q^H g its k x n compressed
     rows, formed block by block while the residual was tracked.
     residual_history[i] is the Frobenius residual after i iterations
-    (entry 0 is the residual of the empty basis, ||G||_F), and the last is
-    the explicit ||G - QB||_F but on a probe stopped on its budget;
-    block_widths records how many columns each iteration contributed after
-    trimming.
+    (entry 0 is the residual of the empty basis, ||G||_F): ||G||_F^2 minus
+    the captured energy until that falls below the cancellation floor with
+    tol, and from then on the explicit ||G - QB||_F over the basis of that
+    iteration. The last entry is explicit but on a probe stopped on its
+    budget; block_widths records how many columns each iteration
+    contributed after trimming.
     """
 
     q: np.ndarray
@@ -155,7 +158,7 @@ def extract_basis(g, cfg: ExtractionConfig | None = None, *, probe: bool = False
 
     rng = core.seeded_rng(cfg.seed)
     floor = _CANCELLATION_MARGIN * math.sqrt(np.finfo(np.float64).eps) * normf
-    explicit = None  # G - QB, once the residual is evaluated explicitly
+    explicit = False  # whether each entry is ||G - QB||_F, once below the floor
     captured_parts: list[float] = []
     converged = over_budget = False
     kept = sampled = 0
@@ -186,16 +189,11 @@ def extract_basis(g, cfg: ExtractionConfig | None = None, *, probe: bool = False
             blocks.append(p)
             rows.append(bp)
             kept += p.shape[1]
-            if explicit is not None:
-                _subtract_product(explicit, p, bp)
         widths.append(p.shape[1])
         res = math.sqrt(max(gf2 - math.fsum(captured_parts), 0.0))
-        if explicit is None and tol <= floor and res < floor:
-            explicit = a.copy()
-            for qb, rb in zip(blocks, rows):
-                _subtract_product(explicit, qb, rb)
-        if explicit is not None:
-            res = math.sqrt(core.sum_sq(explicit))
+        explicit = explicit or (tol <= floor and res < floor)
+        if explicit:
+            res = _residual(a, blocks, rows)
         history.append(res)
         if res < tol:
             converged = True
@@ -211,11 +209,9 @@ def extract_basis(g, cfg: ExtractionConfig | None = None, *, probe: bool = False
         if max_cols is not None and kept >= max_cols:
             break
 
-    estimated = explicit is None and not over_budget
-    explicit = None  # not alive beside both copies of Q in _join
     q, c = _join(blocks, rows, a)
-    if estimated:
-        history[-1] = _explicit_residual(a, q, c)
+    if not explicit and not over_budget:
+        history[-1] = _residual(a, [q], [c])
         converged = history[-1] < tol
     return BasisResult(q, c, history, converged, len(widths), widths)
 
@@ -236,23 +232,16 @@ def _predicted_need(excess: float, block_rows: np.ndarray, n: int) -> int:
     return max(1, math.ceil(excess / smin2))
 
 
-def _subtract_product(out: np.ndarray, p: np.ndarray, b: np.ndarray) -> None:
-    """out -= p @ b, one band of rows (``core.row_bands``) at a time, so
-    that no product as large as out is formed beside it."""
-    for band in core.row_bands(out):
-        out[band] -= p[band] @ b
+def _residual(a: np.ndarray, blocks: list[np.ndarray], rows: list[np.ndarray]) -> float:
+    """||A - QB||_F for Q = [blocks] and B = [rows] (at least one of each):
+    each band of rows of QB is formed in ``core.sum_sq``'s one buffer,
+    block by block, so neither Q nor B is joined for it."""
+    def minus(band, out):
+        np.matmul(blocks[0][band], rows[0], out=out)
+        for qb, rb in zip(blocks[1:], rows[1:]):
+            out += qb[band] @ rb
 
-
-def _explicit_residual(a: np.ndarray, q: np.ndarray, c: np.ndarray) -> float:
-    """||A - QC||_F, each row band formed and squared in one reused buffer."""
-    bands = core.row_bands(a)
-    buf = np.empty(a[bands[0]].shape, np.result_type(a, q, c))
-    parts = []
-    for band in bands:
-        d = np.matmul(q[band], c, out=buf[: a[band].shape[0]])
-        d = np.subtract(a[band], d, out=d).view(np.float64)  # complex as (re, im) pairs
-        parts.append(np.square(d, out=d).sum(axis=0))
-    return math.sqrt(math.fsum(x for part in parts for x in part))
+    return math.sqrt(core.sum_sq(a, minus, rows[0].dtype))
 
 
 def _join(blocks: list[np.ndarray], rows: list[np.ndarray], a: np.ndarray):
@@ -271,7 +260,7 @@ def residual_norm(g, q) -> float:
     """Explicit evaluation of ||(I - QQ^H)G||_F.
 
     This is the non-cumulative reference; an empty basis returns ||G||_F.
-    It is taken in one reused band of rows (``_explicit_residual``).
+    It is taken in one reused band of rows (``core.sum_sq``).
     """
     a = core.as_matrix(g, "g")
     qa = np.asarray(q)
@@ -281,4 +270,4 @@ def residual_norm(g, q) -> float:
         raise DimensionError(
             f"q has {qa.shape[0]} rows but g has {a.shape[0]}"
         )
-    return _explicit_residual(a, qa, qa.conj().T @ a)
+    return _residual(a, [qa], [qa.conj().T @ a])

@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from _util import structured_pair
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rgsv import (
     BasisResult,
@@ -15,7 +17,7 @@ from rgsv import (
     gaussian_matrix,
     residual_norm,
 )
-from rgsv import core, rangefinder
+from rgsv import core
 from rgsv.core import reduced_qr, sum_sq
 
 
@@ -117,15 +119,18 @@ def test_basis_is_orthonormal_to_working_precision(case):
 
 
 def test_explicit_residual_adds_one_band_to_the_peak(monkeypatch):
-    # the last entry ||G - QB||_F is taken in one reused band of rows
-    # (at most 1 MiB) with its per-band partials: against the same
-    # extraction with that evaluation stubbed, the peak rises by no more
-    # (two bands when the product and the difference are formed apart)
+    # the last entry ||G - QB||_F is taken by core.sum_sq in one reused
+    # band of rows (at most 1 MiB) with its per-band partials: against the
+    # same extraction with that difference stubbed, the peak rises by no
+    # more (two bands when the product and the difference are formed apart)
     g, cfg = _lowrank_tall_g1()
-    evaluate, peaks = rangefinder._explicit_residual, []
+    kernel, peaks = core.sum_sq, []
+
+    def stub(a, minus=None, dtype=None):
+        return kernel(a) if minus is None else 0.0
+
     for stubbed in (True, False):
-        monkeypatch.setattr(rangefinder, "_explicit_residual",
-                            (lambda a, q, c: 0.0) if stubbed else evaluate)
+        monkeypatch.setattr(core, "sum_sq", stub if stubbed else kernel)
         tracemalloc.start()
         try:
             res = extract_basis(g, cfg)
@@ -300,12 +305,16 @@ def test_compressed_rows_match_q_adjoint_g(field):
     assert np.linalg.norm(res.b - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
+def _side(m, n, s, seed, field="real"):
+    """An m x n matrix with singular values s and random singular vectors."""
+    u = reduced_qr(gaussian_matrix(m, s.size, seed=seed, field=field)).q
+    v = reduced_qr(gaussian_matrix(n, s.size, seed=seed + 1, field=field)).q
+    return (u * s) @ v.conj().T
+
+
 def _flat_tail_matrix(tail):
     # 20 unit singular values over 280 equal tail values, 600 x 300
-    s = np.concatenate([np.ones(20), np.full(280, tail)])
-    u = reduced_qr(gaussian_matrix(600, 300, seed=33)).q
-    v = reduced_qr(gaussian_matrix(300, 300, seed=34)).q
-    return (u * s) @ v.T
+    return _side(600, 300, np.concatenate([np.ones(20), np.full(280, tail)]), 33)
 
 
 @pytest.mark.parametrize("tail", [1e-8, 1e-9])
@@ -318,6 +327,60 @@ def test_residual_below_the_cancellation_floor_is_explicit(tail):
     explicit = residual_norm(g, res.q)
     assert abs(res.residual_history[-1] - explicit) <= 1e-12 * frobenius_norm(g)
     assert res.converged and explicit <= 1e-10 * frobenius_norm(g)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_explicit_residual_below_the_floor_keeps_no_copy_of_g(field):
+    # the estimate crosses the cancellation floor after the first block, so
+    # every later entry is ||G - QB||_F over the basis of its iteration,
+    # taken one band of rows at a time; a maintained G - QB held a copy of
+    # G and put the peak at 1.87 g.nbytes
+    g = _side(2000, 400, np.concatenate([np.linspace(1.0, 0.5, 30), np.full(20, 1e-8)]), 45, field)
+    nrm = frobenius_norm(g)
+    tracemalloc.start()
+    try:
+        res = extract_basis(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.converged and res.block_widths == [32, 18]
+    assert res.residual_history[1] < 10 * math.sqrt(np.finfo(float).eps) * nrm  # below the floor
+    assert peak < g.nbytes
+    for entry, cols in zip(res.residual_history[1:], np.cumsum(res.block_widths)):
+        assert abs(entry - residual_norm(g, res.q[:, :cols])) <= 1e-12 * nrm
+
+
+@st.composite
+def _extractions(draw):
+    """A matrix of at most 600 x 300 whose leading singular values lie on
+    [0.5, 1] and the rest on a flat tail at a drawn multiple of ||G||_F,
+    on either side of the cancellation floor (1.5e-7 ||G||_F), and an
+    ExtractionConfig."""
+    m, n = draw(st.integers(40, 600)), draw(st.integers(40, 300))
+    rank = min(m, n)
+    head = draw(st.integers(1, 39))
+    field = draw(st.sampled_from(["real", "complex"]))
+    s = np.linspace(1.0, 0.5, head)
+    rel = draw(st.sampled_from([1e-6, 1e-8, 1e-9, 1e-12]))
+    s = np.concatenate([s, np.full(rank - head, rel * np.linalg.norm(s))])
+    g = _side(m, n, s, draw(st.integers(0, 2**16)), field)
+    tol = draw(st.sampled_from([None, 1e-6 * frobenius_norm(g)]))
+    max_cols = draw(st.sampled_from([None, None, draw(st.integers(1, rank))]))
+    return g, ExtractionConfig(tol=tol, max_cols=max_cols, seed=draw(st.integers(0, 2**16)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_extractions())
+def test_last_entry_is_the_explicit_residual(case):
+    # whichever way the loop stops (tol, the trim floor, n sampled or
+    # max_cols) and on either side of the floor, the last entry is
+    # ||G - QB||_F, converged is read from it, and b is Q^H G
+    g, cfg = case
+    res = extract_basis(g, cfg)
+    nrm = frobenius_norm(g)
+    assert abs(res.residual_history[-1] - residual_norm(g, res.q)) <= 1e-12 * nrm
+    assert res.converged == (res.residual_history[-1] < cfg.tol_for(nrm))
+    assert np.linalg.norm(res.b - res.q.conj().T @ g) <= 1e-12 * nrm
 
 
 def test_tolerance_above_the_floor_keeps_the_cumulative_estimate():
@@ -353,7 +416,7 @@ def test_block_widths_follow_the_residual(monkeypatch):
     # the first block is min(32, blocksize) wide; after a block kept whole
     # the next is min(blocksize, ceil((res^2 - tol^2) / smin(P^H G)^2) + 10)
     # criterion 10's spectrum: 40 values in [0.5, 1] above a 1e-10 tail
-    g = _decaying_matrix(np.concatenate([np.linspace(1.0, 0.5, 40), np.full(80, 1e-10)]))
+    g = _side(300, 120, np.concatenate([np.linspace(1.0, 0.5, 40), np.full(80, 1e-10)]), 41)
     draws, draw = [], core.gaussian_block
 
     def recording(rng, rows, cols, field="real"):
@@ -368,12 +431,6 @@ def test_block_widths_follow_the_residual(monkeypatch):
     need = math.ceil((res.residual_history[1] ** 2 - tol**2) / smin**2)
     assert draws[1] == min(100, need + 10) < 120 - 32
     assert sum(draws) < 100  # a fixed 100-column block would sample 100
-
-
-def _decaying_matrix(s):
-    u = reduced_qr(gaussian_matrix(300, s.size, seed=41)).q
-    v = reduced_qr(gaussian_matrix(s.size, s.size, seed=42)).q
-    return (u * s) @ v.T
 
 
 def test_probe_stops_once_its_basis_would_not_fit():
