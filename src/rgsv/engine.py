@@ -101,7 +101,7 @@ class GmpPair:
 
     @functools.cached_property
     def _stack_extremes(self) -> tuple[float, float]:
-        s = np.linalg.svd(self.stacked(), compute_uv=False)
+        s = core.svd(self.stacked(), compute_uv=False).s
         _require_full_rank(s, "stacked pair")
         return float(s[0]), float(s[-1])
 
@@ -144,7 +144,7 @@ def _rank_test(r: np.ndarray, what: str) -> None:
     try:
         np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
-        _require_full_rank(np.linalg.svd(r, compute_uv=False), what)
+        _require_full_rank(core.svd(r, compute_uv=False).s, what)
 
 
 @dataclass(frozen=True)
@@ -233,7 +233,7 @@ class GsvRun:
 
     @functools.cached_property
     def r_singular_values(self) -> np.ndarray:
-        return np.linalg.svd(self.stack_r, compute_uv=False)
+        return core.svd(self.stack_r, compute_uv=False).s
 
 
 def classify_spectrum(alphas, betas, classify_tol: float = 1e-10) -> GsvSpectrum:

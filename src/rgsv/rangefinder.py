@@ -1,15 +1,16 @@
 """Blocked randomized extraction of an approximate orthonormal column basis.
 
 ``extract_basis`` builds Q block by block from Gaussian sketches until the
-Frobenius residual ||(I - QQ^H)G||_F falls below a tolerance, every block
-being projected against the kept blocks (twice, to contain roundoff)
-before its Householder QR (``core.reduced_qr``), which also factors the
-rank-deficient panel that crosses the numerical rank. Two passes leave
-about u ||Y|| of a panel Y in the blocks' span, which its QR P T scales by
-T^-1, so P loses about u kappa(T) (Bjorck 1994; Giraud, Langou, Rozloznik
-& van den Eshof 2005). P is projected once more and QR'd again when the
-span of T's diagonal to the last kept column, which bounds kappa(T) below
-(the loss measured 1 to 17 u times it on decaying spectra), passes 100.
+Frobenius residual ||(I - QQ^H)G||_F falls below a tolerance. Each sampled
+panel is projected against the kept blocks Q, QR'd (``core.reduced_qr``,
+which also factors a rank-deficient panel), trimmed to P and projected
+once more (reorthogonalized block classical Gram-Schmidt: Barlow &
+Smoktunowicz 2013; Giraud, Langou, Rozloznik & van den Eshof 2005). For
+orthonormal Q and P, P' = P - QC with C = Q^H P has P'^H P' = I - C^H C,
+so P' is QR'd again only when ||C||_F^2 exceeds w eps (w its width). The
+trim reads T of a once-projected panel, whose spurious part (about
+u ||G omega|| ~ 1e-16 ||G||_F per column) sits four orders under the
+default trim floor, 1e-12 ||G||_F.
 ``blocksize`` is the largest block width: the first block is at most 32
 columns wide and each later one is sized from the decay seen so far (see
 ``extract_basis``). Each kept block P also yields its compressed rows
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core
-from .errors import DimensionError, ValidationError
+from .errors import ConvergenceError, DimensionError, ValidationError
 
 
 # ||G||_F^2 - captured cancels below about sqrt(eps) ||G||_F (Yu, Gu & Li
@@ -113,19 +114,21 @@ def extract_basis(g, cfg: ExtractionConfig | None = None, *, probe: bool = False
     """Extract an approximate orthonormal basis of the column space of g.
 
     The residual test runs before the first iteration, so a zero matrix
-    yields an empty basis immediately. The first block is
-    min(32, blocksize) columns wide. After a block kept whole, whose rows
-    P^H G have smallest singular value smin, the loop predicts that
-    need = ceil((res^2 - tol^2) / smin^2) more columns are needed, taking
-    no direction left in the residual to carry more energy than smin^2;
-    the next block is min(blocksize, need + 10) wide (the randQB_EI
+    yields an empty basis immediately. Each block is projected against the
+    kept ones on each side of its QR (see the module docstring). The first
+    block is min(32, blocksize) columns wide. After a block kept whole,
+    whose rows P^H G have smallest singular value smin, the loop predicts
+    that need = ceil((res^2 - tol^2) / smin^2) more columns are needed,
+    taking no direction left in the residual to carry more energy than
+    smin^2; the next block is min(blocksize, need + 10) wide (the randQB_EI
     schedule of Yu, Gu & Li 2018; Halko, Martinsson & Tropp 2011, 4.2-4.4).
     A partly trimmed block keeps the width. Blocks never sample more than
-    n columns in all, after which the basis reproduces g to roundoff, nor
-    keep more than max_cols. The loop stops early, unconverged, once the
-    residual is below trim_tol * ||G||_F without reaching tol: a further
-    block would be trimmed whole. Failure to reach tol is not an error:
-    the result carries converged=False and the full residual history.
+    min(m, n) columns in all, which span the range of g (so an untrimmed
+    basis has no more columns than g has rows), nor keep more than
+    max_cols. The loop stops early, unconverged, once the residual is
+    below trim_tol * ||G||_F without reaching tol: a further block would be
+    trimmed whole. Failure to reach tol is not an error: the result carries
+    converged=False and the full residual history.
 
     ``probe`` makes max_cols a budget rather than a width to fill: the loop
     also stops, unconverged, as soon as kept + need exceeds max_cols, so a
@@ -135,6 +138,7 @@ def extract_basis(g, cfg: ExtractionConfig | None = None, *, probe: bool = False
     cfg = cfg or ExtractionConfig()
     a = core.as_matrix(g, "g")
     m, n = a.shape
+    rank = min(m, n)  # the columns a basis needs at most
     field = core.COMPLEX if np.iscomplexobj(a) else core.REAL
 
     gf2 = core.sum_sq(a)
@@ -142,10 +146,8 @@ def extract_basis(g, cfg: ExtractionConfig | None = None, *, probe: bool = False
     tol = cfg.tol_for(normf)
     trim_cut = cfg.trim_tol * normf
     max_cols = cfg.max_cols
-    if max_cols is not None and max_cols > min(m, n):
-        raise ValidationError(
-            f"max_cols={max_cols} exceeds min(rows, cols)={min(m, n)}"
-        )
+    if max_cols is not None and max_cols > rank:
+        raise ValidationError(f"max_cols={max_cols} exceeds min(rows, cols)={rank}")
     if probe and max_cols is None:
         raise ValidationError("a probe needs max_cols as its budget")
 
@@ -160,28 +162,28 @@ def extract_basis(g, cfg: ExtractionConfig | None = None, *, probe: bool = False
     floor = _CANCELLATION_MARGIN * math.sqrt(np.finfo(np.float64).eps) * normf
     explicit = False  # whether each entry is ||G - QB||_F, once below the floor
     captured_parts: list[float] = []
-    converged = over_budget = False
+    over_budget = False
     kept = sampled = 0
     width = min(_FIRST_WIDTH, cfg.blocksize)
 
-    while sampled < n:
-        width = min(width, n - sampled)
+    while sampled < rank:
+        width = min(width, rank - sampled)
         if max_cols is not None:
             width = min(width, max_cols - kept)
         y = a @ core.gaussian_block(rng, n, width, field)
         sampled += width
-        for _ in range(2):
-            for qb in blocks:
-                y -= qb @ (qb.conj().T @ y)
+        for qb in blocks:
+            y -= qb @ (qb.conj().T @ y)
         p, t = core.reduced_qr(y)
         del y  # not needed again; keeps one panel out of the peak when Q is joined
-        keep = np.abs(np.diagonal(t)) >= trim_cut
-        p = p[:, keep]
-        if blocks and keep.any():
-            lead = np.abs(np.diagonal(t)[: np.flatnonzero(keep)[-1] + 1])  # to the last kept
-            if lead.max() > 100.0 * lead.min():  # see the module docstring
-                for qb in blocks:
-                    p -= qb @ (qb.conj().T @ p)
+        p = p[:, np.abs(np.diagonal(t)) >= trim_cut]
+        if blocks and p.shape[1]:  # see the module docstring
+            moved = 0.0  # ||C||_F^2
+            for qb in blocks:
+                c = qb.conj().T @ p
+                p -= qb @ c
+                moved += core.sum_sq(c)
+            if moved > p.shape[1] * np.finfo(np.float64).eps:
                 p = core.reduced_qr(p).q
         if p.shape[1]:
             bp = p.conj().T @ a
@@ -195,10 +197,7 @@ def extract_basis(g, cfg: ExtractionConfig | None = None, *, probe: bool = False
         if explicit:
             res = _residual(a, blocks, rows)
         history.append(res)
-        if res < tol:
-            converged = True
-            break
-        if res < trim_cut:  # a further block would be trimmed whole
+        if res < max(tol, trim_cut):  # converged, or a further block would be trimmed whole
             break
         if p.shape[1] == width:
             need = _predicted_need(res * res - tol * tol, rows[-1], n)
@@ -212,8 +211,7 @@ def extract_basis(g, cfg: ExtractionConfig | None = None, *, probe: bool = False
     q, c = _join(blocks, rows, a)
     if not explicit and not over_budget:
         history[-1] = _residual(a, [q], [c])
-        converged = history[-1] < tol
-    return BasisResult(q, c, history, converged, len(widths), widths)
+    return BasisResult(q, c, history, history[-1] < tol, len(widths), widths)
 
 
 def _predicted_need(excess: float, block_rows: np.ndarray, n: int) -> int:
@@ -226,7 +224,10 @@ def _predicted_need(excess: float, block_rows: np.ndarray, n: int) -> int:
     thread). Its error, about eps * ||P^H G||^2, matters only when smin is
     below about sqrt(eps) times the block's largest; it then changes the
     next block's width, never when the loop stops."""
-    smin2 = float(np.linalg.eigvalsh(block_rows @ block_rows.conj().T)[0])
+    try:
+        smin2 = float(np.linalg.eigvalsh(block_rows @ block_rows.conj().T)[0])
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigenvalue solver did not converge: {exc}") from exc
     if smin2 <= 0 or excess >= n * smin2:
         return n
     return max(1, math.ceil(excess / smin2))
@@ -267,7 +268,5 @@ def residual_norm(g, q) -> float:
     if qa.ndim != 2:
         raise DimensionError(f"q must be 2-D, got shape {qa.shape}")
     if qa.shape[0] != a.shape[0]:
-        raise DimensionError(
-            f"q has {qa.shape[0]} rows but g has {a.shape[0]}"
-        )
+        raise DimensionError(f"q has {qa.shape[0]} rows but g has {a.shape[0]}")
     return _residual(a, [qa], [qa.conj().T @ a])

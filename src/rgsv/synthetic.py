@@ -97,7 +97,7 @@ def synth_gmp(spec: SynthSpec) -> SynthResult:
     g1 = u_active @ (alphas[:rank, None] * r_star[:rank, :])
     g2 = v_active @ (betas[n - rank:, None] * r_star[n - rank:, :])
 
-    sr = np.linalg.svd(r_star, compute_uv=False)
+    sr = core.svd(r_star, compute_uv=False).s
     condition_r = float(sr[0] / sr[-1])
 
     spectrum = GsvSpectrum(alphas, betas, r=r, s=n_interior)

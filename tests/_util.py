@@ -1,11 +1,13 @@
 """Shared helpers for the test suite."""
 
+import contextlib
 import dataclasses
 import math
 import os
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import rgsv
 from rgsv import GmpPair, GsvSpectrum, classify_spectrum, extract_basis, gaussian_matrix
@@ -75,6 +77,14 @@ def allowance(pair, solve):
     budget with both residuals 0."""
     sv = solve.r_singular_values
     return math.sqrt(2.0) * (pair.n * np.finfo(float).eps * float(sv[0])) / float(sv[-1])
+
+
+def capped_warning(expected=True):
+    """Asserts the one warning of a solve whose extraction stopped
+    unconverged at max_cols; a null context where none is expected."""
+    if not expected:
+        return contextlib.nullcontext()
+    return pytest.warns(UserWarning, match="extraction stopped unconverged")
 
 
 def record_rows(monkeypatch, *targets):

@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from _util import allowance, explicit_run_budget, make_spectrum, random_pair, structured_pair
+from _util import (allowance, capped_warning, explicit_run_budget, make_spectrum, random_pair,
+                   structured_pair)
 
 from rgsv import (
     DimensionError,
@@ -163,7 +164,8 @@ class TestProjectedPairBudget:
         pair, cfg = self._case(case)
         opts = GsvOptions(extraction=cfg)
         want = explicit_run_budget(pair, opts)
-        solve = run(pair, opts)
+        with capped_warning(case == "capped"):
+            solve = run(pair, opts)
         got = perturbation_bound(pair, solve)
         # a residual is explicit to eps ||G||_F: taken as extraction keeps
         # its blocks, it need not round as G - Q (Q^H G) does
@@ -176,13 +178,15 @@ class TestProjectedPairBudget:
     def test_covers_the_returned_spectrum(self, case):
         pair, cfg = self._case(case)
         opts = GsvOptions(extraction=cfg)
-        solve = run(pair, opts)
+        with capped_warning(case == "capped"):
+            solve = run(pair, opts)
         budget = perturbation_bound(pair, solve)
         if case in ("real", "complex", "wide"):
             # exact low rank: the budget is at rounding level
             assert budget <= 1e-12
         spec = solve.spectrum
-        assert_same_spectrum(spec, compute_gsv(pair, opts))
+        with capped_warning(case == "capped"):
+            assert_same_spectrum(spec, compute_gsv(pair, opts))
         centre = compute_gsv(pair, GsvOptions(method="direct"))
         rss = math.sqrt(float(np.sum((spec.alphas - centre.alphas) ** 2
                                      + (spec.betas - centre.betas) ** 2)))
@@ -245,12 +249,14 @@ class TestRunCertificate:
     def test_sound(self, case):
         pair, cfg = soundness_cases()[case]
         opts = GsvOptions(method="direct") if cfg == "direct" else GsvOptions(extraction=cfg)
-        solve = run(pair, opts)
+        with capped_warning(case.startswith("capped")):
+            solve = run(pair, opts)
         e = perturbation_bound(pair, solve)
         direct = compute_gsv(pair, GsvOptions(method="direct"))
         assert deviation(solve.spectrum, direct) <= e
         assert quantity_error_bounds(solve.spectrum, e).vacuous == (e > 0.5)
-        assert_same_spectrum(solve.spectrum, compute_gsv(pair, opts))
+        with capped_warning(case.startswith("capped")):
+            assert_same_spectrum(solve.spectrum, compute_gsv(pair, opts))
         if case.startswith("tall_one_exact"):
             assert solve.residuals[0] > 0.0 and solve.residuals[1] == 0.0
         if case in ("both_exact", "direct"):

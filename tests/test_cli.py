@@ -321,13 +321,14 @@ def test_bounds_of_a_both_exact_pair_is_the_rounding_allowance(tmp_path):
 @pytest.mark.parametrize("k", [None, "4"])
 def test_bounds_factors_the_stack_only_for_k(tmp_path, monkeypatch, k):
     # eta of --k's projector bound is stack_norm2^2, one SVD of the
-    # (m + p) x n stack; the certificate itself factors no stack
+    # (m + p) x n stack; the certificate itself factors no stack. Every
+    # factorization reaches numpy's LAPACK wrapper once, through
+    # core.svd, core.reduced_qr or core.r_factor, so those are counted
     m, p, n = 90, 80, 20
     files = tmp_path / "g1.mtx", tmp_path / "g2.csv"
     write_matrix(files[0], gaussian_matrix(m, n, seed=50))
     np.savetxt(files[1], gaussian_matrix(p, n, seed=51), delimiter=",")
-    rows = record_rows(monkeypatch, (np.linalg, "svd"), (np.linalg, "qr"),
-                       (rgsv.core, "reduced_qr"), (rgsv.core, "svd"))
+    rows = record_rows(monkeypatch, (np.linalg, "svd"), (np.linalg, "qr"))
     argv = ["bounds", "--g1", str(files[0]), "--g2", str(files[1]),
             "--seed", "52", "-o", str(tmp_path / "cert.csv")]
     assert main(argv + (["--k", k] if k else [])) == 0
@@ -373,6 +374,33 @@ class TestErrorExits:
         proc = run_cli("gsv", "--g1", str(a), "--g2", str(b))
         assert proc.returncode == 4
         assert "category=dimension" in proc.stderr
+
+    def test_output_error_exit(self, pair_files, tmp_path, capsys):
+        g1, g2 = pair_files
+        out = tmp_path / "missing" / "out.csv"
+        assert main(["gsv", "--g1", str(g1), "--g2", str(g2), "-o", str(out)]) == 11
+        assert capsys.readouterr().err.startswith("error: category=io: ")
+        assert not out.parent.exists()
+
+    def test_non_converging_kernel_exit(self, pair_files, tmp_path, monkeypatch, capsys):
+        # the solve converges; the SVD of its R~, which the certificate
+        # reads, does not
+        g1, g2 = pair_files
+        solve = rgsv.cli.run
+
+        def solve_then_fail(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, "svd", failing_svd)
+            return result
+
+        def failing_svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(rgsv.cli, "run", solve_then_fail)
+        out = tmp_path / "cert.csv"
+        assert main(["bounds", "--g1", str(g1), "--g2", str(g2), "-o", str(out)]) == 7
+        assert capsys.readouterr().err.startswith("error: category=numerical: ")
+        assert not out.exists()
 
     def test_usage_error_exit(self):
         proc = run_cli("gsv")

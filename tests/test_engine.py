@@ -5,10 +5,11 @@ import weakref
 
 import numpy as np
 import pytest
-from _util import (explicit_run_budget, make_spectrum, random_pair, record_rows, spectrum_gap,
-                   structured_pair)
+from _util import (capped_warning, explicit_run_budget, make_spectrum, random_pair, record_rows,
+                   spectrum_gap, structured_pair)
 
 from rgsv import (
+    ConvergenceError,
     DimensionError,
     ExtractionConfig,
     GmpPair,
@@ -226,7 +227,7 @@ class TestComputeGsv:
         # spectrum is all interior, a capped run used to report r=10, s=0
         pair = random_pair(100, 100, 50, seed=40)
         opts = GsvOptions(extraction=ExtractionConfig(max_cols=10, seed=41))
-        with pytest.raises(RankDeficiencyError):
+        with capped_warning(), pytest.raises(RankDeficiencyError):
             compute_gsv(pair, opts)
 
     @pytest.mark.parametrize("cap", [25, 40, 49])
@@ -660,7 +661,8 @@ class TestExactFrontEnd:
     def test_binding_max_cols_keeps_both_sketches(self, monkeypatch):
         pair, _, cfg = self._tall_low_rank_pair()
         calls, r_only = self._record(monkeypatch)
-        compute_gsv(pair, GsvOptions(extraction=dataclasses.replace(cfg, max_cols=79)))
+        with capped_warning():
+            compute_gsv(pair, GsvOptions(extraction=dataclasses.replace(cfg, max_cols=79)))
         assert [(g is pair.g1, cap, probe) for g, cap, probe, _ in calls] == [
             (True, 79, False), (False, 79, False)]
         assert r_only == []
@@ -793,3 +795,31 @@ def test_side_streams_are_independent_across_seeds(monkeypatch):
     assert not np.array_equal(first_block[1], first_block[2])
     assert seeds[:2] == seeds[4:]
     assert np.array_equal(runs[0].alphas, runs[2].alphas)
+
+
+def _convergence_failures():
+    """name -> (kernel, call): each call reaches np.linalg.<kernel> once the
+    pair's solve, which is taken first, is done."""
+    pair = random_pair(60, 50, 30, seed=97)
+    solve = run(pair)
+    return {
+        "run_certificate": ("svd", lambda: perturbation_bound(pair, solve)),
+        "stack_norm": ("svd", lambda: pair.stack_norm2),
+        "rank_test": ("svd", lambda: rgsv.engine._rank_test(np.diag([1.0, 1.0, 0.0]), "R")),
+        "synth": ("svd", lambda: synth_gmp(SynthSpec(30, 30, 20, 0.6, 98))),
+        "block_sizing": ("eigvalsh", lambda: extract_basis(gaussian_matrix(100, 60, seed=99))),
+    }
+
+
+@pytest.mark.parametrize("case", list(_convergence_failures()))
+def test_a_kernel_that_does_not_converge_raises_convergence_error(case, monkeypatch):
+    # a bare numpy LinAlgError is no GsvError, so the CLI would print a
+    # traceback for it instead of exiting 7 (category=numerical)
+    kernel, call = _convergence_failures()[case]
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError(f"{kernel} did not converge")
+
+    monkeypatch.setattr(np.linalg, kernel, failing)
+    with pytest.raises(ConvergenceError):
+        call()

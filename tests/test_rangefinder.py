@@ -91,7 +91,7 @@ def test_orthogonality_drift_bounded():
 
 def _lowrank_tall_g1():
     """lowrank_tall's g1 (4000 x 400, 40 GSVs over a 1e-10 tail) at tol
-    1e-6 ||G1||_F: its second block keeps 26 columns whose R diagonal
+    1e-6 ||G1||_F: its second block keeps 27 columns whose R diagonal
     spans 4e9."""
     alphas = np.concatenate([np.linspace(0.99, 0.5, 40), 1e-10 * np.geomspace(1.0, 1e-3, 360)])
     g = structured_pair(alphas, m=4000, p=400, seed=1)[0].g1
@@ -100,10 +100,10 @@ def _lowrank_tall_g1():
 
 @pytest.mark.parametrize("case", ["lowrank_tall", "item1_real", "item1_complex"])
 def test_basis_is_orthonormal_to_working_precision(case):
-    # a panel projected twice keeps columns near the trim floor whose R
-    # diagonal spans 1e9 and more; without a third pass Q loses
-    # orthogonality (1.2e-6 on lowrank_tall, 1.6e-4 on the complex 120 x 100
-    # case) and ||G - QB||_F is no projection residual
+    # a panel keeps columns near the trim floor whose R diagonal spans 1e9
+    # and more; with no projection after its QR Q loses orthogonality
+    # (1.2e-6 on lowrank_tall, 1.6e-4 on the complex 120 x 100 case) and
+    # ||G - QB||_F is no projection residual
     if case == "lowrank_tall":
         g, cfg = _lowrank_tall_g1()
     else:
@@ -189,6 +189,16 @@ def test_wide_matrix_saturates_at_row_count():
     res = extract_basis(g, ExtractionConfig(tol=1e-300, blocksize=12, seed=21))
     assert res.q.shape[1] <= 20
     assert residual_norm(g, res.q) <= 1e-10 * frobenius_norm(g)
+
+
+def test_untrimmed_sampling_stops_at_the_row_count():
+    # 20 sampled columns span the range of a 20 x 60 matrix; sampling up to
+    # n kept all 60 columns in a basis of 20 rows
+    g = gaussian_matrix(20, 60, seed=20)
+    res = extract_basis(g, ExtractionConfig(tol=1e-300, blocksize=12, seed=21, trim_tol=0.0))
+    assert res.block_widths == [12, 8]
+    assert residual_norm(g, res.q) <= 1e-10 * frobenius_norm(g)
+    _assert_orthonormal(res.q)
 
 
 def test_same_seed_same_basis():
@@ -360,13 +370,25 @@ def _extractions(draw):
     rank = min(m, n)
     head = draw(st.integers(1, 39))
     field = draw(st.sampled_from(["real", "complex"]))
-    s = np.linspace(1.0, 0.5, head)
     rel = draw(st.sampled_from([1e-6, 1e-8, 1e-9, 1e-12]))
-    s = np.concatenate([s, np.full(rank - head, rel * np.linalg.norm(s))])
-    g = _side(m, n, s, draw(st.integers(0, 2**16)), field)
+    g = _side(m, n, _head_over_tail(head, rank - head, rel), draw(st.integers(0, 2**16)), field)
     tol = draw(st.sampled_from([None, 1e-6 * frobenius_norm(g)]))
     max_cols = draw(st.sampled_from([None, None, draw(st.integers(1, rank))]))
-    return g, ExtractionConfig(tol=tol, max_cols=max_cols, seed=draw(st.integers(0, 2**16)))
+    trim_tol = draw(st.sampled_from([1e-12, 1e-12, 0.0]))
+    return g, ExtractionConfig(tol=tol, max_cols=max_cols, seed=draw(st.integers(0, 2**16)),
+                               trim_tol=trim_tol)
+
+
+def _head_over_tail(head, tail, rel):
+    """``head`` singular values on [0.5, 1] over ``tail`` equal ones at
+    ``rel`` times the head's Frobenius norm."""
+    s = np.linspace(1.0, 0.5, head)
+    return np.concatenate([s, np.full(tail, rel * np.linalg.norm(s))])
+
+
+def _assert_orthonormal(q):
+    k = q.shape[1]
+    assert np.linalg.norm(q.conj().T @ q - np.eye(k)) <= 10 * k * np.finfo(float).eps
 
 
 @settings(max_examples=30, deadline=None)
@@ -374,13 +396,54 @@ def _extractions(draw):
 def test_last_entry_is_the_explicit_residual(case):
     # whichever way the loop stops (tol, the trim floor, n sampled or
     # max_cols) and on either side of the floor, the last entry is
-    # ||G - QB||_F, converged is read from it, and b is Q^H G
+    # ||G - QB||_F, converged is read from it, b is Q^H G, and Q is
+    # orthonormal to working precision
     g, cfg = case
     res = extract_basis(g, cfg)
     nrm = frobenius_norm(g)
     assert abs(res.residual_history[-1] - residual_norm(g, res.q)) <= 1e-12 * nrm
     assert res.converged == (res.residual_history[-1] < cfg.tol_for(nrm))
     assert np.linalg.norm(res.b - res.q.conj().T @ g) <= 1e-12 * nrm
+    _assert_orthonormal(res.q)
+
+
+@pytest.mark.parametrize("m, n, side_seed, head, rel, tol_rel, seed, widths", [
+    (325, 67, 59430, 23, 1e-6, 1e-6, 13436, [32, 35]),
+    (197, 73, 15382, 22, 1e-6, 1e-6, 34772, [32, 41]),
+    (109, 220, 64994, 38, 1e-9, None, 42854, [32, 22, 55]),
+])
+def test_second_projection_keeps_the_basis_orthonormal(m, n, side_seed, head, rel, tol_rel,
+                                                       seed, widths):
+    # draws of _extractions on which a panel projected twice before its QR,
+    # and QR'd again only when the span of its R diagonal passed 100, lost
+    # 10.5 to 16.6 k eps; projected once on each side of the QR they lose
+    # under 0.5 k eps
+    g = _side(m, n, _head_over_tail(head, min(m, n) - head, rel), side_seed)
+    tol = None if tol_rel is None else tol_rel * frobenius_norm(g)
+    res = extract_basis(g, ExtractionConfig(tol=tol, seed=seed))
+    assert res.converged and res.block_widths == widths
+    _assert_orthonormal(res.q)
+
+
+@pytest.mark.parametrize("case", ["lowrank_tall", "gaussian"])
+def test_panel_is_factored_again_only_when_the_second_projection_moved_it(monkeypatch, case):
+    # lowrank_tall's g1: the second projection moves its second block by
+    # ||C||_F^2 = 8.5e-11, far above w eps, so that block takes two QRs;
+    # the later blocks of a Gaussian matrix move by under 2e-27 and take one
+    if case == "lowrank_tall":
+        g, cfg = _lowrank_tall_g1()
+    else:
+        g, cfg = gaussian_matrix(300, 120, seed=2), ExtractionConfig(tol=1e-300, blocksize=25)
+    widths = []
+
+    def recording(m):
+        widths.append(m.shape[1])
+        return reduced_qr(m)
+
+    monkeypatch.setattr(core, "reduced_qr", recording)
+    res = extract_basis(g, cfg)
+    assert widths == ([32, 27, 27] if case == "lowrank_tall" else [25, 25, 25, 25, 20])
+    assert res.block_widths == widths[: len(res.block_widths)]
 
 
 def test_tolerance_above_the_floor_keeps_the_cumulative_estimate():
