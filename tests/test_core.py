@@ -290,15 +290,18 @@ class TestReducedQrPanels:
         assert np.all(np.diagonal(r).real >= 0)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
-    @pytest.mark.parametrize("shape, seed", [
-        pytest.param((4000, 100), 37, id="4000x100"),
-        pytest.param((4000, 100), 31, id="4000x100-seed31"),
-        pytest.param((1000, 67), 37, id="1000x67"),
-        pytest.param((800, 67), 37, id="800x67"),
-        pytest.param((400, 100), 37, id="400x100"),
-    ])
-    def test_is_bitwise_the_phase_normalized_lapack_qr(self, shape, seed, field):
-        a = gaussian_matrix(*shape, seed=seed, field=field)
+    @pytest.mark.parametrize("shape", [(4000, 100), (1000, 67), (800, 67), (400, 100)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_is_bitwise_the_phase_normalized_lapack_qr(self, shape, field):
+        a = gaussian_matrix(*shape, seed=37, field=field)
+        q_ref, r_ref = _phase_normalized_qr(a)
+        q, r = self._factor(a)
+        assert np.array_equal(q, q_ref) and np.array_equal(r, r_ref)
+        self._check_invariants(a, q, r)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_well_conditioned_panel_matches_householder(self, field):
+        a = gaussian_matrix(4000, 100, seed=31, field=field)
         q_ref, r_ref = _phase_normalized_qr(a)
         q, r = self._factor(a)
         assert np.array_equal(q, q_ref) and np.array_equal(r, r_ref)
