@@ -16,23 +16,24 @@ columns wide and each later one is sized from the decay seen so far (see
 ``extract_basis``). Each kept block P also yields its compressed rows
 P^H G, which give the captured energy and are returned as
 ``BasisResult.b = Q^H G`` (the QB form of the blocked rangefinder), so
-callers need not form Q^H G again. The squared residual is maintained
-cumulatively as ||G||_F^2 minus the captured energy, which keeps each
-iteration at O(m*n*b). That difference cancels below about
-sqrt(eps) ||G||_F, so when tol is no more than 10x that floor, once the
-estimate falls below 10 sqrt(eps) ||G||_F, that history entry and every
-later one is the explicit ||G - QB||_F (O(m*n*k) each), and so is what
-the stop test reads. The last entry is explicit at any tol, taken after
-the loop unless it already is, and ``converged`` is read from it. Every
-explicit residual, that of ``residual_norm`` too, is ``core.sum_sq`` of
-G - QB, one band of rows of QB at a time, so extraction holds no array
-as large as G.
+callers need not form Q^H G again. Each residual entry is estimated as
+sqrt(anchor^2 - captured), the anchor being the last explicit residual
+(first ||G||_F) and captured the energy of the blocks kept since, at
+O(m*n*b) an iteration. The difference cancels below about sqrt(eps)
+anchor (Yu, Gu & Li 2018), so the explicit ||G - QB||_F (O(m*n*k))
+replaces the estimate, and becomes the anchor, only where a decision
+reads it (Halko, Martinsson & Tropp 2011, 4.3): once the estimate is
+below tol, the trim floor or 10 sqrt(eps) anchor, and at the last block
+the loop can take. Every stop but a probe's budget stop, and
+``converged``, thus read an explicit entry. Every explicit residual,
+that of ``residual_norm`` too, is ``core.sum_sq`` of G - QB, one band of
+rows of QB at a time, so extraction holds no array as large as G.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,10 +41,10 @@ from . import core
 from .errors import ConvergenceError, DimensionError, ValidationError
 
 
-# ||G||_F^2 - captured cancels below about sqrt(eps) ||G||_F (Yu, Gu & Li
-# 2018); the cumulative estimate is trusted down to this many times that
-# floor, and below it, if tol is too, the residual is taken explicitly.
-_CANCELLATION_MARGIN = 10.0
+# anchor^2 - captured cancels below about sqrt(eps) times the anchor (Yu,
+# Gu & Li 2018); the estimate is trusted down to this fraction of its
+# anchor, and below it the residual is taken explicitly.
+_CANCELLATION_FLOOR = 10.0 * math.sqrt(np.finfo(np.float64).eps)
 
 # The first block's width (at most blocksize), and the columns each later
 # block samples beyond the predicted need (see extract_basis).
@@ -94,20 +95,22 @@ class BasisResult:
     q is the m x k orthonormal basis and b = q^H g its k x n compressed
     rows, formed block by block while the residual was tracked.
     residual_history[i] is the Frobenius residual after i iterations
-    (entry 0 is the residual of the empty basis, ||G||_F): ||G||_F^2 minus
-    the captured energy until that falls below the cancellation floor with
-    tol, and from then on the explicit ||G - QB||_F over the basis of that
-    iteration. The last entry is explicit but on a probe stopped on its
-    budget; block_widths records how many columns each iteration
-    contributed after trimming.
+    (entry 0 is the residual of the empty basis, ||G||_F): explicit where
+    a stop or a schedule decision read it, else estimated from the last
+    explicit entry (see the module docstring). The last entry is explicit
+    but on a probe stopped on its budget; block_widths records how many
+    columns each iteration contributed after trimming.
     """
 
     q: np.ndarray
     b: np.ndarray
     residual_history: list[float]
     converged: bool
-    iterations: int
-    block_widths: list[int] = field(default_factory=list)
+    block_widths: list[int]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.block_widths)
 
 
 def extract_basis(g, cfg: ExtractionConfig | None = None, *, probe: bool = False) -> BasisResult:
@@ -145,10 +148,10 @@ def extract_basis(g, cfg: ExtractionConfig | None = None, *, probe: bool = False
     normf = math.sqrt(gf2)
     tol = cfg.tol_for(normf)
     trim_cut = cfg.trim_tol * normf
-    max_cols = cfg.max_cols
-    if max_cols is not None and max_cols > rank:
-        raise ValidationError(f"max_cols={max_cols} exceeds min(rows, cols)={rank}")
-    if probe and max_cols is None:
+    limit = rank if cfg.max_cols is None else cfg.max_cols
+    if limit > rank:
+        raise ValidationError(f"max_cols={limit} exceeds min(rows, cols)={rank}")
+    if probe and cfg.max_cols is None:
         raise ValidationError("a probe needs max_cols as its budget")
 
     blocks: list[np.ndarray] = []  # kept orthonormal blocks of Q, in order
@@ -156,20 +159,16 @@ def extract_basis(g, cfg: ExtractionConfig | None = None, *, probe: bool = False
     history = [normf]
     widths: list[int] = []
     if normf == 0.0 or normf < tol:
-        return BasisResult(*_join(blocks, rows, a), history, True, 0, widths)
+        return BasisResult(*_join(blocks, rows, a), history, True, widths)
 
     rng = core.seeded_rng(cfg.seed)
-    floor = _CANCELLATION_MARGIN * math.sqrt(np.finfo(np.float64).eps) * normf
-    explicit = False  # whether each entry is ||G - QB||_F, once below the floor
-    captured_parts: list[float] = []
-    over_budget = False
+    # the squared anchor, the estimate it is trusted down to, the energy kept since
+    anchor2, floor, captured = gf2, _CANCELLATION_FLOOR * normf, []
     kept = sampled = 0
     width = min(_FIRST_WIDTH, cfg.blocksize)
 
-    while sampled < rank:
-        width = min(width, rank - sampled)
-        if max_cols is not None:
-            width = min(width, max_cols - kept)
+    while sampled < rank and kept < limit:
+        width = min(width, rank - sampled, limit - kept)
         y = a @ core.gaussian_block(rng, n, width, field)
         sampled += width
         for qb in blocks:
@@ -187,31 +186,26 @@ def extract_basis(g, cfg: ExtractionConfig | None = None, *, probe: bool = False
                 p = core.reduced_qr(p).q
         if p.shape[1]:
             bp = p.conj().T @ a
-            captured_parts.append(core.sum_sq(bp))
+            captured.append(core.sum_sq(bp))
             blocks.append(p)
             rows.append(bp)
             kept += p.shape[1]
         widths.append(p.shape[1])
-        res = math.sqrt(max(gf2 - math.fsum(captured_parts), 0.0))
-        explicit = explicit or (tol <= floor and res < floor)
-        if explicit:
+        res = math.sqrt(max(anchor2 - math.fsum(captured), 0.0))
+        if sampled >= rank or kept >= limit or res < max(tol, trim_cut, floor):
             res = _residual(a, blocks, rows)
+            anchor2, floor, captured = res * res, _CANCELLATION_FLOOR * res, []
         history.append(res)
         if res < max(tol, trim_cut):  # converged, or a further block would be trimmed whole
             break
         if p.shape[1] == width:
             need = _predicted_need(res * res - tol * tol, rows[-1], n)
-            if probe and kept + need > max_cols:
-                over_budget = True
-                break
+            if probe and kept + need > limit:
+                break  # its caller discards it, so the entry stays an estimate
             width = min(cfg.blocksize, need + _OVERSAMPLE)
-        if max_cols is not None and kept >= max_cols:
-            break
 
     q, c = _join(blocks, rows, a)
-    if not explicit and not over_budget:
-        history[-1] = _residual(a, [q], [c])
-    return BasisResult(q, c, history, history[-1] < tol, len(widths), widths)
+    return BasisResult(q, c, history, history[-1] < tol, widths)
 
 
 def _predicted_need(excess: float, block_rows: np.ndarray, n: int) -> int:
@@ -234,15 +228,17 @@ def _predicted_need(excess: float, block_rows: np.ndarray, n: int) -> int:
 
 
 def _residual(a: np.ndarray, blocks: list[np.ndarray], rows: list[np.ndarray]) -> float:
-    """||A - QB||_F for Q = [blocks] and B = [rows] (at least one of each):
-    each band of rows of QB is formed in ``core.sum_sq``'s one buffer,
-    block by block, so neither Q nor B is joined for it."""
-    def minus(band, out):
-        np.matmul(blocks[0][band], rows[0], out=out)
-        for qb, rb in zip(blocks[1:], rows[1:]):
-            out += qb[band] @ rb
+    """||A - QB||_F for Q = [blocks] and B = [rows], ||A||_F for no block.
+    B is joined once; each band of rows of QB is then one GEMM of the
+    blocks' rows in that band, joined, into ``core.sum_sq``'s one buffer."""
+    if not blocks:
+        return math.sqrt(core.sum_sq(a))
+    b = np.vstack(rows)
 
-    return math.sqrt(core.sum_sq(a, minus, rows[0].dtype))
+    def minus(band, out):
+        np.matmul(np.hstack([qb[band] for qb in blocks]), b, out=out)
+
+    return math.sqrt(core.sum_sq(a, minus, b.dtype))
 
 
 def _join(blocks: list[np.ndarray], rows: list[np.ndarray], a: np.ndarray):

@@ -270,6 +270,21 @@ class TestComputeGsv:
         )
         assert spectrum_gap(direct, capped) <= 1e-8
 
+    @pytest.mark.parametrize("cap", [50, 500])
+    def test_a_cap_no_side_can_fill_is_no_cap(self, cap):
+        # both sides have min(rows, cols) = 50, so their rank, not the cap,
+        # stops them: a cap clamped to 50 was reported as binding on g1
+        pair = GmpPair(gaussian_matrix(60, 50, seed=1), gaussian_matrix(55, 50, seed=2))
+        cfg = ExtractionConfig(trim_tol=0, tol=1e-300, seed=3)
+        uncapped = run(pair, GsvOptions(extraction=cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            capped = run(pair, GsvOptions(extraction=dataclasses.replace(cfg, max_cols=cap)))
+        assert np.array_equal(capped.spectrum.alphas, uncapped.spectrum.alphas)
+        assert np.array_equal(capped.spectrum.betas, uncapped.spectrum.betas)
+        assert capped.residuals == uncapped.residuals
+        assert np.array_equal(capped.stack_r, uncapped.stack_r)
+
     def test_randomized_path_never_factors_the_stack(self, monkeypatch):
         # the O((m + p) n^2) factorization of the full stack is what the
         # randomized path exists to avoid

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -17,7 +18,7 @@ from rgsv import (
     gaussian_matrix,
     residual_norm,
 )
-from rgsv import core
+from rgsv import core, rangefinder
 from rgsv.core import reduced_qr, sum_sq
 
 
@@ -342,9 +343,9 @@ def test_residual_below_the_cancellation_floor_is_explicit(tail):
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_explicit_residual_below_the_floor_keeps_no_copy_of_g(field):
     # the estimate crosses the cancellation floor after the first block, so
-    # every later entry is ||G - QB||_F over the basis of its iteration,
-    # taken one band of rows at a time; a maintained G - QB held a copy of
-    # G and put the peak at 1.87 g.nbytes
+    # that entry and the last are ||G - QB||_F over the basis of their
+    # iteration, taken one band of rows at a time; a maintained G - QB held
+    # a copy of G and put the peak at 1.87 g.nbytes
     g = _side(2000, 400, np.concatenate([np.linspace(1.0, 0.5, 30), np.full(20, 1e-8)]), 45, field)
     nrm = frobenius_norm(g)
     tracemalloc.start()
@@ -360,6 +361,39 @@ def test_explicit_residual_below_the_floor_keeps_no_copy_of_g(field):
         assert abs(entry - residual_norm(g, res.q[:, :cols])) <= 1e-12 * nrm
 
 
+def test_explicit_residual_is_taken_at_the_crossing_and_the_last_entry(monkeypatch):
+    # the estimate crosses 10 sqrt(eps) ||G||_F after the first block and
+    # reaches tol four blocks later; between the two it is anchored on the
+    # explicit residual at the crossing, where each entry past the crossing
+    # was explicit before
+    g = _side(1200, 300, np.concatenate([np.ones(20), np.geomspace(1e-8, 1e-13, 280)]), 46)
+    nrm, evaluated, residual = frobenius_norm(g), [], rangefinder._residual
+
+    def recording(a, blocks, rows):
+        evaluated.append(sum(qb.shape[1] for qb in blocks))
+        return residual(a, blocks, rows)
+
+    monkeypatch.setattr(rangefinder, "_residual", recording)
+    res = extract_basis(g, ExtractionConfig(blocksize=40, seed=47))
+    cols = np.cumsum(res.block_widths)
+    assert res.converged and res.block_widths == [32, 40, 40, 40, 40]
+    assert res.residual_history[1] < 10 * math.sqrt(np.finfo(float).eps) * nrm
+    assert evaluated == [cols[0], cols[-1]]
+    monkeypatch.undo()
+    for entry, k in zip(res.residual_history[1:], cols):
+        assert abs(entry - residual_norm(g, res.q[:, :k])) <= 1e-12 * nrm
+
+
+def test_a_trim_that_keeps_no_column_reports_the_empty_basis():
+    # trim_tol 2 drops every column of the first block: the residual of
+    # the empty basis, ||G||_F, is its last entry and the loop stops there
+    g = gaussian_matrix(50, 20, seed=48)
+    res = extract_basis(g, ExtractionConfig(trim_tol=2.0, seed=49))
+    assert res.block_widths == [0] and res.q.shape == (50, 0) and res.b.shape == (0, 20)
+    assert res.residual_history == [frobenius_norm(g)] * 2
+    assert not res.converged
+
+
 @st.composite
 def _extractions(draw):
     """A matrix of at most 600 x 300 whose leading singular values lie on
@@ -373,7 +407,7 @@ def _extractions(draw):
     rel = draw(st.sampled_from([1e-6, 1e-8, 1e-9, 1e-12]))
     g = _side(m, n, _head_over_tail(head, rank - head, rel), draw(st.integers(0, 2**16)), field)
     tol = draw(st.sampled_from([None, 1e-6 * frobenius_norm(g)]))
-    max_cols = draw(st.sampled_from([None, None, draw(st.integers(1, rank))]))
+    max_cols = draw(st.sampled_from([None, None, rank, draw(st.integers(1, rank))]))
     trim_tol = draw(st.sampled_from([1e-12, 1e-12, 0.0]))
     return g, ExtractionConfig(tol=tol, max_cols=max_cols, seed=draw(st.integers(0, 2**16)),
                                trim_tol=trim_tol)
@@ -397,7 +431,7 @@ def test_last_entry_is_the_explicit_residual(case):
     # whichever way the loop stops (tol, the trim floor, n sampled or
     # max_cols) and on either side of the floor, the last entry is
     # ||G - QB||_F, converged is read from it, b is Q^H G, and Q is
-    # orthonormal to working precision
+    # orthonormal to working precision; a max_cols of min(m, n) is no cap
     g, cfg = case
     res = extract_basis(g, cfg)
     nrm = frobenius_norm(g)
@@ -405,6 +439,11 @@ def test_last_entry_is_the_explicit_residual(case):
     assert res.converged == (res.residual_history[-1] < cfg.tol_for(nrm))
     assert np.linalg.norm(res.b - res.q.conj().T @ g) <= 1e-12 * nrm
     _assert_orthonormal(res.q)
+    if cfg.max_cols == min(g.shape):
+        uncapped = extract_basis(g, dataclasses.replace(cfg, max_cols=None))
+        assert np.array_equal(res.q, uncapped.q) and np.array_equal(res.b, uncapped.b)
+        assert res.residual_history == uncapped.residual_history
+        assert res.block_widths == uncapped.block_widths
 
 
 @pytest.mark.parametrize("m, n, side_seed, head, rel, tol_rel, seed, widths", [
@@ -448,8 +487,8 @@ def test_panel_is_factored_again_only_when_the_second_projection_moved_it(monkey
 
 def test_tolerance_above_the_floor_keeps_the_cumulative_estimate():
     # at 1e-6 ||G||_F (67x the floor) every entry but the last is ||G||_F^2
-    # minus the captured energy of the kept blocks, also once it falls below
-    # the floor; the last, which the estimate put at 0.0, is explicit
+    # minus the captured energy of the kept blocks; the last, which the
+    # estimate put at 0.0, is explicit
     g = _flat_tail_matrix(1e-10)
     nrm = frobenius_norm(g)
     res = extract_basis(g, ExtractionConfig(tol=1e-6 * nrm, blocksize=10, seed=36))
