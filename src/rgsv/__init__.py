@@ -1,6 +1,6 @@
 """Randomized generalized singular values for comparative analysis of
-matrix pairs, with full decomposition recovery and certified error
-bounds."""
+matrix pairs: the GSV spectrum of one solve, the comparative quantities
+read off it, and a-posteriori error certificates for both."""
 
 from .analysis import (
     ComparativeReport,
@@ -30,10 +30,8 @@ from .engine import (
     GsvOptions,
     GsvRun,
     GsvSpectrum,
-    GsvdFactors,
     classify_spectrum,
     compute_gsv,
-    recover_gsvd,
     run,
 )
 from .errors import (
@@ -44,7 +42,6 @@ from .errors import (
     InfeasibleRankError,
     ParseError,
     RankDeficiencyError,
-    RecoveryError,
     ValidationError,
 )
 from .io import read_matrix, report_to_dict, write_matrix, write_report
@@ -66,12 +63,10 @@ __all__ = [
     "GsvOptions",
     "GsvRun",
     "GsvSpectrum",
-    "GsvdFactors",
     "InfeasibleRankError",
     "ParseError",
     "QrFactors",
     "RankDeficiencyError",
-    "RecoveryError",
     "SvdFactors",
     "SynthResult",
     "SynthSpec",
@@ -89,7 +84,6 @@ __all__ = [
     "projector_bound",
     "quantity_error_bounds",
     "read_matrix",
-    "recover_gsvd",
     "reduced_qr",
     "relative_significance",
     "report_to_dict",

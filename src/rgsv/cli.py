@@ -13,7 +13,14 @@ perturbation budget, read off its residuals and R factor: no stack of the
 pair is factored. --k adds a projector bound per side, from the run's
 spectrum, which is off by at most the budget, and from eta = ``stack_norm2``
 squared, which costs one SVD of the (m + p) x n stack. A side that
---max-cols stops unconverged is named in a warning on stderr.
+--max-cols stops unconverged is named in a warning on stderr. Each warning
+is printed there as one ``warning: <message>`` line, and those rgsv raises
+are printed whatever the Python warning filters say.
+
+Exit codes: 0 on success; 2 for a usage error; 3-9 for a ``GsvError``,
+one per category (``EXIT_CODES``: 3 parse, 4 dimension, 5 validation,
+6 rank, 7 numerical, 8 infeasible, 9 degenerate); 11 for an I/O error;
+1 for any other error.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from . import io
@@ -39,7 +47,6 @@ EXIT_CODES = {
     "numerical": 7,
     "infeasible": 8,
     "degenerate": 9,
-    "recovery": 10,
 }
 
 
@@ -213,17 +220,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, *_args, **_kwargs):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except GsvError as exc:
-        print(f"error: category={exc.category}: {exc}", file=sys.stderr)
-        return EXIT_CODES.get(exc.category, 1)
-    except OSError as exc:
-        print(f"error: category=io: {exc}", file=sys.stderr)
-        return 11
+    with warnings.catch_warnings():
+        # a warning is one stderr line, and rgsv's are shown whatever the filters say
+        warnings.filterwarnings("always", category=UserWarning, module=r"rgsv\.")
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except GsvError as exc:
+            print(f"error: category={exc.category}: {exc}", file=sys.stderr)
+            return EXIT_CODES.get(exc.category, 1)
+        except OSError as exc:
+            print(f"error: category=io: {exc}", file=sys.stderr)
+            return 11
 
 
 if __name__ == "__main__":

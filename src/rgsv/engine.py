@@ -18,12 +18,9 @@ path. A run returns its spectrum with what its a-posteriori certificate
 Martinsson & Tropp 2011, 4.3): each sketched side's explicit residual
 ||G - QB||_F, which extraction reports as its last history entry, and the
 compressed stack's R factor (its singular values, those of [Q1 B1; Q2 B2],
-are taken on first read). ``compute_gsv`` is the run's spectrum.
-``recover_gsvd`` rebuilds the full factorization
-G1 = U diag(alpha) R, G2 = V diag(beta) R on demand from the same solve,
-which then keeps each side's Q, by one recovery, run on the mirrored pair
-(G2, G1) when L1 is the taller block; no square Q is formed to complete
-the columns the data leave undetermined.
+are taken on first read). ``compute_gsv`` is the run's spectrum. No solve
+keeps a basis Q or forms the factors U, V and R of the decomposition: the
+comparative quantities and certificates read the spectrum alone.
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ from . import core
 from .errors import (
     DimensionError,
     RankDeficiencyError,
-    RecoveryError,
     ValidationError,
 )
 from .rangefinder import ExtractionConfig, extract_basis
@@ -56,8 +52,8 @@ class GmpPair:
     Construction promotes both matrices to a common scalar field and
     checks the shapes, including m + p >= n. It does not factor the
     stack: the numerical rank test (sigma_min <= 1e-12 * sigma_max raises
-    RankDeficiencyError) runs on the R factor of the stacked pair inside
-    ``run`` and ``recover_gsvd``. No solve reads or fills
+    RankDeficiencyError) runs on the R factor of the stacked pair, or of
+    the compressed stack, inside ``run``. No solve reads or fills
     ``stack_norm2`` and ``stack_pinv_norm``: both come from one SVD of the
     (m + p) x n stack the first time either is read, under the same rank
     test.
@@ -209,17 +205,6 @@ class GsvOptions:
 
 
 @dataclass(frozen=True)
-class GsvdFactors:
-    """Full decomposition G1 = U diag(alpha) R, G2 = V diag(beta) R with
-    column-orthonormal U (m x n), V (p x n) and nonsingular R (n x n)."""
-
-    u: np.ndarray
-    v: np.ndarray
-    r_factor: np.ndarray
-    spectrum: GsvSpectrum
-
-
-@dataclass(frozen=True)
 class GsvRun:
     """One solve (see ``run``): its spectrum, which ``compute_gsv``
     returns; the explicit residuals ||Gi - Qi Bi||_F, B = Q^H G, of its
@@ -274,9 +259,10 @@ def spectrum_from_l_blocks(
     zero-padded at the tail), those of the second block the betas
     (ascending, zero-padded at the head); values are clamped into [0, 1]
     against roundoff overshoot. When the shorter block has k <= n/2 rows
-    it takes an SVD with its right vectors W1 (``_cs_step``), and the
-    longer block's values are those of its product with W1, which has k
-    columns, plus n - k exact ones; the longer block itself takes no SVD.
+    it takes an SVD with its right vectors W1, and the longer block's
+    values are those of its product with W1, which has k columns, plus
+    n - k exact ones (``_short_block_values``); the longer block itself
+    takes no SVD.
     Otherwise each block takes a values-only SVD, which then costs less
     (1 BLAS thread: real 58- and 400-row blocks of n = 400 took 5.0 ms by
     W1 against 17.8 ms by two SVDs, complex 240- and 240-row ones 68
@@ -312,24 +298,17 @@ def _singular_values(block: np.ndarray) -> np.ndarray:
 
 def _short_block_values(la: np.ndarray, lb: np.ndarray, n: int):
     """The descending singular values of the block la, with k < n rows and
-    no taller than lb, and the n of lb: those of Lb W1 (``_cs_step``),
-    after n - k exact ones for the directions la maps to 0."""
-    _, a, _, t = _cs_step(la, lb)
-    return a, np.concatenate([np.ones(n - a.size), _singular_values(t)])
-
-
-def _cs_step(la: np.ndarray, lb: np.ndarray):
-    """(Ua, a, W1, T) for the blocks la (no taller than lb) of a stack
-    [La; Lb] with orthonormal columns: the reduced SVD La = Ua diag(a) W1^H
-    and T = Lb W1, the first step of its CS decomposition (Paige & Saunders
-    1981). Since La^H La + Lb^H Lb = I, T has orthogonal columns of norms
-    sqrt(1 - a_i^2), and Lb maps each direction W1 misses to a unit
-    vector."""
+    no taller than lb, and the n of lb, for a stack [La; Lb] with
+    orthonormal columns. The reduced SVD La = Ua diag(a) W1^H is the first
+    step of the stack's CS decomposition (Paige & Saunders 1981): since
+    La^H La + Lb^H Lb = I, Lb W1 has orthogonal columns of norms
+    sqrt(1 - a_i^2), and Lb maps each direction W1 misses to a unit vector,
+    so lb's values are those of Lb W1 after n - k exact ones."""
     if la.shape[0]:
-        ua, a, w1 = core.svd(la)
+        _, a, w1 = core.svd(la)
     else:  # no rows: W1 has no columns
-        ua, a, w1 = la[:, :0], np.zeros(0), np.zeros((la.shape[1], 0), la.dtype)
-    return ua, a, w1, lb @ w1
+        a, w1 = np.zeros(0), np.zeros((la.shape[1], 0), la.dtype)
+    return a, np.concatenate([np.ones(n - a.size), _singular_values(lb @ w1)])
 
 
 def _side_seed(seed: int, side: int) -> int:
@@ -357,12 +336,11 @@ def _crossover(n: int) -> int:
     return -(-n // 3)
 
 
-def _front_end(g: np.ndarray, cfg: ExtractionConfig, shortcut: bool, keep_q: bool):
-    """(Q, C, residual, capped) of one side of a randomized solve (see
-    ``run``): a sketch's rows C = Q^H G, its Q if ``keep_q``, its explicit
-    ||G - QC||_F (its last history entry) and, if max_cols stopped it
-    unconverged above the trim floor, a note saying so; or an exact side's
-    R, or with ``keep_q`` its reduced QR, 0 and None. With ``shortcut`` an
+def _front_end(g: np.ndarray, cfg: ExtractionConfig, shortcut: bool):
+    """(C, residual, note) of one side of a randomized solve (see ``run``):
+    a sketch's rows C = Q^H G, its explicit ||G - QC||_F (its last history
+    entry) and, if max_cols stopped it unconverged above the trim floor, a
+    note saying so; or an exact side's R, 0 and None. With ``shortcut`` an
     eligible side goes exact without a sketch."""
     n = g.shape[1]
     if g.shape[0] < _TALL_ASPECT * n or cfg.max_cols is not None:
@@ -374,45 +352,13 @@ def _front_end(g: np.ndarray, cfg: ExtractionConfig, shortcut: bool, keep_q: boo
         if not basis.converged:
             basis = None  # the discarded probe is not alive beside the QR
     if basis is None:
-        if keep_q:
-            return *core.reduced_qr(g), 0.0, None
-        return None, core.r_factor(g), 0.0, None
+        return core.r_factor(g), 0.0, None
     normf, res = basis.residual_history[0], basis.residual_history[-1]
     note = None
     if basis.b.shape[0] == cfg.max_cols and not basis.converged and res >= cfg.trim_tol * normf:
         note = (f"kept max_cols = {cfg.max_cols} columns at residual {res:.3e} "
                 f"> tol {cfg.tol_for(normf):.3e}")
-    return basis.q if keep_q else None, basis.b, res, note
-
-
-def _run_pipeline(pair: GmpPair, opts: GsvOptions, keep_q: bool):
-    """(run, Q1, Q2, the stack's QR factors, l1) of one solve (see ``run``);
-    the Qs, which ``recover_gsvd`` lifts by, are kept only with ``keep_q``."""
-    n = pair.n
-    if opts.method == DIRECT:
-        c1, c2, q1, q2, res1, res2 = pair.g1, pair.g2, None, None, 0.0, 0.0
-    else:
-        cfg = opts.extraction
-        q1, c1, res1, cap1 = _front_end(pair.g1, _side_config(cfg, pair.g1, 0), False, keep_q)
-        # a solve needs l1 + l2 >= n, so a sketch of g2 would keep >= n - l1 columns
-        q2, c2, res2, cap2 = _front_end(pair.g2, _side_config(cfg, pair.g2, 1),
-                                        n - c1.shape[0] >= _crossover(n), keep_q)
-        capped = [f"g{i} {note}" for i, note in ((1, cap1), (2, cap2)) if note]
-        if capped:
-            warnings.warn("extraction stopped unconverged: " + "; ".join(capped))
-    l1, l2 = c1.shape[0], c2.shape[0]
-    if l1 + l2 < n:
-        raise RankDeficiencyError(
-            f"compressed pair has {l1} + {l2} rows < {n} columns; "
-            "tighten the extraction tolerance or raise max_cols"
-        )
-    stack = np.vstack([c1, c2])
-    c1 = c2 = None  # the blocks are not alive beside the stack's QR
-    qf = core.reduced_qr(stack)
-    del stack  # nor is the stack beside the rank test
-    _rank_test(qf.r, "stacked pair" if opts.method == DIRECT else "compressed stacked pair")
-    spec = spectrum_from_l_blocks(qf.q[:l1], qf.q[l1:], n, opts.classify_tol)
-    return GsvRun(spec, (res1, res2), qf.r), q1, q2, qf, l1
+    return basis.b, res, note
 
 
 def compute_gsv(pair: GmpPair, opts: GsvOptions | None = None) -> GsvSpectrum:
@@ -489,71 +435,29 @@ def run(pair: GmpPair, opts: GsvOptions | None = None) -> GsvRun:
     randomized path the compressed pair (fewer than n rows, or
     sigma_min(R) <= 1e-12 * sigma_max(R)), is numerically rank deficient.
     """
-    return _run_pipeline(pair, opts or GsvOptions(), False)[0]
-
-
-def _orthonormal_completion(cols: np.ndarray, count: int) -> np.ndarray:
-    """``count`` orthonormal columns orthogonal to the orthonormal block
-    ``cols`` (dim x have, have + count <= dim): the trailing columns of the
-    reduced Householder Q of [cols, I[:, :count]], orthonormal by
-    construction, whose leading columns span ``cols`` even when columns of
-    I lie in that span; O(dim (have + count)^2) work, no dim x dim matrix."""
-    dim, have = cols.shape
-    if count == 0:
-        return np.zeros((dim, 0), dtype=cols.dtype)
-    q, _ = np.linalg.qr(np.hstack([cols, np.eye(dim, count, dtype=cols.dtype)]))
-    return q[:, have:]
-
-
-def _recover_shorter_first(la, lb, qa, qb, partner, zeros, tol):
-    """(U, V, W^H) of the CS decomposition La = U diag(a) W^H,
-    Lb = V diag(b) W^H (Paige & Saunders 1981), la no taller than lb,
-    lifted through the bases Qa, Qb (None: identity). ``partner`` is b, its
-    first ``zeros`` entries exactly 0. U is La's left singular vectors, V is
-    Qb Lb W / b where b > 0, and a completion fills the rest of each."""
-    n = la.shape[1]
-    ua, _, w, t = _cs_step(la, lb)
-    k = w.shape[1]
-    if k < n:  # W must be n x n: complete it by the directions la maps to 0
-        rest = _orthonormal_completion(w, n - k)
-        w, t = np.hstack([w, rest]), np.hstack([t, lb @ rest])
-    u_main = ua if qa is None else qa @ ua
-    u = np.hstack([u_main, _orthonormal_completion(u_main, n - k)])
-    if np.any(partner[zeros:] < tol):
-        raise RecoveryError("interior GSV below classify_tol; recovery ill conditioned")
-    t = t[:, zeros:]
-    v_main = (t if qb is None else qb @ t) / partner[zeros:]
-    v = np.hstack([_orthonormal_completion(v_main, zeros), v_main])
-    return u, v, w.conj().T
-
-
-def recover_gsvd(pair: GmpPair, opts: GsvOptions | None = None) -> GsvdFactors:
-    """Recover the full decomposition from the compressed pipeline.
-
-    The solve is ``run``'s, except that an exact side takes a reduced QR
-    G = Q R, since its Q lifts the recovered factors.
-    When l1 <= l2 the recovery runs on (L1, L2) with the betas as
-    partners; otherwise on the mirrored pair (G2, G1), with the reversed
-    alphas as partners, and the columns of U and V and the rows of W^H are
-    reversed back. R = W^H R~ either way. Columns of U (resp. V) that
-    multiply a classified-zero entry are undetermined by the data and are
-    filled with an orthonormal completion orthogonal to the recovered
-    ones. Requires m >= n and p >= n so that column-orthonormal factors
-    exist.
-    """
     opts = opts or GsvOptions()
-    m, p, n = pair.m, pair.p, pair.n
-    if m < n or p < n:
-        raise RecoveryError(
-            f"full recovery needs m >= n and p >= n, got ({m}, {p}, {n})"
-        )
-    solve, q1, q2, qf, l1 = _run_pipeline(pair, opts, True)
-    spec, tol = solve.spectrum, opts.classify_tol
-    l1_block, l2_block = qf.q[:l1], qf.q[l1:]
-    if l1 <= l2_block.shape[0]:
-        u, v, wh = _recover_shorter_first(l1_block, l2_block, q1, q2, spec.betas, spec.r, tol)
+    n = pair.n
+    if opts.method == DIRECT:
+        c1, c2, res1, res2 = pair.g1, pair.g2, 0.0, 0.0
     else:
-        v, u, wh = _recover_shorter_first(
-            l2_block, l1_block, q2, q1, spec.alphas[::-1], n - spec.r - spec.s, tol)
-        u, v, wh = u[:, ::-1], v[:, ::-1], wh[::-1]
-    return GsvdFactors(u, v, wh @ qf.r, spec)
+        cfg = opts.extraction
+        c1, res1, cap1 = _front_end(pair.g1, _side_config(cfg, pair.g1, 0), False)
+        # a solve needs l1 + l2 >= n, so a sketch of g2 would keep >= n - l1 columns
+        c2, res2, cap2 = _front_end(pair.g2, _side_config(cfg, pair.g2, 1),
+                                    n - c1.shape[0] >= _crossover(n))
+        capped = [f"g{i} {note}" for i, note in ((1, cap1), (2, cap2)) if note]
+        if capped:
+            warnings.warn("extraction stopped unconverged: " + "; ".join(capped))
+    l1, l2 = c1.shape[0], c2.shape[0]
+    if l1 + l2 < n:
+        raise RankDeficiencyError(
+            f"compressed pair has {l1} + {l2} rows < {n} columns; "
+            "tighten the extraction tolerance or raise max_cols"
+        )
+    stack = np.vstack([c1, c2])
+    c1 = c2 = None  # the blocks are not alive beside the stack's QR
+    qf = core.reduced_qr(stack)
+    del stack  # nor is the stack beside the rank test
+    _rank_test(qf.r, "stacked pair" if opts.method == DIRECT else "compressed stacked pair")
+    spec = spectrum_from_l_blocks(qf.q[:l1], qf.q[l1:], n, opts.classify_tol)
+    return GsvRun(spec, (res1, res2), qf.r)

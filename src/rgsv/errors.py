@@ -48,9 +48,3 @@ class InfeasibleRankError(GsvError):
     """Requested synthetic rank configuration cannot produce a valid pair."""
 
     category = "infeasible"
-
-
-class RecoveryError(GsvError):
-    """Full decomposition recovery is not possible for this input."""
-
-    category = "recovery"

@@ -11,9 +11,9 @@ from _util import allowance, child_env, record_rows, structured_pair
 import rgsv.cli
 import rgsv.core
 import rgsv.engine
-from rgsv import (ExtractionConfig, GmpPair, GsvOptions, extract_basis, frobenius_norm,
-                  gaussian_matrix, perturbation_bound, read_matrix, residual_norm, run,
-                  write_matrix)
+from rgsv import (ExtractionConfig, GmpPair, GsvError, GsvOptions, extract_basis,
+                  frobenius_norm, gaussian_matrix, perturbation_bound, read_matrix, residual_norm,
+                  run, write_matrix)
 from rgsv.cli import main
 
 
@@ -138,15 +138,20 @@ def test_extract_reports_the_explicit_residual(tmp_path):
 @pytest.mark.parametrize("command", ["gsv", "compare", "bounds"])
 def test_a_capped_side_is_reported_on_stderr(pair_files, command):
     # 8 of 12 columns cannot capture either full-rank side; the run is
-    # reported as before, and the warning names both sides
+    # reported as before, and one stderr line names both sides, with no
+    # source path or line, also where Python's warning filters ignore it
     g1, g2 = pair_files
-    proc = run_cli(command, "--g1", str(g1), "--g2", str(g2), "--max-cols", "8", "--seed", "3")
-    assert proc.returncode == 0, proc.stderr
-    assert "extraction stopped unconverged: g1 kept max_cols = 8 columns" in proc.stderr
-    assert "; g2 kept max_cols = 8 columns" in proc.stderr
-    assert proc.stdout.splitlines()[0] == {"gsv": "index,alpha,beta",
-                                           "compare": "index,alpha,beta,rho,theta,p1,p2",
-                                           "bounds": "index,p1_bound,p2_bound"}[command]
+    args = (command, "--g1", str(g1), "--g2", str(g2), "--max-cols", "8", "--seed", "3")
+    for env in (None, {"PYTHONWARNINGS": "ignore"}):
+        proc = run_cli(*args, env=env)
+        assert proc.returncode == 0, proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("warning: extraction stopped unconverged: "
+                               "g1 kept max_cols = 8 columns"), line
+        assert "; g2 kept max_cols = 8 columns" in line
+        assert proc.stdout.splitlines()[0] == {"gsv": "index,alpha,beta",
+                                               "compare": "index,alpha,beta,rho,theta,p1,p2",
+                                               "bounds": "index,p1_bound,p2_bound"}[command]
 
 
 def test_synth_writes_pair_and_truth(tmp_path):
@@ -336,6 +341,18 @@ def test_bounds_factors_the_stack_only_for_k(tmp_path, monkeypatch, k):
 
 
 class TestErrorExits:
+    def test_each_error_category_has_its_own_exit_code(self):
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        categories = sorted(cls.category for cls in subclasses(GsvError))
+        assert categories == sorted(rgsv.cli.EXIT_CODES)
+        codes = list(rgsv.cli.EXIT_CODES.values())
+        # 0 success, 1 any other error, 2 usage, 11 I/O
+        assert len(set(codes)) == len(codes) and not set(codes) & {0, 1, 2, 11}
+
     def test_parse_error_exit(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("1,x\n")

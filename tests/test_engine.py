@@ -16,7 +16,6 @@ from rgsv import (
     GsvOptions,
     GsvSpectrum,
     RankDeficiencyError,
-    RecoveryError,
     ValidationError,
     classify_spectrum,
     compare,
@@ -24,7 +23,6 @@ from rgsv import (
     frobenius_norm,
     gaussian_matrix,
     perturbation_bound,
-    recover_gsvd,
     residual_norm,
     run,
 )
@@ -399,96 +397,6 @@ class TestRankTest:
         assert spectrum_gap(got, compute_gsv(pair, GsvOptions(method="direct"))) <= 1e-12
 
 
-class TestRecoverGsvd:
-    @staticmethod
-    def _check_factors(pair, fac, tol=1e-8):
-        n = pair.n
-        a, b = fac.spectrum.alphas, fac.spectrum.betas
-        g1r = fac.u @ (a[:, None] * fac.r_factor)
-        g2r = fac.v @ (b[:, None] * fac.r_factor)
-        nrm1 = np.linalg.norm(pair.g1)
-        nrm2 = np.linalg.norm(pair.g2)
-        assert np.linalg.norm(g1r - pair.g1) <= tol * max(nrm1, 1e-30)
-        assert np.linalg.norm(g2r - pair.g2) <= tol * max(nrm2, 1e-30)
-        assert np.linalg.norm(fac.u.conj().T @ fac.u - np.eye(n)) <= tol * math.sqrt(n)
-        assert np.linalg.norm(fac.v.conj().T @ fac.v - np.eye(n)) <= tol * math.sqrt(n)
-
-    @pytest.mark.parametrize("method", ["direct", "randomized"])
-    @pytest.mark.parametrize("m,p,n", [(40, 30, 20), (30, 40, 20)])
-    def test_interior_pair_invariants(self, m, p, n, method):
-        pair = random_pair(m, p, n, seed=14)
-        fac = recover_gsvd(
-            pair, GsvOptions(method=method, extraction=ExtractionConfig(tol=1e-12, seed=15))
-        )
-        self._check_factors(pair, fac)
-
-    def test_closed_form_proportional(self):
-        pair = GmpPair(0.6 * np.eye(2), 0.8 * np.eye(2))
-        fac = recover_gsvd(pair, GsvOptions(method="direct"))
-        self._check_factors(pair, fac, tol=1e-10)
-        back = fac.u.conj().T @ pair.g1 @ np.linalg.inv(fac.r_factor)
-        assert np.allclose(back, 0.6 * np.eye(2), atol=1e-10)
-
-    @pytest.mark.parametrize("field", ["real", "complex"])
-    @pytest.mark.parametrize("method", ["direct", "randomized"])
-    @pytest.mark.parametrize("m,p", [(30, 25), (25, 30)])
-    @pytest.mark.parametrize(
-        "alphas", [[1, 1, 1, 0.7, 0.4, 0], [1, 0.7, 0.4, 0, 0, 0]], ids=["r3", "r1"]
-    )
-    def test_zero_block_completion(self, alphas, m, p, method, field):
-        # r > 0 betas and trailing alphas are exactly zero; their V and U
-        # columns come from the completion. The shapes and methods cover
-        # both l1 <= l2 and l1 > l2 on each path.
-        pair, truth = structured_pair(alphas, m=m, p=p, seed=16, field=field)
-        opts = GsvOptions(method=method, extraction=ExtractionConfig(tol=1e-12, seed=17))
-        fac = recover_gsvd(pair, opts)
-        n, r, s = pair.n, fac.spectrum.r, fac.spectrum.s
-        assert (r, s) == (truth.r, truth.s)
-        for f, done in ((fac.v, range(r)), (fac.u, range(r + s, n))):
-            fill = f[:, list(done)]
-            rest = np.delete(f, list(done), axis=1)
-            assert np.linalg.norm(fill.conj().T @ fill - np.eye(len(done))) <= 1e-10
-            assert np.linalg.norm(fill.conj().T @ rest) <= 1e-10
-        self._check_factors(pair, fac)
-
-    @pytest.mark.parametrize("mirrored", [False, True])
-    def test_completion_forms_no_square_q(self, monkeypatch, mirrored):
-        # G1 has rank 6 < n, so the randomized U block needs 4 completed
-        # columns; mirroring the pair takes the other orientation
-        alphas = [1, 0.9, 0.8, 0.7, 0.5, 0.3, 0, 0, 0, 0]
-        pair, _ = structured_pair(alphas, m=200, p=180, seed=20)
-        if mirrored:
-            pair = GmpPair(pair.g2, pair.g1)
-        qr = np.linalg.qr
-        calls = []
-
-        def recording_qr(a, mode="reduced"):
-            calls.append((np.shape(a)[1], mode))
-            return qr(a, mode=mode)
-
-        monkeypatch.setattr(np.linalg, "qr", recording_qr)
-        opts = GsvOptions(extraction=ExtractionConfig(tol=1e-12, seed=21))
-        fac = recover_gsvd(pair, opts)
-        assert calls
-        assert all(mode != "complete" and cols <= pair.n for cols, mode in calls)
-        self._check_factors(pair, fac)
-
-    def test_complex_recovery(self):
-        pair = random_pair(35, 30, 18, seed=17, field="complex")
-        fac = recover_gsvd(pair, GsvOptions(method="direct"))
-        self._check_factors(pair, fac)
-
-    def test_rejects_wide_shapes(self):
-        pair = random_pair(12, 30, 20, seed=18)
-        with pytest.raises(RecoveryError):
-            recover_gsvd(pair, GsvOptions(method="direct"))
-
-    def test_spectrum_matches_compute_gsv(self):
-        pair = random_pair(26, 24, 16, seed=19)
-        opts = GsvOptions(method="direct")
-        assert spectrum_gap(recover_gsvd(pair, opts).spectrum, compute_gsv(pair, opts)) == 0.0
-
-
 def _l_blocks(betas, l1, l2, seed, field):
     """Blocks L1 (l1 x n) and L2 (l2 x n) of a stack with orthonormal
     columns whose GSV betas are ``betas`` (ascending, alphas sqrt(1 - b^2)):
@@ -608,7 +516,6 @@ class TestExactFrontEnd:
         direct = compute_gsv(pair, GsvOptions(method="direct"))
         solve = run(pair, opts)
         assert spectrum_gap(solve.spectrum, direct) <= 1e-12
-        TestRecoverGsvd._check_factors(pair, recover_gsvd(pair, opts))
         assert [res == 0.0 for res in solve.residuals] == [side in exact for side in (0, 1)]
         want = explicit_run_budget(pair, opts, exact)
         assert abs(perturbation_bound(pair, solve) - want) <= 1e-10 * want
