@@ -4,7 +4,10 @@ Matrices are plain numpy arrays, real (float64) or complex (complex128).
 ``as_matrix`` is the single validation gate: 2-D, nonempty, all entries
 finite. Factorizations are LAPACK-backed (Householder QR, dense SVD) with
 a fixed phase convention so that factors are deterministic and usable in
-golden tests.
+golden tests. A tall QR (at least 2048 rows and 4 per column) takes
+LAPACK's level-3 ``?geqrt``, imported from scipy.linalg on first use;
+every other QR takes numpy's ``np.linalg.qr`` (``?geqrf``), so a process
+that factors nothing tall never loads scipy.linalg.
 """
 
 from __future__ import annotations
@@ -22,6 +25,11 @@ COMPLEX = "complex"
 _SEED_MASK = (1 << 64) - 1
 
 _BAND_BYTES = 1 << 20  # the largest band of ``row_bands``
+
+# A QR of at least this many rows, and 4 per column, is tall (``_is_tall``);
+# ``_NB`` is the block width of its ?geqrt and ?tpqrt.
+_TALL_ROWS = 2048
+_NB = 32
 
 
 class QrFactors(NamedTuple):
@@ -86,14 +94,45 @@ def gaussian_matrix(rows: int, cols: int, seed: int, field: str = REAL) -> np.nd
     return gaussian_block(seeded_rng(seed), rows, cols, field)
 
 
+def _is_tall(a: np.ndarray) -> bool:
+    """Whether a QR of ``a`` takes LAPACK's ?geqrt rather than numpy's
+    ?geqrf. ?geqrf factors panels of 32 columns, and any input under 128
+    columns, unblocked (level-2 ?geqr2), streaming the whole tall panel once
+    per column; ?geqrt's recursive panels (?geqrt3: Elmroth & Gustavson
+    2000) are level 3. At 1 BLAS thread (OpenBLAS 0.3.31) R alone took 45
+    against 79 ms at 4000 x 400 and 31 against 104 ms at 20000 x 100, but
+    was level at 459 x 400 and 17% slower at 480 x 400 complex. Below 2048
+    rows the gain cannot pay for importing scipy.linalg in a one-shot
+    process (35-75 ms once scipy.io is loaded, 0.22-0.27 s without it)."""
+    m, n = a.shape
+    return m >= max(_TALL_ROWS, 4 * n)
+
+
+def _lapack(names: tuple[str, ...], a: np.ndarray):
+    """The LAPACK wrappers ``names`` for the dtype of ``a``."""
+    from scipy.linalg.lapack import get_lapack_funcs
+
+    return get_lapack_funcs(names, (a,))
+
+
 def reduced_qr(m) -> QrFactors:
-    """Reduced (economy) QR by Householder reflections (LAPACK geqrf).
+    """Reduced (economy) QR by Householder reflections: LAPACK ?geqrt
+    (block width 32) with Q applied to the leading columns of I by
+    ?gemqrt for a tall input (``_is_tall``), else numpy's ?geqrf.
 
     The phase convention makes the diagonal of R real and nonnegative,
     which fixes the factors uniquely for full-column-rank input. Rank
     deficiency is permitted; trailing diagonal entries of R may be ~0.
     """
-    q, r = np.linalg.qr(as_matrix(m), mode="reduced")
+    a = as_matrix(m)
+    if _is_tall(a):
+        geqrt, gemqrt = _lapack(("geqrt", "gemqrt"), a)
+        n = a.shape[1]
+        v, t, _ = geqrt(min(_NB, n), a)
+        r = np.triu(v[:n])
+        q = gemqrt(v, t, np.eye(*a.shape, dtype=a.dtype, order="F"), overwrite_c=True)[0]
+    else:
+        q, r = np.linalg.qr(a, mode="reduced")
     d = np.diagonal(r)
     if np.iscomplexobj(r):
         absd = np.abs(d)
@@ -110,19 +149,24 @@ def reduced_qr(m) -> QrFactors:
 def r_factor(g: np.ndarray) -> np.ndarray:
     """The min(m, n) x n R of a Householder QR of g (m x n), Q never formed.
 
-    One QR holds a copy of g. From m >= 8 n rows, g is factored as two row
-    blocks, the first n rows longer, then their stacked Rs (sequential TSQR,
-    as stable as one QR: Demmel, Grigori, Hoemmen & Langou 2012), so each
-    step peaks at a copy of (m + 3n)/2 rows: 0.66 g at 4000 x 400, against
-    1.11 for one QR and 0.71 for halves. Split / one QR time at n = 200 and
-    400 (1 BLAS thread, three medians of 15 interleaved runs): 1.12-1.39 at
-    4 n, 1.04-1.27 at 6 n, 0.97-1.10 at 7 n, 0.97-1.05 at 8 n (the
-    break-even), 0.79-0.92 at 10 n and 20 n."""
+    A tall g (``_is_tall``) is factored by sequential TSQR (Demmel,
+    Grigori, Hoemmen & Langou 2012), as stable as one QR: ?geqrt factors
+    its first band of rows (``row_bands``, taken at least n rows deep),
+    and ?tpqrt folds each later band into R. ?tpqrt reads R's triangle,
+    so banding adds no flops, and each step holds R and one band beside g:
+    a peak of 0.22 g.nbytes at 4000 x 400 and 0.08 at 20000 x 100, where
+    one QR copies all of g. Any other g takes one R-only ``np.linalg.qr``."""
     m, n = g.shape
-    if m < 8 * n:
+    if not _is_tall(g):
         return np.linalg.qr(g, mode="r")
-    blocks = g[: (m + n) // 2], g[(m + n) // 2:]
-    return np.linalg.qr(np.vstack([np.linalg.qr(b, mode="r") for b in blocks]), mode="r")
+    geqrt, tpqrt = _lapack(("geqrt", "tpqrt"), g)
+    nb, step = min(_NB, n), _band_rows(g)
+    top = max(step, n)
+    # in Fortran order, so that each ?tpqrt overwrites R rather than a copy
+    r = np.asfortranarray(np.triu(geqrt(nb, g[:top])[0][:n]))
+    for i in range(top, m, step):
+        r = tpqrt(0, nb, r, g[i:i + step], overwrite_a=True)[0]
+    return r
 
 
 def svd(m, compute_uv: bool = True) -> SvdFactors:
@@ -143,9 +187,14 @@ def row_bands(a: np.ndarray) -> list[slice]:
     """Slices of consecutive rows of ``a``, in order and covering them all,
     each band at most 1 MiB: a loop over them forms no temporary as large
     as ``a``."""
-    row_bytes = a.itemsize * math.prod(a.shape[1:])
-    step = max(1, _BAND_BYTES // max(row_bytes, 1))
+    step = _band_rows(a)
     return [slice(i, i + step) for i in range(0, a.shape[0], step)]
+
+
+def _band_rows(a: np.ndarray) -> int:
+    """The rows of one band of ``row_bands(a)``."""
+    row_bytes = a.itemsize * math.prod(a.shape[1:])
+    return max(1, _BAND_BYTES // max(row_bytes, 1))
 
 
 def sum_sq(a: np.ndarray, minus=None, dtype=np.float64) -> float:

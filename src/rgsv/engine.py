@@ -402,11 +402,13 @@ def run(pair: GmpPair, opts: GsvOptions | None = None) -> GsvRun:
     plus 2 m n k for its explicit residual; an R-only QR costs
     2 m n^2 - 2/3 n^3. Measured per side on a rank-k
     3000 x 1200 side at the default tol (2-core Xeon, OpenBLAS, 1 thread,
-    medians of 3 x 15 runs), the sketch won at k = 200 (222 vs 276 ms),
-    was level or lost at k = 300 (335 vs 287 ms) and lost at k = 400 =
-    n/3 (426 vs 300 ms) and k = 600 (721 vs 297 ms), and a full-rank
-    side took 1.0-1.3 s to sketch against 0.27-0.32 s to factor. The
-    switch sits at n/3, above the crossover near n/4 these runs show. A
+    three medians of 5 interleaved runs each), whose sketch panels take
+    ?geqrt and whose R-only QR (under 4 n rows) takes numpy's ?geqrf, the
+    sketch won at k = 200 (192-208 vs 292-341 ms), was level at k = 300
+    (290-313 vs 309-349 ms) and lost at k = 400 = n/3 (360-401 vs 298-328
+    ms) and k = 600 (473-531 vs 263-284 ms), and a full-rank side took
+    1.3-1.5 s to sketch against 0.27-0.32 s to factor. The switch sits at
+    n/3, above the crossover between n/4 and n/3 these runs show. A
     side sent exact adds the cost of its one probe block, about
     2 m n min(32, blocksize) flops for G Omega: on the real 1000/800/200
     pair of the CLI benchmark both sides go exact after a 32-column block
@@ -425,11 +427,12 @@ def run(pair: GmpPair, opts: GsvOptions | None = None) -> GsvRun:
 
     Memory. No sketched basis Q, discarded sketch, compressed block or stack
     is held past its last reader, so a solve peaks at the pair, the rows
-    compressed so far and one step's working copy: for an exact side, the
-    copy its R-only QR factors ((m + 3n)/2 rows from m >= 8 n on,
-    ``core.r_factor``); for a sketch, its basis and rows, whose every
-    explicit residual (``core.sum_sq``) adds one band of rows, with Q's
-    rows there and the kept rows joined, and keeps no copy of G.
+    compressed so far and one step's working copy: for an exact side of
+    2048 rows or more, its R and one band of rows (``core.r_factor``'s
+    banded TSQR, 0.22 g.nbytes at 4000 x 400), and for a shorter one the
+    copy its one R-only QR factors; for a sketch, its basis and rows,
+    whose every explicit residual (``core.sum_sq``) adds one band of rows,
+    with Q's rows there and the kept rows joined, and keeps no copy of G.
 
     Raises RankDeficiencyError when the stacked pair, or on the
     randomized path the compressed pair (fewer than n rows, or

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
+from scipy.linalg import get_lapack_funcs
 
 from rgsv import (
     ConvergenceError,
@@ -133,28 +134,56 @@ class TestReducedQr:
         assert np.linalg.norm(q @ r - m) <= 1e-12 * np.linalg.norm(m)
 
 
+def _banded_r(g):
+    """The R of a sequential TSQR of g as r_factor takes it: LAPACK ?geqrt
+    (block width 32) of its first 1 MiB band of rows, at least n rows deep,
+    and ?tpqrt of each later band."""
+    m, n = g.shape
+    geqrt, tpqrt = get_lapack_funcs(("geqrt", "tpqrt"), (g,))
+    step = max(1, 2**20 // (g.itemsize * n))
+    top = max(step, n)
+    a, _, info = geqrt(min(32, n), g[:top])
+    assert info == 0
+    r = np.triu(a[:n])
+    for i in range(top, m, step):
+        r, _, _, info = tpqrt(0, min(32, n), r, g[i:i + step])
+        assert info == 0
+    return r
+
+
+def _recording_qr(monkeypatch):
+    """Replace np.linalg.qr by a wrapper that records (rows, mode) of each
+    call in the returned list."""
+    qr, calls = np.linalg.qr, []
+
+    def recording_qr(a, mode="reduced"):
+        calls.append((a.shape[0], mode))
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    return calls
+
+
 class TestRFactor:
-    """r_factor: one R-only QR below 8 n rows, two row blocks from there."""
+    """r_factor: one R-only np.linalg.qr below 2048 rows, a banded TSQR by
+    ?geqrt and ?tpqrt from there (1 MiB bands: 6553 rows of 20 real
+    columns, 3276 complex)."""
 
     @pytest.mark.parametrize("field", ["real", "complex"])
-    @pytest.mark.parametrize("rows,split", [(8 * 20 - 1, False), (8 * 20, True), (10 * 20, True)])
-    def test_matches_one_r_only_qr(self, rows, split, field, monkeypatch):
+    @pytest.mark.parametrize("rows,banded", [(159, False), (2047, False), (2048, True), (14000, True)])
+    def test_matches_one_r_only_qr(self, rows, banded, field, monkeypatch):
         g = gaussian_matrix(rows, 20, seed=40, field=field)
-        want = np.linalg.svd(np.linalg.qr(g, mode="r"), compute_uv=False)
-        qr, calls = np.linalg.qr, []
-
-        def recording_qr(a, mode="reduced"):
-            calls.append((a.shape[0], mode))
-            return qr(a, mode=mode)
-
-        monkeypatch.setattr(np.linalg, "qr", recording_qr)
+        before = g.copy()
+        one_qr = np.linalg.qr(g, mode="r")
+        want = np.linalg.svd(one_qr, compute_uv=False)
+        calls = _recording_qr(monkeypatch)
         r = core.r_factor(g)
         assert r.shape == (20, 20) and np.all(r[np.tril_indices(20, -1)] == 0)
+        assert np.array_equal(r, _banded_r(g) if banded else one_qr)
         got = np.linalg.svd(r, compute_uv=False)
         assert np.all(np.abs(got - want) <= 1e-13 * want)
-        top = (rows + 20) // 2
-        blocks = [(top, "r"), (rows - top, "r"), (40, "r")] if split else [(rows, "r")]
-        assert calls == blocks
+        assert calls == ([] if banded else [(rows, "r")])
+        assert np.array_equal(g, before)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_rank_deficient_tall_side(self, field):
@@ -164,17 +193,32 @@ class TestRFactor:
         assert np.all(np.abs(got - want) <= 1e-13 * want[0])
         assert got[5] <= 1e-13 * got[0]
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_rank_deficient_banded_side(self, field, monkeypatch):
+        g = gaussian_matrix(8000, 5, seed=41, field=field) @ gaussian_matrix(5, 20, seed=42, field=field)
+        before = g.copy()
+        want = np.linalg.svd(np.linalg.qr(g, mode="r"), compute_uv=False)
+        calls = _recording_qr(monkeypatch)
+        r = core.r_factor(g)
+        assert np.array_equal(r, _banded_r(g)) and calls == []
+        got = np.linalg.svd(r, compute_uv=False)
+        assert np.all(np.abs(got - want) <= 1e-13 * want[0])
+        assert got[5] <= 1e-13 * got[0]
+        assert np.array_equal(g, before)
+
     def test_holds_less_than_a_copy_of_its_input(self):
         # one R-only QR copies the whole 4000 x 400 side (1.11 g.nbytes at
-        # its peak); two blocks peak at the copy of (m + 3n)/2 rows, 0.66
+        # its peak); the banded TSQR holds R, the first 400 rows and one
+        # band of 327 rows. A first call loads scipy.linalg untraced.
         g = gaussian_matrix(4000, 400, seed=43)
+        core.r_factor(g)
         tracemalloc.start()
         try:
             core.r_factor(g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 0.7 * g.nbytes
+        assert peak <= 0.35 * g.nbytes
 
 
 class TestSvd:
@@ -259,9 +303,26 @@ class TestFrobeniusNorm:
         assert bands == row_bands(a) and len(bands) > 1
 
 
+def _tall(a):
+    """Whether reduced_qr factors a by ?geqrt: 2048 rows and 4 per column."""
+    m, n = a.shape
+    return m >= max(2048, 4 * n)
+
+
 def _phase_normalized_qr(a):
-    """np.linalg.qr(a) with R's diagonal made real and positive."""
-    q, r = np.linalg.qr(a)
+    """The Householder QR of a as reduced_qr takes it, with R's diagonal
+    made real and positive: LAPACK ?geqrt (block width 32) and ?gemqrt on
+    the leading columns of I for a tall a, else np.linalg.qr."""
+    m, n = a.shape
+    if not _tall(a):
+        q, r = np.linalg.qr(a)
+    else:
+        geqrt, gemqrt = get_lapack_funcs(("geqrt", "gemqrt"), (a,))
+        v, t, info = geqrt(min(32, n), a)
+        assert info == 0
+        q, info = gemqrt(v, t, np.eye(m, n, dtype=a.dtype))
+        assert info == 0
+        r = np.triu(v[:n])
     d = np.diagonal(r)
     ph = d / np.abs(d)
     return q * ph, r * np.conj(ph)[:, None]
@@ -278,6 +339,19 @@ class TestReducedQrPanels:
             warnings.simplefilter("error")
             return reduced_qr(a)
 
+    def _factor_as_the_reference(self, a, monkeypatch):
+        """Assert that reduced_qr(a) is bitwise _phase_normalized_qr(a),
+        calls np.linalg.qr only below the tall gate, leaves a unchanged
+        and keeps the invariants."""
+        before = a.copy()
+        q_ref, r_ref = _phase_normalized_qr(a)
+        calls = _recording_qr(monkeypatch)
+        q, r = self._factor(a)
+        assert np.array_equal(q, q_ref) and np.array_equal(r, r_ref)
+        assert calls == ([] if _tall(a) else [(a.shape[0], "reduced")])
+        assert np.array_equal(a, before)
+        self._check_invariants(a, q, r)
+
     @staticmethod
     def _check_invariants(a, q, r):
         k = a.shape[1]
@@ -290,22 +364,20 @@ class TestReducedQrPanels:
         assert np.all(np.diagonal(r).real >= 0)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
-    @pytest.mark.parametrize("shape", [(4000, 100), (1000, 67), (800, 67), (400, 100)],
+    @pytest.mark.parametrize("shape", [(4000, 100), (1000, 67), (800, 67), (400, 100),
+                                       (2047, 100), (2048, 100), (2048, 512), (2048, 513)],
                              ids=lambda shape: "x".join(map(str, shape)))
-    def test_is_bitwise_the_phase_normalized_lapack_qr(self, shape, field):
-        a = gaussian_matrix(*shape, seed=37, field=field)
-        q_ref, r_ref = _phase_normalized_qr(a)
-        q, r = self._factor(a)
-        assert np.array_equal(q, q_ref) and np.array_equal(r, r_ref)
-        self._check_invariants(a, q, r)
+    def test_is_bitwise_the_phase_normalized_lapack_qr(self, shape, field, monkeypatch):
+        self._factor_as_the_reference(gaussian_matrix(*shape, seed=37, field=field), monkeypatch)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
-    def test_well_conditioned_panel_matches_householder(self, field):
-        a = gaussian_matrix(4000, 100, seed=31, field=field)
-        q_ref, r_ref = _phase_normalized_qr(a)
-        q, r = self._factor(a)
-        assert np.array_equal(q, q_ref) and np.array_equal(r, r_ref)
-        self._check_invariants(a, q, r)
+    def test_well_conditioned_panel_matches_householder(self, field, monkeypatch):
+        self._factor_as_the_reference(gaussian_matrix(4000, 100, seed=31, field=field), monkeypatch)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_rank_deficient_tall_panel_is_bitwise_the_lapack_qr(self, field, monkeypatch):
+        a = gaussian_matrix(4000, 10, seed=38, field=field) @ gaussian_matrix(10, 30, seed=39, field=field)
+        self._factor_as_the_reference(a, monkeypatch)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_panel_with_a_dominant_column_matches_the_lapack_qr(self, field):
