@@ -101,9 +101,18 @@ def _is_tall(a: np.ndarray) -> bool:
     per column; ?geqrt's recursive panels (?geqrt3: Elmroth & Gustavson
     2000) are level 3. At 1 BLAS thread (OpenBLAS 0.3.31) R alone took 45
     against 79 ms at 4000 x 400 and 31 against 104 ms at 20000 x 100, but
-    was level at 459 x 400 and 17% slower at 480 x 400 complex. Below 2048
-    rows the gain cannot pay for importing scipy.linalg in a one-shot
-    process (35-75 ms once scipy.io is loaded, 0.22-0.27 s without it)."""
+    was level at 459 x 400 and 17% slower at 480 x 400 complex.
+
+    The 2048-row floor is chosen, not a measured break-even. One ``run``
+    solve of a benchmark-style low-rank/full-rank pair (m = p rows, n
+    columns) gained 3-15 ms at 2048 rows (n = 100 to 512), 10-21 ms at
+    3000 (n = 300, 600) and 31 ms at 4000 x 400 (in-process medians of 15
+    interleaved solves). Importing scipy.linalg costs 36-60 ms in a fresh
+    process that has loaded scipy.io and 0.17-0.18 s in one that has not,
+    so a one-shot process solving one pair of up to 4000 x 400 pays more
+    for the import than the kernel saves. The floor keeps a pair under
+    2048 rows, such as the benchmark's 1000/800/200 cli_files pair, free
+    of that import."""
     m, n = a.shape
     return m >= max(_TALL_ROWS, 4 * n)
 

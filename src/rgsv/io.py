@@ -53,27 +53,12 @@ def read_matrix(path) -> np.ndarray:
 
 
 def _read_matrix_market(path: Path) -> np.ndarray:
-    """``scipy.io.mmread`` of ``path``, on one thread where scipy's
-    fast_matrix_market reader (scipy >= 1.12) takes it. On 2 cores its
-    default, one thread per core, read the two 4000 x 400 files of the
-    benchmark's lowrank_tall pair in 0.25-0.39 s against 0.16-0.26 s in a
-    fresh process started after an idle gap, at a max RSS of 82.2 against
-    72.6 MB; back to back right after a write it took 0.145-0.18 against
-    0.17-0.24 s. PARALLELISM is the value threadpoolctl would set; the
-    read restores it."""
     import scipy.io
 
-    fmm = getattr(scipy.io, "_fast_matrix_market", None)  # absent before scipy 1.12
-    threads = fmm.PARALLELISM if fmm else None
     try:
-        if fmm:
-            fmm.PARALLELISM = 1
         mat = scipy.io.mmread(path)
     except Exception as exc:
         raise ParseError(f"{path}: invalid Matrix Market file: {exc}") from exc
-    finally:
-        if fmm:
-            fmm.PARALLELISM = threads
     if not isinstance(mat, np.ndarray):
         mat = mat.toarray()
     return core.as_matrix(mat, str(path))

@@ -326,9 +326,10 @@ def test_bounds_of_a_both_exact_pair_is_the_rounding_allowance(tmp_path):
 @pytest.mark.parametrize("k", [None, "4"])
 def test_bounds_factors_the_stack_only_for_k(tmp_path, monkeypatch, k):
     # eta of --k's projector bound is stack_norm2^2, one SVD of the
-    # (m + p) x n stack; the certificate itself factors no stack. Every
-    # factorization reaches numpy's LAPACK wrapper once, through
-    # core.svd, core.reduced_qr or core.r_factor, so those are counted
+    # (m + p) x n stack; the certificate itself factors no stack. The
+    # inputs are under core._TALL_ROWS, so every factorization reaches
+    # numpy's LAPACK wrapper once, through core.svd, core.reduced_qr or
+    # core.r_factor, and those are counted
     m, p, n = 90, 80, 20
     files = tmp_path / "g1.mtx", tmp_path / "g2.csv"
     write_matrix(files[0], gaussian_matrix(m, n, seed=50))

@@ -197,29 +197,6 @@ def test_csv_compare_leaves_scipy_io_and_linalg_unloaded(tmp_path):
     assert proc.stdout.strip() == "0 False False"
 
 
-def test_matrix_market_read_takes_one_thread_and_restores_it(tmp_path, monkeypatch):
-    fmm = pytest.importorskip("scipy.io._fast_matrix_market")  # scipy >= 1.12
-    import scipy.io
-
-    f = tmp_path / "m.mtx"
-    write_matrix(f, gaussian_matrix(300, 40, seed=3))
-    want = scipy.io.mmread(f)
-    bad = tmp_path / "bad.mtx"
-    bad.write_text("%%MatrixMarket matrix array real general\n2 2\n1\n")
-    mmread, threads = scipy.io.mmread, []
-
-    def recording_mmread(path):
-        threads.append(fmm.PARALLELISM)
-        return mmread(path)
-
-    monkeypatch.setattr(scipy.io, "mmread", recording_mmread)
-    monkeypatch.setattr(fmm, "PARALLELISM", 3)
-    assert np.array_equal(read_matrix(f), want)
-    with pytest.raises(ParseError):
-        read_matrix(bad)
-    assert threads == [1, 1] and fmm.PARALLELISM == 3
-
-
 @pytest.mark.parametrize("content", ["", "\n \n"], ids=["empty", "blank_only"])
 def test_cli_rowless_csv_exits_parse_without_warning(tmp_path, content):
     f = tmp_path / "none.csv"
