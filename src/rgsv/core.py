@@ -5,9 +5,11 @@ Matrices are plain numpy arrays, real (float64) or complex (complex128).
 finite. Factorizations are LAPACK-backed (Householder QR, dense SVD) with
 a fixed phase convention so that factors are deterministic and usable in
 golden tests. A tall QR (at least 2048 rows and 4 per column) takes
-LAPACK's level-3 ``?geqrt``, imported from scipy.linalg on first use;
-every other QR takes numpy's ``np.linalg.qr`` (``?geqrf``), so a process
-that factors nothing tall never loads scipy.linalg.
+LAPACK's level-3 ``?geqrt``, and a tall side's R takes further rows by
+``?tpqrt`` with Q formed by ``?tpmqrt`` (``fold_qr``), all imported from
+scipy.linalg on first use; every other QR takes numpy's ``np.linalg.qr``
+(``?geqrf``), so a process that factors nothing tall never loads
+scipy.linalg.
 """
 
 from __future__ import annotations
@@ -96,9 +98,11 @@ def gaussian_matrix(rows: int, cols: int, seed: int, field: str = REAL) -> np.nd
 
 def _is_tall(a: np.ndarray) -> bool:
     """Whether a QR of ``a`` takes LAPACK's ?geqrt rather than numpy's
-    ?geqrf. ?geqrf factors panels of 32 columns, and any input under 128
-    columns, unblocked (level-2 ?geqr2), streaming the whole tall panel once
-    per column; ?geqrt's recursive panels (?geqrt3: Elmroth & Gustavson
+    ?geqrf, and an exact side ``a`` of a solve takes the other side's rows
+    into its R by ``fold_qr`` rather than a QR of the stack. ?geqrf
+    factors panels of 32 columns, and any input under 128 columns,
+    unblocked (level-2 ?geqr2), streaming the whole tall panel once per
+    column; ?geqrt's recursive panels (?geqrt3: Elmroth & Gustavson
     2000) are level 3. At 1 BLAS thread (OpenBLAS 0.3.31) R alone took 45
     against 79 ms at 4000 x 400 and 31 against 104 ms at 20000 x 100, but
     was level at 459 x 400 and 17% slower at 480 x 400 complex.
@@ -112,7 +116,8 @@ def _is_tall(a: np.ndarray) -> bool:
     so a one-shot process solving one pair of up to 4000 x 400 pays more
     for the import than the kernel saves. The floor keeps a pair under
     2048 rows, such as the benchmark's 1000/800/200 cli_files pair, free
-    of that import."""
+    of that import, which costs more than the fold saves there (two
+    200 x 200 triangles: 0.9 against 2.5 ms for the stacked QR)."""
     m, n = a.shape
     return m >= max(_TALL_ROWS, 4 * n)
 
@@ -142,17 +147,22 @@ def reduced_qr(m) -> QrFactors:
         q = gemqrt(v, t, np.eye(*a.shape, dtype=a.dtype, order="F"), overwrite_c=True)[0]
     else:
         q, r = np.linalg.qr(a, mode="reduced")
-    d = np.diagonal(r)
-    if np.iscomplexobj(r):
-        absd = np.abs(d)
-        ph = np.where(absd > 0, d / np.where(absd > 0, absd, 1.0), 1.0)
-    else:
-        ph = np.where(d < 0.0, -1.0, 1.0)
+    ph = _phase(r)
     # scale in place: no Q-sized product beside LAPACK's Q, which keeps
     # one Q out of the peak of a stacked QR
     q *= ph
     r *= np.conj(ph)[:, None]
     return QrFactors(q, r)
+
+
+def _phase(r: np.ndarray) -> np.ndarray:
+    """The unit scalars ph such that scaling R's rows by conj(ph), and Q's
+    columns by ph, makes R's diagonal real and nonnegative."""
+    d = np.diagonal(r)
+    if np.iscomplexobj(r):
+        absd = np.abs(d)
+        return np.where(absd > 0, d / np.where(absd > 0, absd, 1.0), 1.0)
+    return np.where(d < 0.0, -1.0, 1.0)
 
 
 def r_factor(g: np.ndarray) -> np.ndarray:
@@ -176,6 +186,32 @@ def r_factor(g: np.ndarray) -> np.ndarray:
     for i in range(top, m, step):
         r = tpqrt(0, nb, r, g[i:i + step], overwrite_a=True)[0]
     return r
+
+
+def fold_qr(r: np.ndarray, b: np.ndarray, l: int):
+    """The QR of [R; B], an n x n upper triangle R over k >= 1 rows B, by
+    ``r_factor``'s step: one ?tpqrt (block width 32), no stack formed. B is
+    any rows for l = 0, an n x n upper triangle, whose zeros ?tpqrt skips,
+    for l = n. Returns the stack's R, phase-normalized as in ``reduced_qr``,
+    and a function that forms Q's n columns (one ?tpmqrt on [I; 0]) as its
+    blocks beside R and beside B, so R can be tested before Q is paid for.
+    R, with a zero strict lower triangle, is overwritten in place when
+    Fortran-ordered, as a tall ``r_factor``'s is; B is left unchanged."""
+    tpqrt, tpmqrt = _lapack(("tpqrt", "tpmqrt"), r)
+    n = r.shape[1]
+    r, v, t, _ = tpqrt(l, min(_NB, n), r, b, overwrite_a=True)
+    ph = _phase(r)
+    r *= np.conj(ph)[:, None]
+
+    def q_blocks() -> tuple[np.ndarray, np.ndarray]:
+        qa, qb, _ = tpmqrt(l, v, t, np.eye(n, dtype=r.dtype, order="F"),
+                           np.zeros(v.shape, r.dtype, order="F"),
+                           overwrite_a=True, overwrite_b=True)
+        qa *= ph
+        qb *= ph
+        return qa, qb
+
+    return r, q_blocks
 
 
 def svd(m, compute_uv: bool = True) -> SvdFactors:
@@ -212,13 +248,14 @@ def sum_sq(a: np.ndarray, minus=None, dtype=np.float64) -> float:
     dtype ``dtype``, into ``out``.
 
     Each band of rows (``row_bands``) is copied, or M's rows written and
-    subtracted, in one reused buffer of the result dtype, and squared
-    there; the per-column partials are combined exactly with math.fsum, so
-    no temporary as large as ``a`` is formed and repeated accumulation of
-    many small blocks does not drift. Its callers: ``frobenius_norm``;
-    ``extract_basis`` for ||G||_F^2, the captured energy and ||G - QB||_F,
-    which ``residual_norm`` also takes; and ``perturbation_bound`` for the
-    difference of two pairs, so every explicit residual is taken here.
+    subtracted, in one reused buffer of the result dtype, whose per-column
+    sums of squares one einsum takes; one math.fsum over all of them,
+    joined, combines them exactly, so no temporary as large as ``a`` is
+    formed and repeated accumulation of many small blocks does not drift.
+    Its callers: ``frobenius_norm``; ``extract_basis`` for ||G||_F^2, the
+    captured energy and ||G - QB||_F, which ``residual_norm`` also takes;
+    and ``perturbation_bound`` for the difference of two pairs, so every
+    explicit residual is taken here.
     """
     bands = row_bands(a)
     if not bands:
@@ -233,8 +270,9 @@ def sum_sq(a: np.ndarray, minus=None, dtype=np.float64) -> float:
             minus(band, d)
             np.subtract(a[band], d, out=d)
         d = d.view(np.float64)  # complex as (re, im) pairs
-        parts.append(np.square(d, out=d).sum(axis=0))
-    return math.fsum(x for part in parts for x in np.atleast_1d(part))
+        parts.append(np.einsum("ij,ij->j", d, d))
+    # a memoryview yields Python floats one by one: no numpy scalar, no list
+    return math.fsum(memoryview(np.concatenate(parts)))
 
 
 def frobenius_norm(m) -> float:

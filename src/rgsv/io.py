@@ -116,13 +116,14 @@ def _rejected_line(path: Path, lineno: int, line: str, first: str, dtype, error)
 
 
 def write_matrix(path, m) -> None:
-    """Write a matrix as a dense Matrix Market file at full precision, so
-    that read_matrix round-trips it bitwise."""
+    """Write a matrix as a dense Matrix Market file, each value in its
+    shortest round-trip form (``%.16e`` on scipy < 1.12), so that
+    read_matrix reads it back bitwise, except that -0.0 may read as 0.0."""
     import scipy.io
 
     a = core.as_matrix(m)
     field = "complex" if np.iscomplexobj(a) else "real"
-    scipy.io.mmwrite(str(path), a, field=field, precision=17)
+    scipy.io.mmwrite(str(path), a, field=field)
 
 
 def _num(x) -> str:

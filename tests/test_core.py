@@ -303,6 +303,50 @@ class TestFrobeniusNorm:
         assert bands == row_bands(a) and len(bands) > 1
 
 
+    @pytest.mark.parametrize("case", ["real", "complex", "real_minus_complex"])
+    def test_sum_sq_matches_numpy_over_many_bands(self, case):
+        # 20000 x 50: 8 real bands of 2621 rows or 16 complex ones of 1310
+        a = gaussian_matrix(20000, 50, seed=15, field="complex" if case == "complex" else "real")
+        m = gaussian_matrix(20000, 50, seed=16, field="real" if case == "real" else "complex")
+        assert len(row_bands(a)) >= 8
+        want = np.linalg.norm(a) ** 2
+        assert abs(sum_sq(a) - want) <= 1e-14 * want
+        want = np.linalg.norm(a - m) ** 2
+        got = sum_sq(a, lambda band, out: np.copyto(out, m[band]), m.dtype)
+        assert abs(got - want) <= 1e-14 * want
+
+
+class TestFoldQr:
+    """fold_qr: the QR of [R; B] by ?tpqrt and ?tpmqrt, where B is sketch
+    rows (l = 0) or a second triangle (l = n)."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("l", ["0", "n"])
+    def test_is_the_qr_of_the_stack(self, l, field):
+        n = 40
+        r = core.r_factor(gaussian_matrix(2400, n, seed=60, field=field))
+        if l == "n":
+            b = core.r_factor(gaussian_matrix(2100, n, seed=61, field=field))
+        else:
+            b = gaussian_matrix(13, n, seed=61, field=field)
+        before = b.copy()
+        stack = np.vstack([r, b])
+        want = np.linalg.svd(np.linalg.qr(stack, mode="r"), compute_uv=False)
+        folded, q_blocks = core.fold_qr(r, b, n if l == "n" else 0)
+        assert folded is r  # r_factor's Fortran-ordered R is folded in place
+        got = np.linalg.svd(folded, compute_uv=False)
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+        assert np.all(folded[np.tril_indices(n, -1)] == 0)
+        d = np.diagonal(folded)
+        assert np.all(d.imag == 0) and np.all(d.real >= 0)
+        qa, qb = q_blocks()
+        assert qa.shape == (n, n) and qb.shape == b.shape
+        q = np.vstack([qa, qb])
+        assert np.linalg.norm(q.conj().T @ q - np.eye(n)) <= 10 * n * np.finfo(np.float64).eps
+        assert np.linalg.norm(q @ folded - stack) <= 1e-13 * np.linalg.norm(stack)
+        assert np.array_equal(b, before)
+
+
 def _tall(a):
     """Whether reduced_qr factors a by ?geqrt: 2048 rows and 4 per column."""
     m, n = a.shape

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 import weakref
 
@@ -745,3 +746,135 @@ def test_a_kernel_that_does_not_converge_raises_convergence_error(case, monkeypa
     monkeypatch.setattr(np.linalg, kernel, failing)
     with pytest.raises(ConvergenceError):
         call()
+
+
+class TestFold:
+    """A randomized solve with an exact side of 2048 rows or more folds the
+    other side's block into that side's R (core.fold_qr) and never forms
+    the compressed stack; every other solve stacks the two blocks."""
+
+    @staticmethod
+    def _tall_pair(case, field="real", n=60):
+        # low_rank: criterion 10's shape scaled down, a rank-n/10 g1 sketched
+        # beside an exact full-rank g2 (l = 0); both_exact: two full-rank
+        # sides, both exact (l = n)
+        if case == "low_rank":
+            k = n // 10
+            tail = 1e-10 * np.geomspace(1, 1e-3, n - k)
+            alphas = np.concatenate([np.linspace(0.99, 0.5, k), tail])
+        else:
+            alphas = np.linspace(0.95, 0.05, n)
+        pair, _ = structured_pair(alphas, m=2400, p=2100, seed=100, field=field)
+        tol = 1e-6 * frobenius_norm(pair.g1)
+        return pair, GsvOptions(extraction=ExtractionConfig(tol=tol, seed=101))
+
+    @staticmethod
+    def _stacked_route(pair, opts):
+        """The solve's blocks, stacked and factored by reduced_qr as a
+        solve under the tall gate does: (spectrum, R, l1 + l2)."""
+        cfg, n = opts.extraction, pair.n
+        c1 = rgsv.engine._front_end(pair.g1, _side_config(cfg, pair.g1, 0), False)[0]
+        c2 = rgsv.engine._front_end(pair.g2, _side_config(cfg, pair.g2, 1),
+                                    n - c1.shape[0] >= rgsv.engine._crossover(n))[0]
+        l1 = c1.shape[0]
+        qf = reduced_qr(np.vstack([c1, c2]))
+        spec = spectrum_from_l_blocks(qf.q[:l1], qf.q[l1:], n, opts.classify_tol)
+        return spec, qf.r, l1 + c2.shape[0]
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("case", ["low_rank", "both_exact"])
+    def test_matches_the_stacked_route_without_the_stack(self, case, field, monkeypatch):
+        pair, opts = self._tall_pair(case, field)
+        want, want_r, stacked = self._stacked_route(pair, opts)
+        rows = record_rows(monkeypatch, (np.linalg, "qr"), (rgsv.core, "reduced_qr"))
+        folds = record_rows(monkeypatch, (rgsv.core, "fold_qr"))
+        solve = run(pair, opts)
+        assert folds == [pair.n] and stacked not in rows
+        got = solve.spectrum
+        assert (got.r, got.s) == (want.r, want.s)
+        assert spectrum_gap(got, want) <= 1e-13
+        s_want = np.linalg.svd(want_r, compute_uv=False)
+        assert np.all(np.abs(solve.r_singular_values - s_want) <= 1e-13 * s_want[0])
+        assert [res == 0.0 for res in solve.residuals] == [case == "both_exact", True]
+
+    def test_a_solve_under_the_tall_gate_still_stacks(self, monkeypatch):
+        # 800/800/80: g2 goes exact, but its R-only QR is numpy's
+        pair, _, cfg = TestExactFrontEnd._tall_low_rank_pair()
+        opts = GsvOptions(extraction=cfg)
+        want, _, stacked = self._stacked_route(pair, opts)
+        rows = record_rows(monkeypatch, (np.linalg, "qr"), (rgsv.core, "reduced_qr"))
+        folds = record_rows(monkeypatch, (rgsv.core, "fold_qr"))
+        got = compute_gsv(pair, opts)
+        assert folds == [] and stacked in rows
+        assert np.array_equal(got.alphas, want.alphas) and np.array_equal(got.betas, want.betas)
+
+    @pytest.mark.parametrize("rank1", [5, 40])
+    def test_a_shared_null_vector_raises_through_the_fold(self, rank1, monkeypatch):
+        # both sides annihilate v: rank-5 g1 is sketched (l = 0), or
+        # rank-39 g1 goes exact beside g2 (l = n)
+        n = 40
+        v = reduced_qr(gaussian_matrix(n, 1, seed=102)).q
+        proj = np.eye(n) - v @ v.T
+        g1 = gaussian_matrix(2400, rank1, seed=103) @ gaussian_matrix(rank1, n, seed=104) @ proj
+        g2 = gaussian_matrix(2100, n, seed=105) @ proj
+        folds = []
+        fold_qr = rgsv.core.fold_qr
+
+        def recording_fold(r, b, l):
+            folds.append(l)
+            return fold_qr(r, b, l)
+
+        monkeypatch.setattr(rgsv.core, "fold_qr", recording_fold)
+        with pytest.raises(RankDeficiencyError):
+            run(GmpPair(g1, g2), GsvOptions(extraction=ExtractionConfig(seed=106)))
+        assert folds == [0 if rank1 < 10 else n]
+
+    def test_the_fold_holds_neither_the_stack_nor_a_copy_of_r(self, monkeypatch):
+        # traced in two phases. From the end of the front ends, which hold
+        # g1's sketch rows C1 and g2's R, to the rank test, the fold adds
+        # its copy of C1, ?tpqrt's T and its work (32 x n each); the stack
+        # and its QR would add (l1 + n) x n three times over, a copy of R
+        # another n x n. From the rank test to the block SVDs, ?tpmqrt
+        # forms Q's blocks in place, beside its work (32 x n). A first
+        # solve loads scipy.linalg untraced.
+        pair, opts = self._tall_pair("low_rank", n=200)
+        run(pair, opts)
+        front_end, rank_test = rgsv.engine._front_end, rgsv.engine._rank_test
+        spectrum = rgsv.engine.spectrum_from_l_blocks
+        state = {"sides": 0}
+
+        def phase_start():
+            tracemalloc.reset_peak()
+            state["base"] = tracemalloc.get_traced_memory()[0]
+
+        def phase_peak():
+            return tracemalloc.get_traced_memory()[1] - state["base"]
+
+        def traced_front_end(g, cfg, shortcut):
+            out = front_end(g, cfg, shortcut)
+            state["sides"] += 1
+            state.setdefault("l1", out[0].shape[0])
+            if state["sides"] == 2:
+                phase_start()
+            return out
+
+        def traced_rank_test(r, what):
+            state["fold"] = phase_peak()
+            rank_test(r, what)
+            phase_start()
+
+        def traced_spectrum(q1, q2, n, tol):
+            state["q"] = phase_peak()
+            return spectrum(q1, q2, n, tol)
+
+        monkeypatch.setattr(rgsv.engine, "_front_end", traced_front_end)
+        monkeypatch.setattr(rgsv.engine, "_rank_test", traced_rank_test)
+        monkeypatch.setattr(rgsv.engine, "spectrum_from_l_blocks", traced_spectrum)
+        tracemalloc.start()
+        try:
+            run(pair, opts)
+        finally:
+            tracemalloc.stop()
+        rows, square = state["l1"] * pair.n * 8, pair.n * pair.n * 8
+        assert state["fold"] <= rows + 0.6 * square
+        assert state["q"] <= rows + 1.4 * square

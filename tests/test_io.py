@@ -218,6 +218,23 @@ class TestWriteMatrix:
         assert (back == m).all()
 
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_extremes_round_trip_bitwise_but_negative_zero(self, tmp_path, field):
+        big, normal = np.finfo(np.float64).max, np.finfo(np.float64).tiny
+        m = np.array([[5e-324, -5e-324, normal, 0.1], [big, -big, 1 / 3, -0.0]])
+        if field == "complex":
+            m = m + 1j * m[::-1]
+        f = tmp_path / "m.mtx"
+        write_matrix(f, m)
+        back = read_matrix(f)
+        parts, back_parts = m.view(np.float64), back.view(np.float64)
+        nonzero = parts != 0
+        assert back.dtype == m.dtype
+        assert np.array_equal(back_parts[nonzero].view(np.uint64), parts[nonzero].view(np.uint64))
+        # -0.0 may read back as 0.0
+        assert np.all(back_parts[~nonzero] == 0)
+
+
 class TestWriteReport:
     def test_separated_pair_theta_full_precision(self, tmp_path):
         pair = GmpPair(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
