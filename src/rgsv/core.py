@@ -117,7 +117,9 @@ def _is_tall(a: np.ndarray) -> bool:
     for the import than the kernel saves. The floor keeps a pair under
     2048 rows, such as the benchmark's 1000/800/200 cli_files pair, free
     of that import, which costs more than the fold saves there (two
-    200 x 200 triangles: 0.9 against 2.5 ms for the stacked QR)."""
+    200 x 200 triangles: 0.9 against 2.5 ms for the stacked QR). It also
+    bounds the Matrix Market files numpy parses (``io.read_matrix``), so
+    a process that reads and solves such a pair loads no scipy.io either."""
     m, n = a.shape
     return m >= max(_TALL_ROWS, 4 * n)
 
@@ -247,11 +249,13 @@ def sum_sq(a: np.ndarray, minus=None, dtype=np.float64) -> float:
     ``a - M`` when ``minus(band, out)`` writes the rows ``band`` of M, of
     dtype ``dtype``, into ``out``.
 
-    Each band of rows (``row_bands``) is copied, or M's rows written and
-    subtracted, in one reused buffer of the result dtype, whose per-column
-    sums of squares one einsum takes; one math.fsum over all of them,
-    joined, combines them exactly, so no temporary as large as ``a`` is
-    formed and repeated accumulation of many small blocks does not drift.
+    Each band of rows (``row_bands``) is read in place when ``a`` is
+    C-contiguous of the result dtype and ``minus`` is None, else copied,
+    or M's rows written and subtracted, in one reused buffer of that
+    dtype; one einsum takes its per-column sums of squares, and one
+    math.fsum over all of them, joined, combines them exactly, so no
+    temporary as large as ``a`` is formed and repeated accumulation of
+    many small blocks does not drift.
     Its callers: ``frobenius_norm``; ``extract_basis`` for ||G||_F^2, the
     captured energy and ||G - QB||_F, which ``residual_norm`` also takes;
     and ``perturbation_bound`` for the difference of two pairs, so every
@@ -260,15 +264,17 @@ def sum_sq(a: np.ndarray, minus=None, dtype=np.float64) -> float:
     bands = row_bands(a)
     if not bands:
         return 0.0
-    buf = np.empty(a[bands[0]].shape, np.result_type(a, dtype))
+    dt = np.result_type(a, dtype)
+    in_place = minus is None and a.dtype == dt and a.flags.c_contiguous
+    buf = None if in_place else np.empty(a[bands[0]].shape, dt)
     parts = []
     for band in bands:
-        d = buf[: a[band].shape[0]]
-        if minus is None:
-            np.copyto(d, a[band])
-        else:
+        d = a[band] if in_place else buf[: a[band].shape[0]]
+        if minus is not None:
             minus(band, d)
             np.subtract(a[band], d, out=d)
+        elif not in_place:
+            np.copyto(d, a[band])
         d = d.view(np.float64)  # complex as (re, im) pairs
         parts.append(np.einsum("ij,ij->j", d, d))
     # a memoryview yields Python floats one by one: no numpy scalar, no list

@@ -315,6 +315,26 @@ class TestFrobeniusNorm:
         got = sum_sq(a, lambda band, out: np.copyto(out, m[band]), m.dtype)
         assert abs(got - want) <= 1e-14 * want
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_sum_sq_in_place_is_bitwise_the_buffered_sum(self, field, order):
+        # a C-contiguous a is read band by band in place, any other copied
+        # into the buffer; a - 0 goes through the buffer whatever its order
+        a = gaussian_matrix(3000, 100, seed=17, field=field)  # several bands
+        buffered = sum_sq(a, lambda band, out: out.fill(0), a.dtype)
+        b = np.asarray(a, order=order)
+        sum_sq(b)
+        tracemalloc.start()
+        try:
+            got = sum_sq(b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(row_bands(b)) > 1
+        assert got == buffered
+        # in place: no band-sized buffer
+        assert (peak < core._BAND_BYTES // 16) == (order == "C")
+
 
 class TestFoldQr:
     """fold_qr: the QR of [R; B] by ?tpqrt and ?tpmqrt, where B is sketch

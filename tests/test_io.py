@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import subprocess
@@ -195,6 +196,163 @@ def test_csv_compare_leaves_scipy_io_and_linalg_unloaded(tmp_path):
                           capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0 False False"
+
+
+def test_mtx_bounds_and_compare_load_no_scipy(tmp_path):
+    # small dense Matrix Market files are parsed by numpy, and every QR of
+    # a 1000/800/200 pair is numpy's, so no scipy module loads; the reports
+    # are those of a run whose files are both read by scipy.io
+    files = []
+    for name, rows, seed in (("g1", 1000, 1), ("g2", 800, 2)):
+        files.append(tmp_path / f"{name}.mtx")
+        write_matrix(files[-1], gaussian_matrix(rows, 200, seed=seed))
+    code = ("import sys; from rgsv import cli, io\n"
+            "if sys.argv[2] == 'scipy': io._MM_NUMPY_ENTRIES = 0\n"
+            "code = cli.main([sys.argv[1], '--g1', sys.argv[3], '--g2', sys.argv[4], "
+            "'-o', sys.argv[5]])\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    for command in ("bounds", "compare"):
+        loaded, reports = [], []
+        for reader in ("numpy", "scipy"):
+            out = tmp_path / f"{command}.{reader}.csv"
+            proc = subprocess.run([sys.executable, "-c", code, command, reader, *map(str, files),
+                                   str(out)], capture_output=True, text=True, env=child_env())
+            assert proc.returncode == 0, proc.stderr
+            loaded.append(proc.stdout.strip())
+            reports.append(out.read_bytes())
+        assert loaded[0] == "0 []"
+        assert loaded[1].startswith("0 ['scipy'")
+        assert reports[0] == reports[1]
+
+
+_REAL = "%%MatrixMarket matrix array real general\n"
+_COMPLEX = "%%MatrixMarket matrix array complex general\n"
+# scipy.io reads Matrix Market files by fast_matrix_market from scipy 1.12
+_FAST_MM = importlib.util.find_spec("scipy.io._fast_matrix_market") is not None
+
+
+@pytest.fixture
+def mm_readers(monkeypatch):
+    """The reader each Matrix Market read of read_matrix took, in order:
+    "numpy" when _read_dense_array parsed the file, else "scipy"."""
+    taken, dense = [], rgsv.io._read_dense_array
+
+    def spy(path):
+        mat = dense(path)
+        taken.append("scipy" if mat is None else "numpy")
+        return mat
+
+    monkeypatch.setattr(rgsv.io, "_read_dense_array", spy)
+    return taken
+
+
+def _outcome(path):
+    """read_matrix's array, or the type and message of what it raised."""
+    try:
+        return read_matrix(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _read_both(path, monkeypatch):
+    """read_matrix's outcome with the gate as it is, then with every file
+    sent to scipy.io."""
+    got = _outcome(path)
+    with monkeypatch.context() as m:
+        m.setattr(rgsv.io, "_MM_NUMPY_ENTRIES", 0)
+        return got, _outcome(path)
+
+
+def _same_array(a, b):
+    return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and a.dtype == b.dtype
+            and a.shape == b.shape and a.flags.c_contiguous and b.flags.c_contiguous
+            and a.tobytes() == b.tobytes())
+
+
+class TestDenseMatrixMarketReaders:
+    """read_matrix parses a dense real or complex general Matrix Market
+    file under 2048 rows and 2^18 entries with numpy's loadtxt, and hands
+    any other file, or one numpy's path does not accept, to scipy.io."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_readers_agree_bitwise_on_written_files(self, tmp_path, monkeypatch, mm_readers,
+                                                    field):
+        big, normal = np.finfo(np.float64).max, np.finfo(np.float64).tiny
+        extremes = [5e-324, -5e-324, normal, -normal, 0.1, -0.1, 1 / 3, big, -big, -0.0]
+        m = np.vstack([np.reshape(extremes, (2, 5)), gaussian_matrix(30, 5, seed=3)])
+        if field == "complex":
+            z = np.empty(m.shape, np.complex128)
+            z.real, z.imag = m, m[::-1]
+            m = z
+        f = tmp_path / "m.mtx"
+        write_matrix(f, m)
+        got, want = _read_both(f, monkeypatch)
+        assert mm_readers == ["numpy", "scipy"]
+        assert _same_array(got, want) and got.dtype == m.dtype
+        parts, read = m.view(np.float64), got.view(np.float64)
+        nonzero = parts != 0
+        assert np.array_equal(read[nonzero].view(np.uint64), parts[nonzero].view(np.uint64))
+        assert not np.signbit(read[~nonzero]).any()  # -0.0 reads as +0.0
+
+    @pytest.mark.parametrize("text", [
+        _REAL + "%comment\n%\n2 3\n1\n.5\n5.\n-0\n-0.0\n-1e-400\n",
+        _REAL + "  2\t3  \n\n 1 \n\t2\n\n3\n  \n1E+5\n1e-05\n"
+        "0.1000000000000000055511151231257827021181583404541015625",
+        _COMPLEX + "2 1\n1 -0\n-0.0\t  2.5e-324\n",
+    ], ids=["real", "whitespace", "complex"])
+    def test_readers_agree_on_what_numpy_accepts(self, tmp_path, monkeypatch, mm_readers, text):
+        f = tmp_path / "m.mtx"
+        f.write_bytes(text.encode())
+        got, want = _read_both(f, monkeypatch)
+        assert mm_readers == ["numpy", "scipy"]
+        assert _same_array(got, want)
+        parts = got.view(np.float64)
+        assert not np.signbit(parts[parts == 0]).any()  # -0 and -1e-400 read as +0.0
+
+    @pytest.mark.parametrize("text,outcome", [
+        ("%%MatrixMarket matrix coordinate real general\n3 2 2\n1 1 5.0\n3 2 -2.5\n", np.ndarray),
+        ("%%MatrixMarket matrix array integer general\n2 1\n1\n2\n", np.ndarray),
+        ("%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 1\n", np.ndarray),
+        ("%%MatrixMarket matrix array real symmetric\n2 2\n1\n2\n3\n", np.ndarray),
+        ("%%MatrixMarket matrix array complex hermitian\n2 2\n1 0\n2 1\n3 0\n", np.ndarray),
+        (_REAL + "2 1\r\n1\r\n2\r\n", np.ndarray),
+        (_REAL + "%a\rb\n2 1\n1\n2\n", np.ndarray),
+        (_REAL + "2 1\n1\r2\n", ParseError),
+        (_REAL + "2 1\n1\n", ParseError),
+        (_REAL + "2 1\n1\n2\n3\n", ParseError),
+        (_REAL + "2 1\n1 2\n", ParseError),
+        (_COMPLEX + "2 1\n1\n2 3 4\n", ParseError),
+        (_REAL + "2 1\n1\n%c\n2\n", ParseError),
+        (_REAL + "2 1\n1\nx\n", ParseError),
+        (_REAL + "2 1\n+1\n2\n", ParseError),
+        (_REAL + "2 1\n1\nnan\n", ValidationError),
+        (_REAL + "2 1\n-inf\n1\n", ValidationError),
+        (_REAL + "2 1\n1\n1e400\n", ValidationError),
+    ], ids=["coordinate", "integer", "pattern", "symmetric", "hermitian", "crlf",
+            "cr_in_comment", "cr_in_body", "too_few", "too_many", "two_on_a_line",
+            "complex_widths", "comment_in_body", "bad_token", "leading_plus", "nan", "inf",
+            "overflow"])
+    def test_other_files_read_or_fail_as_scipy_io(self, tmp_path, monkeypatch, mm_readers,
+                                                  text, outcome):
+        f = tmp_path / "m.mtx"
+        f.write_bytes(text.encode())
+        got, want = _read_both(f, monkeypatch)
+        assert mm_readers == ["scipy", "scipy"]
+        if isinstance(got, np.ndarray):
+            assert _same_array(got, want)
+        else:
+            assert got == want
+        if _FAST_MM:  # older scipy.io parses in Python: it takes "+1" and "%" lines in a body
+            assert (type(got) if isinstance(got, np.ndarray) else got[0]) is outcome
+
+    @pytest.mark.parametrize("rows,cols,reader", [
+        (2047, 1, "numpy"), (2048, 1, "scipy"), (512, 512, "numpy"), (65, 4033, "scipy"),
+    ], ids=["rows_2047", "rows_2048", "entries_2^18", "entries_2^18+1"])
+    def test_gate_edges(self, tmp_path, mm_readers, rows, cols, reader):
+        f = tmp_path / "m.mtx"
+        f.write_text(_REAL + f"{rows} {cols}\n" + "1\n" * (rows * cols))
+        assert np.array_equal(read_matrix(f), np.ones((rows, cols)))
+        assert mm_readers == [reader]
 
 
 @pytest.mark.parametrize("content", ["", "\n \n"], ids=["empty", "blank_only"])
