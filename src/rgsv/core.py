@@ -4,17 +4,20 @@ Matrices are plain numpy arrays, real (float64) or complex (complex128).
 ``as_matrix`` is the single validation gate: 2-D, nonempty, all entries
 finite. Factorizations are LAPACK-backed (Householder QR, dense SVD) with
 a fixed phase convention so that factors are deterministic and usable in
-golden tests. A tall QR (at least 2048 rows and 4 per column) takes
-LAPACK's level-3 ``?geqrt``, and a tall side's R takes further rows by
-``?tpqrt`` with Q formed by ``?tpmqrt`` (``fold_qr``), all imported from
-scipy.linalg on first use; every other QR takes numpy's ``np.linalg.qr``
-(``?geqrf``), so a process that factors nothing tall never loads
-scipy.linalg.
+golden tests. A tall QR (``_is_tall``) takes LAPACK's level-3 ``?geqrt``,
+?tpqrt and ?tpmqrt from scipy's compiled ``_flapack``, loaded by file
+path (``_extension``) so that the scipy.linalg package never loads; every
+other QR takes numpy's ``np.linalg.qr``. CHANGES.md's entries on tall QRs,
+the fold and the extension loader hold the timings.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -97,38 +100,46 @@ def gaussian_matrix(rows: int, cols: int, seed: int, field: str = REAL) -> np.nd
 
 
 def _is_tall(a: np.ndarray) -> bool:
-    """Whether a QR of ``a`` takes LAPACK's ?geqrt rather than numpy's
-    ?geqrf, and an exact side ``a`` of a solve takes the other side's rows
-    into its R by ``fold_qr`` rather than a QR of the stack. ?geqrf
-    factors panels of 32 columns, and any input under 128 columns,
-    unblocked (level-2 ?geqr2), streaming the whole tall panel once per
-    column; ?geqrt's recursive panels (?geqrt3: Elmroth & Gustavson
-    2000) are level 3. At 1 BLAS thread (OpenBLAS 0.3.31) R alone took 45
-    against 79 ms at 4000 x 400 and 31 against 104 ms at 20000 x 100, but
-    was level at 459 x 400 and 17% slower at 480 x 400 complex.
-
-    The 2048-row floor is chosen, not a measured break-even. One ``run``
-    solve of a benchmark-style low-rank/full-rank pair (m = p rows, n
-    columns) gained 3-15 ms at 2048 rows (n = 100 to 512), 10-21 ms at
-    3000 (n = 300, 600) and 31 ms at 4000 x 400 (in-process medians of 15
-    interleaved solves). Importing scipy.linalg costs 36-60 ms in a fresh
-    process that has loaded scipy.io and 0.17-0.18 s in one that has not,
-    so a one-shot process solving one pair of up to 4000 x 400 pays more
-    for the import than the kernel saves. The floor keeps a pair under
-    2048 rows, such as the benchmark's 1000/800/200 cli_files pair, free
-    of that import, which costs more than the fold saves there (two
-    200 x 200 triangles: 0.9 against 2.5 ms for the stacked QR). It also
-    bounds the Matrix Market files numpy parses (``io.read_matrix``), so
-    a process that reads and solves such a pair loads no scipy.io either."""
+    """Whether a QR of ``a`` takes LAPACK's level-3 ?geqrt (Elmroth &
+    Gustavson 2000) rather than numpy's ?geqrf, whose panels under 128
+    columns are level 2, and an exact side ``a`` of a solve takes the other
+    side's rows into its R by ``fold_qr`` rather than a QR of the stack.
+    The 2048-row floor was chosen against a scipy.linalg import that no
+    longer happens (``_extension``); ROADMAP item 3 re-decides it from the
+    resident memory of the second BLAS that ``_flapack`` links."""
     m, n = a.shape
     return m >= max(_TALL_ROWS, 4 * n)
 
 
-def _lapack(names: tuple[str, ...], a: np.ndarray):
-    """The LAPACK wrappers ``names`` for the dtype of ``a``."""
-    from scipy.linalg.lapack import get_lapack_funcs
+def _extension(name: str, attrs):
+    """scipy's compiled module ``name`` (``scipy.linalg._flapack``), loaded
+    by file path so that no scipy ``__init__`` runs, and entered in
+    ``sys.modules`` for a later import to reuse; the module there if one is.
+    None if the file is missing or lacks one of ``attrs``."""
+    module = sys.modules.get(name)
+    scipy = None if module else importlib.util.find_spec("scipy")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES if scipy else ():
+        path = os.path.join(scipy.submodule_search_locations[0], *name.split(".")[1:]) + suffix
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            break
+    if module is None or not all(hasattr(module, attr) for attr in attrs):
+        return None
+    return sys.modules.setdefault(name, module)
 
-    return get_lapack_funcs(names, (a,))
+
+def _lapack(names: tuple[str, ...], a: np.ndarray):
+    """The LAPACK wrappers ``names`` for ``a``'s float64 or complex128, from
+    ``_extension``'s ``_flapack``: the objects ``get_lapack_funcs`` returns."""
+    prefixed = [("z" if np.iscomplexobj(a) else "d") + name for name in names]
+    flapack = _extension("scipy.linalg._flapack", prefixed)
+    if flapack is None:
+        from scipy.linalg.lapack import get_lapack_funcs
+
+        return get_lapack_funcs(names, (a,))
+    return [getattr(flapack, name) for name in prefixed]
 
 
 def reduced_qr(m) -> QrFactors:
@@ -174,9 +185,9 @@ def r_factor(g: np.ndarray) -> np.ndarray:
     Grigori, Hoemmen & Langou 2012), as stable as one QR: ?geqrt factors
     its first band of rows (``row_bands``, taken at least n rows deep),
     and ?tpqrt folds each later band into R. ?tpqrt reads R's triangle,
-    so banding adds no flops, and each step holds R and one band beside g:
-    a peak of 0.22 g.nbytes at 4000 x 400 and 0.08 at 20000 x 100, where
-    one QR copies all of g. Any other g takes one R-only ``np.linalg.qr``."""
+    so banding adds no flops, and each step holds R and one band beside g,
+    where one QR copies all of g. Any other g takes one R-only
+    ``np.linalg.qr``."""
     m, n = g.shape
     if not _is_tall(g):
         return np.linalg.qr(g, mode="r")
@@ -255,11 +266,9 @@ def sum_sq(a: np.ndarray, minus=None, dtype=np.float64) -> float:
     dtype; one einsum takes its per-column sums of squares, and one
     math.fsum over all of them, joined, combines them exactly, so no
     temporary as large as ``a`` is formed and repeated accumulation of
-    many small blocks does not drift.
-    Its callers: ``frobenius_norm``; ``extract_basis`` for ||G||_F^2, the
-    captured energy and ||G - QB||_F, which ``residual_norm`` also takes;
-    and ``perturbation_bound`` for the difference of two pairs, so every
-    explicit residual is taken here.
+    many small blocks does not drift. Every explicit residual of the
+    package (``extract_basis``, ``residual_norm``, ``perturbation_bound``)
+    is taken here.
     """
     bands = row_bands(a)
     if not bands:

@@ -4,12 +4,12 @@ Matrices travel as Matrix Market files (dense array or coordinate, real
 or complex) or as headerless CSV, which numpy's ``loadtxt`` parses:
 float64, or complex128 when a cell is complex (``2+3j``, ``(2+3j)``,
 ``-4j``); ``inf`` and ``nan`` parse, Python's ``1+2J`` and ``1_000`` do
-not, and ``#`` starts no comment. scipy.io is imported only to write a
-Matrix Market file or to read one that is not small and dense
-(``read_matrix``). Reports serialize to CSV (per-index rows followed by
-a scalar block) or JSON, with floats at full round-trip precision;
-``_layout`` describes each report type once and both writers read that
-one description.
+not, and ``#`` starts no comment. The scipy.io package is imported only to
+write a Matrix Market file or to read one that is not dense real or
+complex general (``read_matrix``). Reports serialize to CSV (per-index
+rows followed by a scalar block) or JSON, with floats at full round-trip
+precision; ``_layout`` describes each report type once and both writers
+read that one description.
 """
 
 from __future__ import annotations
@@ -36,22 +36,21 @@ _MM_MAGIC = "%%MatrixMarket"
 _MM_DENSE = {b"%%MatrixMarket matrix array real general\n": 1,  # values per line
              b"%%MatrixMarket matrix array complex general\n": 2}
 _MM_NUMPY_ENTRIES = 1 << 18
+_MM_GENERAL = {("matrix", "array", "real", "general"): np.float64,
+               ("matrix", "array", "complex", "general"): np.complex128}
+_DECIMAL = b"0123456789.eE+- \t\n\r"  # the bytes of a finite dense body
 
 
 def read_matrix(path) -> np.ndarray:
     """Read a matrix from a Matrix Market or headerless CSV file.
 
-    The format is sniffed from the first line. Coordinate Matrix Market
-    entries are densified. CSV cells are read as the module docstring says.
-
-    A dense ``array real general`` or ``array complex general`` Matrix
-    Market file under ``core._is_tall``'s 2048-row floor and of at most
-    2^18 entries (a chosen cap, not a measured break-even) is parsed by
-    numpy's ``loadtxt``, any other by scipy.io, so a process that reads
-    and solves only such matrices loads no scipy. scipy.io took 0.19 s to
-    import after rgsv; numpy parses 15-30 ms/MiB, fast_matrix_market 4-6.
-    A whole ``rgsv bounds`` of cli_files' 1000/800/200 pair (4.2 and 3.3
-    MiB) took 0.30 against 0.38 s and 44 against 62 MB of peak RSS.
+    The format is sniffed from the first line; coordinate Matrix Market
+    entries are densified and CSV cells read as the module docstring says.
+    A dense real or complex general Matrix Market file under
+    ``core._is_tall``'s 2048-row floor and of at most 2^18 entries is
+    parsed by numpy's ``loadtxt``, any other such file by ``_read_fmm``,
+    and any other file by scipy.io, so a dense pair loads no scipy
+    package. CHANGES.md's entries on both readers hold the timings.
     """
     path = Path(path)
     try:
@@ -68,10 +67,12 @@ def read_matrix(path) -> np.ndarray:
 def _read_matrix_market(path: Path) -> np.ndarray:
     mat = _read_dense_array(path)
     if mat is None:
-        import scipy.io
-
         try:
-            mat = scipy.io.mmread(path)
+            mat = _read_fmm(path)
+            if mat is None:
+                import scipy.io
+
+                mat = scipy.io.mmread(path)
         except Exception as exc:
             raise ParseError(f"{path}: invalid Matrix Market file: {exc}") from exc
         if not isinstance(mat, np.ndarray):
@@ -81,9 +82,45 @@ def _read_matrix_market(path: Path) -> np.ndarray:
     return mat
 
 
+def _read_fmm(path: Path) -> np.ndarray | None:
+    """``path``'s dense real or complex general matrix, read by scipy's
+    compiled fast_matrix_market on its default thread count, else None.
+    ValueError where that would crash (a zero in an array size line, a NUL
+    byte) or misread a line it takes the leading number of (``1d3`` as
+    1.0): a byte outside ``_DECIMAL`` fails a matrix read as finite."""
+    fmm = core._extension("scipy.io._fast_matrix_market._fmm_core",
+                          ("open_read_file", "read_body_array"))
+    if fmm is None:
+        return None
+    stray = b""
+    with open(path, "rb") as fh:
+        fh.readline()
+        while (line := fh.readline()) and (line.isspace() or line.lstrip().startswith(b"%")):
+            pass  # to the size line
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            if b"\0" in chunk:
+                raise ValueError("NUL byte in a value line")
+            stray = stray or chunk.translate(None, _DECIMAL)[:1]
+    cursor = fmm.open_read_file(str(path), 0)
+    try:
+        h = cursor.header
+        if h.format == "array" and 0 in h.shape:
+            raise ValueError(f"no entries in {h.shape}")
+        dtype = _MM_GENERAL.get((h.object, h.format, h.field, h.symmetry))
+        if dtype is None:
+            return None
+        mat = np.zeros(h.shape, dtype)
+        fmm.read_body_array(cursor, mat)
+    finally:
+        cursor.close()
+    if stray and np.isfinite(mat).all():
+        raise ValueError(f"byte {stray!r} in a value line")
+    return mat
+
+
 def _read_dense_array(path: Path) -> np.ndarray | None:
     """``path``'s matrix parsed by numpy, bitwise as scipy.io reads it in
-    C order, or None for scipy.io to read: a file outside
+    C order, or None for another reader: a file outside
     ``read_matrix``'s rule, a carriage return, a byte or token that no
     finite decimal takes or that fast_matrix_market refuses (a leading
     ``+``), or a count or width the size line does not give."""

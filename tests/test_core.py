@@ -1,4 +1,7 @@
+import importlib.util
 import math
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -6,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from _util import child_env
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.linalg import get_lapack_funcs
 
@@ -18,6 +22,7 @@ from rgsv import (
     gaussian_matrix,
     reduced_qr,
     svd,
+    write_matrix,
 )
 from rgsv import core
 from rgsv.core import row_bands, sum_sq
@@ -209,7 +214,7 @@ class TestRFactor:
     def test_holds_less_than_a_copy_of_its_input(self):
         # one R-only QR copies the whole 4000 x 400 side (1.11 g.nbytes at
         # its peak); the banded TSQR holds R, the first 400 rows and one
-        # band of 327 rows. A first call loads scipy.linalg untraced.
+        # band of 327 rows. A first call loads _flapack untraced.
         g = gaussian_matrix(4000, 400, seed=43)
         core.r_factor(g)
         tracemalloc.start()
@@ -365,6 +370,77 @@ class TestFoldQr:
         assert np.linalg.norm(q.conj().T @ q - np.eye(n)) <= 10 * n * np.finfo(np.float64).eps
         assert np.linalg.norm(q @ folded - stack) <= 1e-13 * np.linalg.norm(stack)
         assert np.array_equal(b, before)
+
+
+# computes in a fresh interpreter, with the extension files found or
+# (argv[1] "missing") not, and saves its arrays to argv[3]; its first
+# stdout line lists the scipy packages loaded by then; found, it then
+# imports scipy.linalg and scipy.io and checks that they reuse its modules
+_EXTENSION_CHILD = """
+import importlib.machinery, sys
+import numpy as np
+from rgsv import core, io
+if sys.argv[1] == "missing":
+    importlib.machinery.EXTENSION_SUFFIXES = [".missing"]
+g, z = (core.gaussian_matrix(2100, 100, seed=7, field=f) for f in ("real", "complex"))
+out = {"q": core.reduced_qr(g).q, "r": core.r_factor(g), "zq": core.reduced_qr(z).q,
+       "zr": core.r_factor(z), "read": io.read_matrix(sys.argv[2])}
+np.savez(sys.argv[3], **out)
+print(sorted(m for m in ("scipy.io", "scipy.linalg") if m in sys.modules))
+if sys.argv[1] == "found":
+    flapack = sys.modules["scipy.linalg._flapack"]
+    fmm = sys.modules.get("scipy.io._fast_matrix_market._fmm_core")
+    import scipy.io, scipy.linalg
+    from scipy.linalg import get_lapack_funcs
+    names = ("geqrt", "gemqrt", "tpqrt", "tpmqrt")
+    for a in (g, z):
+        public, ours = get_lapack_funcs(names, (a,)), core._lapack(names, a)
+        assert all(x is y for x, y in zip(public, ours))
+        assert public[0](32, a)[0].tobytes() == ours[0](32, a)[0].tobytes()
+    assert scipy.linalg.lapack._flapack is flapack
+    assert [m for m in sys.modules if m.endswith("._flapack")] == ["scipy.linalg._flapack"]
+    assert (scipy.io.mmread(sys.argv[2]) + 0.0).tobytes() == out["read"].tobytes()
+    assert [m for m in sys.modules if m.endswith("._fmm_core")] == (
+        [] if fmm is None else ["scipy.io._fast_matrix_market._fmm_core"])
+    assert fmm is None or sys.modules["scipy.io._fast_matrix_market._fmm_core"] is fmm
+    print("reused")
+"""
+
+
+class TestExtension:
+    """_extension loads scipy's _flapack and _fmm_core by file path, which a
+    later public import reuses, and falls back to the public import."""
+
+    def test_a_loaded_module_is_not_loaded_again(self, monkeypatch):
+        import scipy.linalg
+
+        def load(*args, **kwargs):
+            raise AssertionError("a second load")
+
+        monkeypatch.setattr(importlib.util, "spec_from_file_location", load)
+        a = gaussian_matrix(8, 2, seed=1, field="complex")
+        names = ("geqrt", "gemqrt", "tpqrt", "tpmqrt")
+        got = core._lapack(names, a)
+        assert all(x is getattr(scipy.linalg.lapack._flapack, "z" + n) for x, n in zip(got, names))
+
+    def test_direct_load_is_reused_and_a_missing_file_takes_the_public_import(self, tmp_path):
+        mtx = tmp_path / "tall.mtx"
+        write_matrix(mtx, gaussian_matrix(2100, 3, seed=9))
+        lines, saved = {}, {}
+        for mode in ("found", "missing"):
+            saved[mode] = tmp_path / f"{mode}.npz"
+            argv = [sys.executable, "-c", _EXTENSION_CHILD, mode, str(mtx), str(saved[mode])]
+            proc = subprocess.run(argv, capture_output=True, text=True, env=child_env())
+            assert proc.returncode == 0, proc.stderr
+            lines[mode] = proc.stdout.split("\n")
+        fmm = importlib.util.find_spec("scipy.io._fast_matrix_market") is not None
+        assert lines["found"][:2] == ["[]" if fmm else "['scipy.io']", "reused"]
+        assert lines["missing"][0] == "['scipy.io', 'scipy.linalg']"
+        with np.load(saved["found"]) as found, np.load(saved["missing"]) as missing:
+            assert sorted(found) == sorted(missing) == ["q", "r", "read", "zq", "zr"]
+            for key in found:
+                assert found[key].dtype == missing[key].dtype
+                assert found[key].tobytes() == missing[key].tobytes()
 
 
 def _tall(a):

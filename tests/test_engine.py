@@ -836,7 +836,7 @@ class TestFold:
         # and its QR would add (l1 + n) x n three times over, a copy of R
         # another n x n. From the rank test to the block SVDs, ?tpmqrt
         # forms Q's blocks in place, beside its work (32 x n). A first
-        # solve loads scipy.linalg untraced.
+        # solve loads _flapack untraced.
         pair, opts = self._tall_pair("low_rank", n=200)
         run(pair, opts)
         front_end, rank_test = rgsv.engine._front_end, rgsv.engine._rank_test

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -201,19 +202,21 @@ def test_csv_compare_leaves_scipy_io_and_linalg_unloaded(tmp_path):
 def test_mtx_bounds_and_compare_load_no_scipy(tmp_path):
     # small dense Matrix Market files are parsed by numpy, and every QR of
     # a 1000/800/200 pair is numpy's, so no scipy module loads; the reports
-    # are those of a run whose files are both read by scipy.io
+    # are those of runs whose files are read by fast_matrix_market's
+    # extension module alone and by scipy.io
     files = []
     for name, rows, seed in (("g1", 1000, 1), ("g2", 800, 2)):
         files.append(tmp_path / f"{name}.mtx")
         write_matrix(files[-1], gaussian_matrix(rows, 200, seed=seed))
-    code = ("import sys; from rgsv import cli, io\n"
-            "if sys.argv[2] == 'scipy': io._MM_NUMPY_ENTRIES = 0\n"
+    code = ("import sys; from rgsv import cli, core, io\n"
+            "if sys.argv[2] != 'numpy': io._MM_NUMPY_ENTRIES = 0\n"
+            "if sys.argv[2] == 'scipy': core._extension = lambda name, attrs: None\n"
             "code = cli.main([sys.argv[1], '--g1', sys.argv[3], '--g2', sys.argv[4], "
             "'-o', sys.argv[5]])\n"
             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     for command in ("bounds", "compare"):
         loaded, reports = [], []
-        for reader in ("numpy", "scipy"):
+        for reader in ("numpy", "fmm", "scipy"):
             out = tmp_path / f"{command}.{reader}.csv"
             proc = subprocess.run([sys.executable, "-c", code, command, reader, *map(str, files),
                                    str(out)], capture_output=True, text=True, env=child_env())
@@ -221,7 +224,38 @@ def test_mtx_bounds_and_compare_load_no_scipy(tmp_path):
             loaded.append(proc.stdout.strip())
             reports.append(out.read_bytes())
         assert loaded[0] == "0 []"
-        assert loaded[1].startswith("0 ['scipy'")
+        if _FAST_MM:
+            assert loaded[1] == "0 ['scipy.io._fast_matrix_market._fmm_core']"
+        assert loaded[2].startswith("0 ['scipy'")
+        assert reports[0] == reports[1] == reports[2]
+
+
+def test_tall_mtx_bounds_and_compare_load_no_scipy_package(tmp_path):
+    # a 2100/2100/100 pair takes ?geqrt, ?tpqrt and ?tpmqrt from _flapack
+    # and is read by _fmm_core, each loaded by file path; the reports are
+    # those of a process that imported scipy.io and scipy.linalg first
+    files = [tmp_path / "g1.mtx", tmp_path / "g2.mtx"]
+    pair = rgsv.synth_gmp(rgsv.SynthSpec(2100, 2100, 100, 0.6, seed=5, field="real")).pair
+    write_matrix(files[0], pair.g1)
+    write_matrix(files[1], pair.g2)
+    code = ("import sys\n"
+            "if sys.argv[2] == 'imported': import scipy.io, scipy.linalg\n"
+            "from rgsv import cli\n"
+            "code = cli.main([sys.argv[1], '--g1', sys.argv[3], '--g2', sys.argv[4], "
+            "'-o', sys.argv[5]])\n"
+            "print(code, [m for m in ('scipy.io', 'scipy.linalg') if m in sys.modules])")
+    for command in ("bounds", "compare"):
+        loaded, reports = [], []
+        for mode in ("direct", "imported"):
+            out = tmp_path / f"{command}.{mode}.csv"
+            proc = subprocess.run([sys.executable, "-c", code, command, mode, *map(str, files),
+                                   str(out)], capture_output=True, text=True, env=child_env())
+            assert proc.returncode == 0, proc.stderr
+            loaded.append(proc.stdout.strip())
+            reports.append(out.read_bytes())
+        # scipy < 1.12 has no _fmm_core and reads through scipy.io
+        assert loaded[0] == ("0 []" if _FAST_MM else "0 ['scipy.io']")
+        assert loaded[1] == "0 ['scipy.io', 'scipy.linalg']"
         assert reports[0] == reports[1]
 
 
@@ -231,18 +265,31 @@ _COMPLEX = "%%MatrixMarket matrix array complex general\n"
 _FAST_MM = importlib.util.find_spec("scipy.io._fast_matrix_market") is not None
 
 
+# the reader of a dense file that numpy declines: scipy.io where _fmm_core is absent
+_FMM = "fmm" if _FAST_MM else "scipy"
+
+
 @pytest.fixture
 def mm_readers(monkeypatch):
     """The reader each Matrix Market read of read_matrix took, in order:
-    "numpy" when _read_dense_array parsed the file, else "scipy"."""
-    taken, dense = [], rgsv.io._read_dense_array
+    "numpy" when _read_dense_array parsed the file, "fmm" when _read_fmm
+    read it or raised, "scipy" when scipy.io's mmread did."""
+    import scipy.io
 
-    def spy(path):
-        mat = dense(path)
-        taken.append("scipy" if mat is None else "numpy")
-        return mat
+    taken = []
 
-    monkeypatch.setattr(rgsv.io, "_read_dense_array", spy)
+    def spy(read, name):
+        def reader(path):
+            taken.append(name)
+            mat = read(path)
+            if mat is None:
+                taken.pop()
+            return mat
+        return reader
+
+    monkeypatch.setattr(rgsv.io, "_read_dense_array", spy(rgsv.io._read_dense_array, "numpy"))
+    monkeypatch.setattr(rgsv.io, "_read_fmm", spy(rgsv.io._read_fmm, "fmm"))
+    monkeypatch.setattr(scipy.io, "mmread", spy(scipy.io.mmread, "scipy"))
     return taken
 
 
@@ -254,13 +301,16 @@ def _outcome(path):
         return type(exc), str(exc)
 
 
-def _read_both(path, monkeypatch):
-    """read_matrix's outcome with the gate as it is, then with every file
-    sent to scipy.io."""
-    got = _outcome(path)
+def _read_all(path, monkeypatch):
+    """read_matrix's outcome with the gate as it is, then with numpy's
+    reader off, then with scipy.io reading the file."""
+    got = [_outcome(path)]
     with monkeypatch.context() as m:
         m.setattr(rgsv.io, "_MM_NUMPY_ENTRIES", 0)
-        return got, _outcome(path)
+        got.append(_outcome(path))
+        m.setattr(rgsv.core, "_extension", lambda name, attrs: None)
+        got.append(_outcome(path))
+    return got
 
 
 def _same_array(a, b):
@@ -271,8 +321,10 @@ def _same_array(a, b):
 
 class TestDenseMatrixMarketReaders:
     """read_matrix parses a dense real or complex general Matrix Market
-    file under 2048 rows and 2^18 entries with numpy's loadtxt, and hands
-    any other file, or one numpy's path does not accept, to scipy.io."""
+    file under 2048 rows and 2^18 entries with numpy's loadtxt, hands any
+    other such file, or one numpy's path does not accept, to
+    fast_matrix_market's extension module, and any other file to
+    scipy.io."""
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_readers_agree_bitwise_on_written_files(self, tmp_path, monkeypatch, mm_readers,
@@ -286,9 +338,9 @@ class TestDenseMatrixMarketReaders:
             m = z
         f = tmp_path / "m.mtx"
         write_matrix(f, m)
-        got, want = _read_both(f, monkeypatch)
-        assert mm_readers == ["numpy", "scipy"]
-        assert _same_array(got, want) and got.dtype == m.dtype
+        got, direct, want = _read_all(f, monkeypatch)
+        assert mm_readers == ["numpy", _FMM, "scipy"]
+        assert _same_array(got, want) and _same_array(direct, want) and got.dtype == m.dtype
         parts, read = m.view(np.float64), got.view(np.float64)
         nonzero = parts != 0
         assert np.array_equal(read[nonzero].view(np.uint64), parts[nonzero].view(np.uint64))
@@ -303,9 +355,9 @@ class TestDenseMatrixMarketReaders:
     def test_readers_agree_on_what_numpy_accepts(self, tmp_path, monkeypatch, mm_readers, text):
         f = tmp_path / "m.mtx"
         f.write_bytes(text.encode())
-        got, want = _read_both(f, monkeypatch)
-        assert mm_readers == ["numpy", "scipy"]
-        assert _same_array(got, want)
+        got, direct, want = _read_all(f, monkeypatch)
+        assert mm_readers == ["numpy", _FMM, "scipy"]
+        assert _same_array(got, want) and _same_array(direct, want)
         parts = got.view(np.float64)
         assert not np.signbit(parts[parts == 0]).any()  # -0 and -1e-400 read as +0.0
 
@@ -336,23 +388,72 @@ class TestDenseMatrixMarketReaders:
                                                   text, outcome):
         f = tmp_path / "m.mtx"
         f.write_bytes(text.encode())
-        got, want = _read_both(f, monkeypatch)
-        assert mm_readers == ["scipy", "scipy"]
+        got, direct, want = _read_all(f, monkeypatch)
+        assert mm_readers in (["scipy"] * 3, [_FMM, _FMM, "scipy"])
         if isinstance(got, np.ndarray):
-            assert _same_array(got, want)
+            assert _same_array(got, want) and _same_array(direct, want)
         else:
-            assert got == want
+            # the body check words its own message for a byte fast_matrix_market skips
+            assert got == direct and got[0] is want[0]
         if _FAST_MM:  # older scipy.io parses in Python: it takes "+1" and "%" lines in a body
             assert (type(got) if isinstance(got, np.ndarray) else got[0]) is outcome
 
     @pytest.mark.parametrize("rows,cols,reader", [
-        (2047, 1, "numpy"), (2048, 1, "scipy"), (512, 512, "numpy"), (65, 4033, "scipy"),
+        (2047, 1, "numpy"), (2048, 1, "fmm"), (512, 512, "numpy"), (65, 4033, "fmm"),
     ], ids=["rows_2047", "rows_2048", "entries_2^18", "entries_2^18+1"])
     def test_gate_edges(self, tmp_path, mm_readers, rows, cols, reader):
         f = tmp_path / "m.mtx"
         f.write_text(_REAL + f"{rows} {cols}\n" + "1\n" * (rows * cols))
         assert np.array_equal(read_matrix(f), np.ones((rows, cols)))
-        assert mm_readers == [reader]
+        assert mm_readers == [reader if reader == "numpy" else _FMM]
+
+
+@pytest.mark.skipif(not _FAST_MM, reason="fast_matrix_market's extension module is scipy >= 1.12's")
+class TestFastMatrixMarketGuards:
+    """Files fast_matrix_market crashes on or misreads raise ParseError
+    before it reads their body, below the 2048-row floor and above it."""
+
+    @staticmethod
+    def _file(tmp_path, rows, value):
+        # ``value`` on the middle line of a rows x 1 body of ones
+        lines = ["1"] * rows
+        lines[rows // 2] = value
+        f = tmp_path / "m.mtx"
+        f.write_bytes((_REAL + f"{rows} 1\n" + "\n".join(lines) + "\n").encode())
+        return f
+
+    @pytest.mark.parametrize("text", [
+        _REAL + "0 1\n",
+        "%%MatrixMarket matrix array integer general\n0 1\n",
+        _REAL + "2 1\n1\0\n2\n",
+        "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 5\0\n",
+        None,
+    ], ids=["zero_rows", "zero_rows_integer", "nul", "nul_coordinate", "nul_tall"])
+    def test_crashing_inputs_exit_as_parse_errors(self, tmp_path, text):
+        # run in a child: fast_matrix_market divides by the zero row count
+        # (SIGFPE) and reads past a NUL byte (SIGSEGV)
+        if text is None:
+            f = self._file(tmp_path, 2100, "1\0")
+        else:
+            f = tmp_path / "m.mtx"
+            f.write_bytes(text.encode())
+        argv = [sys.executable, "-m", "rgsv", "gsv", "--g1", str(f), "--g2", str(f)]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith(f"error: category=parse: {f}: invalid Matrix Market file: ")
+
+    @pytest.mark.parametrize("rows", [3, 2100], ids=["small", "tall"])
+    @pytest.mark.parametrize("token", ["1d3", "0x1p3", "1_0", "1!"])
+    def test_stray_bytes_are_parse_errors(self, tmp_path, rows, token):
+        # fast_matrix_market reads the leading number, 1.0 or 0.0, and drops the rest
+        f = self._file(tmp_path, rows, token)
+        with pytest.raises(ParseError, match=re.escape(str(f))):
+            read_matrix(f)
+
+    @pytest.mark.parametrize("token", ["nan", "NaN", "-inf", "Infinity"])
+    def test_non_finite_literals_stay_validation_errors(self, tmp_path, token):
+        with pytest.raises(ValidationError, match="non-finite"):
+            read_matrix(self._file(tmp_path, 2100, token))
 
 
 @pytest.mark.parametrize("content", ["", "\n \n"], ids=["empty", "blank_only"])
