@@ -2,18 +2,27 @@
 
 ``run`` is the one solve: give each matrix a front end, stack the two
 compressed matrices, take the stack's reduced QR, and read the GSVs off its
-two Q-factor blocks (``spectrum_from_l_blocks``). A side's front end is its
-randomized basis, whose compressed rows are the ``b`` rows (Q^H G) that
-extraction already formed, or the R of an R-only QR (an exact side, with
-residual 0); ``run`` states the rule, the fold that replaces the stack for
-a tall exact side, and the rank test on the stack's R before Q is formed.
-``method="direct"`` runs the identical stacking code with no compression
-and serves as the oracle path. A run returns its spectrum with what its
-a-posteriori certificate ``bounds.perturbation_bound(pair, run(pair,
-opts))`` reads (Halko, Martinsson & Tropp 2011, 4.3): each sketched side's
-explicit residual ||G - QB||_F and the compressed stack's R factor.
-``compute_gsv`` is the run's spectrum. No solve keeps a basis Q or forms
-the factors U, V and R of the decomposition.
+two Q-factor blocks: through the SVD of the shorter block and its right
+vectors when that block has at most n/2 rows, else by a values-only SVD of
+each. A side's front end is its randomized basis, whose compressed rows are
+the ``b`` rows (Q^H G) that extraction already formed, or, for a tall side
+that a sketch would not compress below a third of its columns, the R of an
+R-only QR (an exact side, with residual 0); ``run`` states the rule and its
+cost model. Each side sketches from its own random stream, spawned from the
+base seed. An exact side of 2048 rows or more takes the other side's rows
+into its R instead (``core.fold_qr``), and no stack is formed. The rank
+test runs on the stack's n x n R factor, before Q is formed, by a shifted
+Cholesky that takes R's SVD only if it fails; a projection cannot raise
+rank, so a rank-deficient pair is still rejected. ``method="direct"`` runs
+the identical stacking code with no compression and serves as the oracle
+path. A run returns its spectrum with what its a-posteriori certificate
+``bounds.perturbation_bound(pair, run(pair, opts))`` reads (Halko,
+Martinsson & Tropp 2011, 4.3): each sketched side's explicit residual
+||G - QB||_F, which extraction reports as its last history entry, and the
+compressed stack's R factor (its singular values, those of [Q1 B1; Q2 B2],
+are taken on first read). ``compute_gsv`` is the run's spectrum. No solve
+keeps a basis Q or forms the factors U, V and R of the decomposition: the
+comparative quantities and certificates read the spectrum alone.
 """
 
 from __future__ import annotations
@@ -255,12 +264,15 @@ def spectrum_from_l_blocks(
     it takes an SVD with its right vectors W1, and the longer block's
     values are those of its product with W1, which has k columns, plus
     n - k exact ones (``_short_block_values``); the longer block itself
-    takes no SVD. Otherwise each block takes a values-only SVD, which then
-    costs less (the routes are level near k = n/2). Each pair keeps its
-    smaller member, whose absolute error is at working precision, and
-    completes the larger one through sqrt(1 - x^2); completing the small
-    member instead would turn eps-level error in a value near 1 into
-    sqrt(eps) noise.
+    takes no SVD.
+    Otherwise each block takes a values-only SVD, which then costs less
+    (1 BLAS thread: real 58- and 400-row blocks of n = 400 took 5.0 ms by
+    W1 against 17.8 ms by two SVDs, complex 240- and 240-row ones 68
+    against 46 ms, with the two routes level near k = n/2). Each pair
+    keeps its smaller member, whose absolute error is at working
+    precision, and completes the larger one through sqrt(1 - x^2);
+    completing the small member instead would turn eps-level error in a
+    value near 1 into sqrt(eps) noise.
     """
     l1, l2 = l1_block.shape[0], l2_block.shape[0]
     if 2 * min(l1, l2) > n:
@@ -365,30 +377,56 @@ def run(pair: GmpPair, opts: GsvOptions | None = None) -> GsvRun:
     method="direct" runs the identical stacked-QR + SVD path with no
     compression and is the reference the randomized path is tested
     against. A max_cols of at least a side's min(rows, cols) is no cap.
-    Each side sketches from its own stream (``_side_seed``), independent
-    of the other side's and of nearby base seeds'. A sketch that max_cols
-    stops unconverged, above the trim floor, is named in one warning per
-    solve, with its kept width, residual and tol.
+    Each side sketches from its own stream, seeded by the first word of
+    child 0 (g1) or 1 (g2) of SeedSequence(extraction.seed mod 2^64).spawn(2),
+    so the streams of the two sides, and of nearby base seeds, are
+    independent. A sketch that max_cols stops unconverged, above the trim
+    floor, is named in one warning per solve, with its kept width, residual
+    and tol.
 
     Front ends. Sides run in order, g1 then g2, and cross = ceil(n/3).
-    A side that is tall (rows >= 4 n) and uncapped (max_cols unset or at
-    least n) is probed: extraction with max_cols = cross and probe=True
-    stops once the kept columns plus those the residual still predicts
-    exceed cross. A probe that converges is the side's sketch; otherwise
-    the side goes exact: its block is the n x n R of ``core.r_factor``, Q
-    is never formed and the residual is 0. Since a solve needs l1 + l2 >=
-    n rows, an eligible g2 with n - l1 >= cross goes exact without a
-    probe. Any other side is sketched to extraction's own stopping rule.
+    A side is eligible when it is tall (rows >= 4 n) and no cap binds it
+    (max_cols unset or at least n). An ineligible side is sketched to
+    extraction's own stopping rule. An eligible side is probed: extraction
+    with max_cols = cross and probe=True runs the usual block schedule
+    (a first block of min(32, blocksize) columns, then blocks sized from
+    the residual) but stops as soon as the kept columns plus the columns
+    the residual still predicts exceed cross. A probe that converges is
+    the side's sketch; any other is dropped and the side goes exact: its
+    compressed block is the n x n R of an R-only Householder QR
+    (``core.r_factor``), Q is never formed and the residual is 0. A
+    full-rank side therefore pays one first block before its QR. Since a
+    solve needs l1 + l2 >= n rows, an eligible g2 with n - l1 >= cross
+    would keep at least cross columns, so it goes exact without a probe.
     An exact side of 2048 rows or more (``core._is_tall``; g1 if both are)
-    folds the other's block into its R (``core.fold_qr``); every other
-    solve, method="direct" among them, stacks the blocks
-    (``core.reduced_qr``).
+    folds the other's block into its R (``core.fold_qr``: ?tpqrt, l = n for
+    an exact R, then ?tpmqrt for Q after the rank test); every other solve,
+    method="direct" among them, stacks the blocks (``core.reduced_qr``).
 
     Cost model: a sketch keeping k columns of an m x n side costs about
-    6 m n k flops with its explicit residual, an R-only QR 2 m n^2 -
-    2/3 n^3. The switch at n/3 sits just above the measured crossover, and
-    a side that is not tall is always sketched. CHANGES.md's entries on
-    the exact front end, the probe and the fold hold the timings.
+    4 m n k flops (G Omega, P^H G and two reorthogonalization passes),
+    plus 2 m n k for its explicit residual; an R-only QR costs
+    2 m n^2 - 2/3 n^3. Measured per side on a rank-k
+    3000 x 1200 side at the default tol (2-core Xeon, OpenBLAS, 1 thread,
+    three medians of 5 interleaved runs each), whose sketch panels take
+    ?geqrt and whose R-only QR (under 4 n rows) takes numpy's ?geqrf, the
+    sketch won at k = 200 (192-208 vs 292-341 ms), was level at k = 300
+    (290-313 vs 309-349 ms) and lost at k = 400 = n/3 (360-401 vs 298-328
+    ms) and k = 600 (473-531 vs 263-284 ms), and a full-rank side took
+    1.3-1.5 s to sketch against 0.27-0.32 s to factor. The switch sits at
+    n/3, above the crossover between n/4 and n/3 these runs show. A
+    side sent exact adds the cost of its one probe block, about
+    2 m n min(32, blocksize) flops for G Omega: on the real 1000/800/200
+    pair of the CLI benchmark both sides go exact after a 32-column block
+    each, and a solve took 27 ms against 37 ms when each probe filled
+    its 67-column cap (same machine, medians of 11). A side that is not
+    tall is always sketched: on the complex 801/400/400 pair of
+    criterion 1 (seed 1), probing every uncapped side with cross =
+    ceil(min(rows, cols)/3) sent both sides exact, for a median 247 ms
+    against 239 ms a solve (same machine, 9 alternating processes of 9
+    solves) and a tracemalloc peak of 17.25 against 11.39 MB. The fold
+    skips R's zeros: 58 rows onto a 400 x 400 R took 2.2 against 8.4 ms for
+    the stacked QR, two exact 400 x 400 Rs 6.0 against 17.1 ms.
 
     Certificate. The run's exact GSVs are those of the projected pair
     (Q1 B1, Q2 B2), an exact side being its own matrix, so
@@ -397,11 +435,14 @@ def run(pair: GmpPair, opts: GsvOptions | None = None) -> GsvRun:
 
     Memory. No sketched basis Q, discarded sketch, compressed block or stack
     is held past its last reader, so a solve peaks at the pair, the rows
-    compressed so far and one step's working copy: a tall exact side's R
-    and one band of rows (``core.r_factor``), a shorter one's QR copy, or a
-    sketch's basis and rows plus one band per explicit residual. The fold
-    overwrites R and holds a copy of the rows it takes, then Q's blocks; a
-    stacked QR holds the stack, LAPACK's copy of it and Q at once.
+    compressed so far and one step's working copy: for an exact side of
+    2048 rows or more, its R and one band of rows (``core.r_factor``'s
+    banded TSQR, 0.22 g.nbytes at 4000 x 400), and for a shorter one the
+    copy its one R-only QR factors; for a sketch, its basis and rows,
+    whose every explicit residual (``core.sum_sq``) adds one band of rows,
+    with Q's rows there and the kept rows joined, and keeps no copy of G.
+    The fold overwrites R and holds a copy of the rows it takes, then Q's
+    blocks; a stacked QR holds the stack, LAPACK's copy of it and Q at once.
 
     Raises RankDeficiencyError when the stacked pair, or on the
     randomized path the compressed pair (fewer than n rows, or

@@ -33,12 +33,12 @@ from .errors import ParseError, ValidationError
 from .rangefinder import BasisResult
 
 _MM_MAGIC = "%%MatrixMarket"
-_MM_DENSE = {b"%%MatrixMarket matrix array real general\n": 1,  # values per line
-             b"%%MatrixMarket matrix array complex general\n": 2}
-_MM_NUMPY_ENTRIES = 1 << 18
 _MM_GENERAL = {("matrix", "array", "real", "general"): np.float64,
                ("matrix", "array", "complex", "general"): np.complex128}
-_DECIMAL = b"0123456789.eE+- \t\n\r"  # the bytes of a finite dense body
+_MM_DENSE = {" ".join((_MM_MAGIC, *header)).encode() + b"\n": np.dtype(dtype).itemsize // 8
+             for header, dtype in _MM_GENERAL.items()}  # banner line: values per line
+_MM_NUMPY_ENTRIES = 1 << 18
+_DECIMAL = b"0123456789.eE+- \t\n"  # the bytes of a finite dense body, but CR
 
 
 def read_matrix(path) -> np.ndarray:
@@ -73,6 +73,8 @@ def _read_matrix_market(path: Path) -> np.ndarray:
                 import scipy.io
 
                 mat = scipy.io.mmread(path)
+            if 0 in mat.shape:  # as an empty CSV file, on every reader
+                raise ValueError(f"no entries in {mat.shape}")
         except Exception as exc:
             raise ParseError(f"{path}: invalid Matrix Market file: {exc}") from exc
         if not isinstance(mat, np.ndarray):
@@ -85,9 +87,10 @@ def _read_matrix_market(path: Path) -> np.ndarray:
 def _read_fmm(path: Path) -> np.ndarray | None:
     """``path``'s dense real or complex general matrix, read by scipy's
     compiled fast_matrix_market on its default thread count, else None.
-    ValueError where that would crash (a zero in an array size line, a NUL
-    byte) or misread a line it takes the leading number of (``1d3`` as
-    1.0): a byte outside ``_DECIMAL`` fails a matrix read as finite."""
+    An array size line with a zero, on which it would crash, gives an
+    empty array unread. ValueError on a NUL byte, on which it would crash,
+    and on a line it takes the leading number of (``1d3`` as 1.0): a byte
+    outside ``_DECIMAL`` or CR fails a matrix read as finite."""
     fmm = core._extension("scipy.io._fast_matrix_market._fmm_core",
                           ("open_read_file", "read_body_array"))
     if fmm is None:
@@ -100,12 +103,12 @@ def _read_fmm(path: Path) -> np.ndarray | None:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             if b"\0" in chunk:
                 raise ValueError("NUL byte in a value line")
-            stray = stray or chunk.translate(None, _DECIMAL)[:1]
+            stray = stray or chunk.translate(None, _DECIMAL + b"\r")[:1]
     cursor = fmm.open_read_file(str(path), 0)
     try:
         h = cursor.header
         if h.format == "array" and 0 in h.shape:
-            raise ValueError(f"no entries in {h.shape}")
+            return np.zeros(h.shape)  # fast_matrix_market divides by a zero row count
         dtype = _MM_GENERAL.get((h.object, h.format, h.field, h.symmetry))
         if dtype is None:
             return None
@@ -136,7 +139,7 @@ def _read_dense_array(path: Path) -> np.ndarray | None:
             if not (0 < rows < core._TALL_ROWS and 0 < cols and rows * cols <= _MM_NUMPY_ENTRIES):
                 return None
             for chunk in iter(lambda: fh.read(1 << 20), b""):
-                if chunk.translate(None, b"0123456789.eE+- \t\n") or (
+                if chunk.translate(None, _DECIMAL) or (
                         b"+" in chunk and chunk.count(b"+") != chunk.count(b"e+") + chunk.count(b"E+")):
                     return None
         with warnings.catch_warnings():

