@@ -32,7 +32,8 @@ _SEED_MASK = (1 << 64) - 1
 _BAND_BYTES = 1 << 20  # the largest band of ``row_bands``
 
 # A QR of at least this many rows, and 4 per column, is tall (``_is_tall``);
-# ``_NB`` is the block width of its ?geqrt and ?tpqrt.
+# the floor keeps a small pair clear of the second BLAS that ``_flapack``
+# links. ``_NB`` is the block width of a tall QR's ?geqrt and ?tpqrt.
 _TALL_ROWS = 2048
 _NB = 32
 
@@ -104,9 +105,9 @@ def _is_tall(a: np.ndarray) -> bool:
     Gustavson 2000) rather than numpy's ?geqrf, whose panels under 128
     columns are level 2, and an exact side ``a`` of a solve takes the other
     side's rows into its R by ``fold_qr`` rather than a QR of the stack.
-    The 2048-row floor was chosen against a scipy.linalg import that no
-    longer happens (``_extension``); ROADMAP item 3 re-decides it from the
-    resident memory of the second BLAS that ``_flapack`` links."""
+    The 2048-row floor spares a smaller pair the resident memory of the
+    second BLAS that ``_flapack`` links (CHANGES.md's entry on the one
+    Matrix Market reader holds the numbers)."""
     m, n = a.shape
     return m >= max(_TALL_ROWS, 4 * n)
 

@@ -4,12 +4,13 @@ Matrices travel as Matrix Market files (dense array or coordinate, real
 or complex) or as headerless CSV, which numpy's ``loadtxt`` parses:
 float64, or complex128 when a cell is complex (``2+3j``, ``(2+3j)``,
 ``-4j``); ``inf`` and ``nan`` parse, Python's ``1+2J`` and ``1_000`` do
-not, and ``#`` starts no comment. The scipy.io package is imported only to
-write a Matrix Market file or to read one that is not dense real or
-complex general (``read_matrix``). Reports serialize to CSV (per-index
-rows followed by a scalar block) or JSON, with floats at full round-trip
-precision; ``_layout`` describes each report type once and both writers
-read that one description.
+not, and ``#`` starts no comment. A dense real or complex general Matrix
+Market file is read by scipy's compiled fast_matrix_market module alone
+(``_read_fmm``); the scipy.io package writes Matrix Market files and reads
+the others, and every one on scipy < 1.12, which lacks that module.
+Reports serialize to CSV (per-index rows followed by a scalar block) or
+JSON, with floats at full round-trip precision; ``_layout`` describes each
+report type once and both writers read that one description.
 """
 
 from __future__ import annotations
@@ -35,10 +36,7 @@ from .rangefinder import BasisResult
 _MM_MAGIC = "%%MatrixMarket"
 _MM_GENERAL = {("matrix", "array", "real", "general"): np.float64,
                ("matrix", "array", "complex", "general"): np.complex128}
-_MM_DENSE = {" ".join((_MM_MAGIC, *header)).encode() + b"\n": np.dtype(dtype).itemsize // 8
-             for header, dtype in _MM_GENERAL.items()}  # banner line: values per line
-_MM_NUMPY_ENTRIES = 1 << 18
-_DECIMAL = b"0123456789.eE+- \t\n"  # the bytes of a finite dense body, but CR
+_DECIMAL = b"0123456789.eE+- \t\r\n"  # the bytes of a finite dense body
 
 
 def read_matrix(path) -> np.ndarray:
@@ -46,11 +44,9 @@ def read_matrix(path) -> np.ndarray:
 
     The format is sniffed from the first line; coordinate Matrix Market
     entries are densified and CSV cells read as the module docstring says.
-    A dense real or complex general Matrix Market file under
-    ``core._is_tall``'s 2048-row floor and of at most 2^18 entries is
-    parsed by numpy's ``loadtxt``, any other such file by ``_read_fmm``,
-    and any other file by scipy.io, so a dense pair loads no scipy
-    package. CHANGES.md's entries on both readers hold the timings.
+    A dense real or complex general Matrix Market file, of any size, is
+    read by ``_read_fmm``, so a dense pair loads no scipy package; any
+    other Matrix Market file, and every one on scipy < 1.12, by scipy.io.
     """
     path = Path(path)
     try:
@@ -61,24 +57,18 @@ def read_matrix(path) -> np.ndarray:
         raise ParseError(f"{path}: cannot read: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: cannot decode: {exc}") from exc
-    return _read_matrix_market(path)
+    try:
+        mat = _read_fmm(path)
+        if mat is None:
+            import scipy.io
 
-
-def _read_matrix_market(path: Path) -> np.ndarray:
-    mat = _read_dense_array(path)
-    if mat is None:
-        try:
-            mat = _read_fmm(path)
-            if mat is None:
-                import scipy.io
-
-                mat = scipy.io.mmread(path)
-            if 0 in mat.shape:  # as an empty CSV file, on every reader
-                raise ValueError(f"no entries in {mat.shape}")
-        except Exception as exc:
-            raise ParseError(f"{path}: invalid Matrix Market file: {exc}") from exc
-        if not isinstance(mat, np.ndarray):
-            mat = mat.toarray()
+            mat = scipy.io.mmread(path)
+        if 0 in mat.shape:  # as an empty CSV file, on every reader
+            raise ValueError(f"no entries in {mat.shape}")
+    except Exception as exc:
+        raise ParseError(f"{path}: invalid Matrix Market file: {exc}") from exc
+    if not isinstance(mat, np.ndarray):
+        mat = mat.toarray()
     mat = core.as_matrix(mat, str(path))
     mat += 0.0  # -0.0 to +0.0, as fast_matrix_market reads it and older scipy.io does not
     return mat
@@ -86,11 +76,12 @@ def _read_matrix_market(path: Path) -> np.ndarray:
 
 def _read_fmm(path: Path) -> np.ndarray | None:
     """``path``'s dense real or complex general matrix, read by scipy's
-    compiled fast_matrix_market on its default thread count, else None.
-    An array size line with a zero, on which it would crash, gives an
-    empty array unread. ValueError on a NUL byte, on which it would crash,
-    and on a line it takes the leading number of (``1d3`` as 1.0): a byte
-    outside ``_DECIMAL`` or CR fails a matrix read as finite."""
+    compiled ``_fmm_core`` on its default thread count; None for another
+    file, or on scipy < 1.12, which lacks that module. An array size line
+    with a zero, on which it would crash, gives an empty array unread.
+    ValueError on a NUL byte, on which it would crash, and on a line it
+    takes the leading number of (``1d3`` as 1.0): a byte outside
+    ``_DECIMAL`` fails a matrix read as finite."""
     fmm = core._extension("scipy.io._fast_matrix_market._fmm_core",
                           ("open_read_file", "read_body_array"))
     if fmm is None:
@@ -103,7 +94,7 @@ def _read_fmm(path: Path) -> np.ndarray | None:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             if b"\0" in chunk:
                 raise ValueError("NUL byte in a value line")
-            stray = stray or chunk.translate(None, _DECIMAL + b"\r")[:1]
+            stray = stray or chunk.translate(None, _DECIMAL)[:1]
     cursor = fmm.open_read_file(str(path), 0)
     try:
         h = cursor.header
@@ -119,37 +110,6 @@ def _read_fmm(path: Path) -> np.ndarray | None:
     if stray and np.isfinite(mat).all():
         raise ValueError(f"byte {stray!r} in a value line")
     return mat
-
-
-def _read_dense_array(path: Path) -> np.ndarray | None:
-    """``path``'s matrix parsed by numpy, bitwise as scipy.io reads it in
-    C order, or None for another reader: a file outside
-    ``read_matrix``'s rule, a carriage return, a byte or token that no
-    finite decimal takes or that fast_matrix_market refuses (a leading
-    ``+``), or a count or width the size line does not give."""
-    try:
-        with open(path, "rb") as fh:
-            width, skip = _MM_DENSE.get(fh.readline()), 2
-            while (line := fh.readline()).startswith(b"%") and b"\r" not in line:
-                skip += 1
-            size = line.split()
-            if width is None or b"\r" in line or len(size) != 2 or not all(map(bytes.isdigit, size)):
-                return None
-            rows, cols = map(int, size)
-            if not (0 < rows < core._TALL_ROWS and 0 < cols and rows * cols <= _MM_NUMPY_ENTRIES):
-                return None
-            for chunk in iter(lambda: fh.read(1 << 20), b""):
-                if chunk.translate(None, _DECIMAL) or (
-                        b"+" in chunk and chunk.count(b"+") != chunk.count(b"e+") + chunk.count(b"E+")):
-                    return None
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # no rows: a wrong count below
-            a = np.loadtxt(path, np.float64, comments=None, skiprows=skip, ndmin=2, encoding="latin1")
-    except (OSError, ValueError):
-        return None
-    if a.shape != (rows * cols, width) or not np.isfinite(a).all():
-        return None
-    return np.ascontiguousarray((a.view(np.complex128) if width == 2 else a).reshape(cols, rows).T)
 
 
 def _read_csv_matrix(path: Path, fh) -> np.ndarray:
@@ -206,8 +166,7 @@ def _rejected_line(path: Path, lineno: int, line: str, first: str, dtype, error)
 def write_matrix(path, m) -> None:
     """Write a matrix as a dense Matrix Market file, each value in its
     shortest round-trip form (``%.16e`` on scipy < 1.12), so that
-    read_matrix reads it back bitwise, except that -0.0 reads as +0.0 by
-    either of its readers."""
+    read_matrix reads it back bitwise, except that -0.0 reads as +0.0."""
     import scipy.io
 
     a = core.as_matrix(m)

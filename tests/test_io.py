@@ -199,35 +199,34 @@ def test_csv_compare_leaves_scipy_io_and_linalg_unloaded(tmp_path):
     assert proc.stdout.strip() == "0 False False"
 
 
-def test_mtx_bounds_and_compare_load_no_scipy(tmp_path):
-    # small dense Matrix Market files are parsed by numpy, and every QR of
-    # a 1000/800/200 pair is numpy's, so no scipy module loads; the reports
-    # are those of runs whose files are read by fast_matrix_market's
-    # extension module alone and by scipy.io
+def test_mtx_bounds_and_compare_load_only_fmm_core(tmp_path):
+    # dense Matrix Market files of any size are read by fast_matrix_market's
+    # extension module alone, and every QR of a 1000/800/200 pair is numpy's,
+    # so no other scipy module loads; the reports are those of a run whose
+    # files are read by scipy.io
     files = []
     for name, rows, seed in (("g1", 1000, 1), ("g2", 800, 2)):
         files.append(tmp_path / f"{name}.mtx")
         write_matrix(files[-1], gaussian_matrix(rows, 200, seed=seed))
-    code = ("import sys; from rgsv import cli, core, io\n"
-            "if sys.argv[2] != 'numpy': io._MM_NUMPY_ENTRIES = 0\n"
+    code = ("import sys; from rgsv import cli, core\n"
             "if sys.argv[2] == 'scipy': core._extension = lambda name, attrs: None\n"
             "code = cli.main([sys.argv[1], '--g1', sys.argv[3], '--g2', sys.argv[4], "
             "'-o', sys.argv[5]])\n"
             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     for command in ("bounds", "compare"):
         loaded, reports = [], []
-        for reader in ("numpy", "fmm", "scipy"):
+        for reader in ("fmm", "scipy"):
             out = tmp_path / f"{command}.{reader}.csv"
             proc = subprocess.run([sys.executable, "-c", code, command, reader, *map(str, files),
                                    str(out)], capture_output=True, text=True, env=child_env())
             assert proc.returncode == 0, proc.stderr
             loaded.append(proc.stdout.strip())
             reports.append(out.read_bytes())
-        assert loaded[0] == "0 []"
+        # scipy < 1.12 has no _fmm_core and reads through scipy.io
         if _FAST_MM:
-            assert loaded[1] == "0 ['scipy.io._fast_matrix_market._fmm_core']"
-        assert loaded[2].startswith("0 ['scipy'")
-        assert reports[0] == reports[1] == reports[2]
+            assert loaded[0] == "0 ['scipy.io._fast_matrix_market._fmm_core']"
+        assert "'scipy.io'" in loaded[1]
+        assert reports[0] == reports[1]
 
 
 def test_tall_mtx_bounds_and_compare_load_no_scipy_package(tmp_path):
@@ -265,15 +264,15 @@ _COMPLEX = "%%MatrixMarket matrix array complex general\n"
 _FAST_MM = importlib.util.find_spec("scipy.io._fast_matrix_market") is not None
 
 
-# the reader of a dense file that numpy declines: scipy.io where _fmm_core is absent
+# the reader of a dense general file: scipy.io where _fmm_core is absent
 _FMM = "fmm" if _FAST_MM else "scipy"
 
 
 @pytest.fixture
 def mm_readers(monkeypatch):
     """The reader each Matrix Market read of read_matrix took, in order:
-    "numpy" when _read_dense_array parsed the file, "fmm" when _read_fmm
-    read it or raised, "scipy" when scipy.io's mmread did."""
+    "fmm" when _read_fmm read it or raised, "scipy" when scipy.io's mmread
+    did."""
     import scipy.io
 
     taken = []
@@ -287,7 +286,6 @@ def mm_readers(monkeypatch):
             return mat
         return reader
 
-    monkeypatch.setattr(rgsv.io, "_read_dense_array", spy(rgsv.io._read_dense_array, "numpy"))
     monkeypatch.setattr(rgsv.io, "_read_fmm", spy(rgsv.io._read_fmm, "fmm"))
     monkeypatch.setattr(scipy.io, "mmread", spy(scipy.io.mmread, "scipy"))
     return taken
@@ -302,12 +300,10 @@ def _outcome(path):
 
 
 def _read_all(path, monkeypatch):
-    """read_matrix's outcome with the gate as it is, then with numpy's
-    reader off, then with scipy.io reading the file."""
+    """read_matrix's outcome, then its outcome with scipy.io reading the
+    file (the extension loader patched off)."""
     got = [_outcome(path)]
     with monkeypatch.context() as m:
-        m.setattr(rgsv.io, "_MM_NUMPY_ENTRIES", 0)
-        got.append(_outcome(path))
         m.setattr(rgsv.core, "_extension", lambda name, attrs: None)
         got.append(_outcome(path))
     return got
@@ -320,11 +316,9 @@ def _same_array(a, b):
 
 
 class TestDenseMatrixMarketReaders:
-    """read_matrix parses a dense real or complex general Matrix Market
-    file under 2048 rows and 2^18 entries with numpy's loadtxt, hands any
-    other such file, or one numpy's path does not accept, to
-    fast_matrix_market's extension module, and any other file to
-    scipy.io."""
+    """read_matrix reads a dense real or complex general Matrix Market
+    file of any size with fast_matrix_market's extension module, bitwise
+    as scipy.io reads it, and any other file with scipy.io."""
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_readers_agree_bitwise_on_written_files(self, tmp_path, monkeypatch, mm_readers,
@@ -338,9 +332,9 @@ class TestDenseMatrixMarketReaders:
             m = z
         f = tmp_path / "m.mtx"
         write_matrix(f, m)
-        got, direct, want = _read_all(f, monkeypatch)
-        assert mm_readers == ["numpy", _FMM, "scipy"]
-        assert _same_array(got, want) and _same_array(direct, want) and got.dtype == m.dtype
+        got, want = _read_all(f, monkeypatch)
+        assert mm_readers == [_FMM, "scipy"]
+        assert _same_array(got, want) and got.dtype == m.dtype
         parts, read = m.view(np.float64), got.view(np.float64)
         nonzero = parts != 0
         assert np.array_equal(read[nonzero].view(np.uint64), parts[nonzero].view(np.uint64))
@@ -352,12 +346,12 @@ class TestDenseMatrixMarketReaders:
         "0.1000000000000000055511151231257827021181583404541015625",
         _COMPLEX + "2 1\n1 -0\n-0.0\t  2.5e-324\n",
     ], ids=["real", "whitespace", "complex"])
-    def test_readers_agree_on_what_numpy_accepts(self, tmp_path, monkeypatch, mm_readers, text):
+    def test_readers_agree_on_odd_layouts(self, tmp_path, monkeypatch, mm_readers, text):
         f = tmp_path / "m.mtx"
         f.write_bytes(text.encode())
-        got, direct, want = _read_all(f, monkeypatch)
-        assert mm_readers == ["numpy", _FMM, "scipy"]
-        assert _same_array(got, want) and _same_array(direct, want)
+        got, want = _read_all(f, monkeypatch)
+        assert mm_readers == [_FMM, "scipy"]
+        assert _same_array(got, want)
         parts = got.view(np.float64)
         assert not np.signbit(parts[parts == 0]).any()  # -0 and -1e-400 read as +0.0
 
@@ -388,23 +382,24 @@ class TestDenseMatrixMarketReaders:
                                                   text, outcome):
         f = tmp_path / "m.mtx"
         f.write_bytes(text.encode())
-        got, direct, want = _read_all(f, monkeypatch)
-        assert mm_readers in (["scipy"] * 3, [_FMM, _FMM, "scipy"])
+        got, want = _read_all(f, monkeypatch)
+        assert mm_readers in (["scipy"] * 2, [_FMM, "scipy"])
         if isinstance(got, np.ndarray):
-            assert _same_array(got, want) and _same_array(direct, want)
+            assert _same_array(got, want)
         else:
-            assert got == direct == want
+            assert got == want
         if _FAST_MM:  # older scipy.io parses in Python: it takes "+1" and "%" lines in a body
             assert (type(got) if isinstance(got, np.ndarray) else got[0]) is outcome
 
-    @pytest.mark.parametrize("rows,cols,reader", [
-        (2047, 1, "numpy"), (2048, 1, "fmm"), (512, 512, "numpy"), (65, 4033, "fmm"),
-    ], ids=["rows_2047", "rows_2048", "entries_2^18", "entries_2^18+1"])
-    def test_gate_edges(self, tmp_path, mm_readers, rows, cols, reader):
+    @pytest.mark.parametrize("rows,cols", [(2047, 1), (2048, 1), (512, 512), (65, 4033)],
+                             ids=["rows_2047", "rows_2048", "entries_2^18", "entries_2^18+1"])
+    def test_gate_edges(self, tmp_path, mm_readers, rows, cols):
+        # on either side of the tall gate's 2048 rows and of 2^18 entries,
+        # no size sends a dense general file to another reader
         f = tmp_path / "m.mtx"
         f.write_text(_REAL + f"{rows} {cols}\n" + "1\n" * (rows * cols))
         assert np.array_equal(read_matrix(f), np.ones((rows, cols)))
-        assert mm_readers == [reader if reader == "numpy" else _FMM]
+        assert mm_readers == [_FMM]
 
 
 def _exits_as_parse_error(f):
