@@ -8,7 +8,7 @@ golden tests. A tall QR (``_is_tall``) takes LAPACK's level-3 ``?geqrt``,
 ?tpqrt and ?tpmqrt from scipy's compiled ``_flapack``, loaded by file
 path (``_extension``) so that the scipy.linalg package never loads; every
 other QR takes numpy's ``np.linalg.qr``. CHANGES.md's entries on tall QRs,
-the fold and the extension loader hold the timings.
+the fold, the extension loader and the one tall rule hold the timings.
 """
 
 from __future__ import annotations
@@ -31,11 +31,7 @@ _SEED_MASK = (1 << 64) - 1
 
 _BAND_BYTES = 1 << 20  # the largest band of ``row_bands``
 
-# A QR of at least this many rows, and 4 per column, is tall (``_is_tall``);
-# the floor keeps a small pair clear of the second BLAS that ``_flapack``
-# links. ``_NB`` is the block width of a tall QR's ?geqrt and ?tpqrt.
-_TALL_ROWS = 2048
-_NB = 32
+_NB = 32  # the block width of a tall QR's ?geqrt and ?tpqrt
 
 
 class QrFactors(NamedTuple):
@@ -101,15 +97,12 @@ def gaussian_matrix(rows: int, cols: int, seed: int, field: str = REAL) -> np.nd
 
 
 def _is_tall(a: np.ndarray) -> bool:
-    """Whether a QR of ``a`` takes LAPACK's level-3 ?geqrt (Elmroth &
-    Gustavson 2000) rather than numpy's ?geqrf, whose panels under 128
-    columns are level 2, and an exact side ``a`` of a solve takes the other
-    side's rows into its R by ``fold_qr`` rather than a QR of the stack.
-    The 2048-row floor spares a smaller pair the resident memory of the
-    second BLAS that ``_flapack`` links (CHANGES.md's entry on the one
-    Matrix Market reader holds the numbers)."""
+    """Whether ``a`` has at least 4 rows per column. A QR of a tall ``a``
+    takes LAPACK's level-3 ?geqrt (Elmroth & Gustavson 2000) rather than
+    numpy's ?geqrf, whose panels under 128 columns are level 2, and only a
+    tall side of a solve can go exact (``engine._front_end``)."""
     m, n = a.shape
-    return m >= max(_TALL_ROWS, 4 * n)
+    return m >= 4 * n
 
 
 def _extension(name: str, attrs):
@@ -191,9 +184,9 @@ def r_factor(g: np.ndarray) -> np.ndarray:
     Grigori, Hoemmen & Langou 2012), as stable as one QR: ?geqrt factors
     its first band of rows (``row_bands``, taken at least n rows deep),
     and ?tpqrt folds each later band into R. ?tpqrt reads R's triangle,
-    so banding adds no flops, and each step holds R and one band beside g:
-    a peak of 0.22 g.nbytes at 4000 x 400 and 0.08 at 20000 x 100, where
-    one QR copies all of g. Any other g takes one R-only ``np.linalg.qr``."""
+    so banding adds no flops, and each step holds R and one band beside g,
+    where one QR would copy all of g. Any other g takes one R-only
+    ``np.linalg.qr``."""
     m, n = g.shape
     if not _is_tall(g):
         return np.linalg.qr(g, mode="r")

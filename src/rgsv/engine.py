@@ -9,8 +9,8 @@ the ``b`` rows (Q^H G) that extraction already formed, or, for a tall side
 that a sketch would not compress below a third of its columns, the R of an
 R-only QR (an exact side, with residual 0); ``run`` states the rule and its
 cost model. Each side sketches from its own random stream, spawned from the
-base seed. An exact side of 2048 rows or more takes the other side's rows
-into its R instead (``core.fold_qr``), and no stack is formed. The rank
+base seed. A solve with an exact side takes the other side's rows into
+its R instead (``core.fold_qr``), and no stack is formed. The rank
 test runs on the stack's n x n R factor, before Q is formed, by a shifted
 Cholesky that takes R's SVD only if it fails; a projection cannot raise
 rank, so a rank-deficient pair is still rejected. ``method="direct"`` runs
@@ -327,11 +327,6 @@ def _side_config(cfg: ExtractionConfig, g: np.ndarray, side: int) -> ExtractionC
     return dataclasses.replace(cfg, seed=_side_seed(cfg.seed, side), max_cols=cap)
 
 
-# A side with at least this many rows per column is tall: only there does
-# an R-only QR replace the sketch (see run).
-_TALL_ASPECT = 4
-
-
 def _crossover(n: int) -> int:
     """Kept width ceil(n/3) from which a tall side is cheaper to QR than
     to sketch (see run)."""
@@ -345,7 +340,7 @@ def _front_end(g: np.ndarray, cfg: ExtractionConfig, shortcut: bool):
     a note saying so, and False; or an exact side's n x n R, 0, None and
     True. With ``shortcut`` an eligible side goes exact without a sketch."""
     n = g.shape[1]
-    if g.shape[0] < _TALL_ASPECT * n or cfg.max_cols is not None:
+    if not core._is_tall(g) or cfg.max_cols is not None:
         basis = extract_basis(g, cfg)
     elif shortcut:
         basis = None
@@ -384,49 +379,36 @@ def run(pair: GmpPair, opts: GsvOptions | None = None) -> GsvRun:
     floor, is named in one warning per solve, with its kept width, residual
     and tol.
 
-    Front ends. Sides run in order, g1 then g2, and cross = ceil(n/3).
-    A side is eligible when it is tall (rows >= 4 n) and no cap binds it
-    (max_cols unset or at least n). An ineligible side is sketched to
-    extraction's own stopping rule. An eligible side is probed: extraction
-    with max_cols = cross and probe=True runs the usual block schedule
-    (a first block of min(32, blocksize) columns, then blocks sized from
-    the residual) but stops as soon as the kept columns plus the columns
-    the residual still predicts exceed cross. A probe that converges is
-    the side's sketch; any other is dropped and the side goes exact: its
+    Front ends. Sides run in order, g1 then g2, and cross = ceil(n/3). A
+    side is eligible when it is tall (rows >= 4 n, ``core._is_tall``) and no
+    cap binds it (max_cols unset or at least n). An ineligible side is
+    sketched to extraction's own stopping rule. An eligible side is probed:
+    extraction with max_cols = cross and probe=True runs the usual block
+    schedule (a first block of min(32, blocksize) columns, then blocks sized
+    from the residual) but stops as soon as the kept columns plus the
+    columns the residual still predicts exceed cross. A probe that converges
+    is the side's sketch; any other is dropped and the side goes exact: its
     compressed block is the n x n R of an R-only Householder QR
     (``core.r_factor``), Q is never formed and the residual is 0. A
     full-rank side therefore pays one first block before its QR. Since a
-    solve needs l1 + l2 >= n rows, an eligible g2 with n - l1 >= cross
-    would keep at least cross columns, so it goes exact without a probe.
-    An exact side of 2048 rows or more (``core._is_tall``; g1 if both are)
-    folds the other's block into its R (``core.fold_qr``: ?tpqrt, l = n for
-    an exact R, then ?tpmqrt for Q after the rank test); every other solve,
-    method="direct" among them, stacks the blocks (``core.reduced_qr``).
+    solve needs l1 + l2 >= n rows, an eligible g2 with n - l1 >= cross would
+    keep at least cross columns, so it goes exact without a probe. A solve
+    with an exact side (g1 if both are) folds the other's block into its R
+    (``core.fold_qr``: ?tpqrt, l = n for an exact R, then ?tpmqrt for Q
+    after the rank test); every other solve, method="direct" among them,
+    stacks the blocks (``core.reduced_qr``).
 
     Cost model: a sketch keeping k columns of an m x n side costs about
     4 m n k flops (G Omega, P^H G and two reorthogonalization passes),
     plus 2 m n k for its explicit residual; an R-only QR costs
-    2 m n^2 - 2/3 n^3. Measured per side on a rank-k
-    3000 x 1200 side at the default tol (2-core Xeon, OpenBLAS, 1 thread,
-    three medians of 5 interleaved runs each), whose sketch panels take
-    ?geqrt and whose R-only QR (under 4 n rows) takes numpy's ?geqrf, the
-    sketch won at k = 200 (192-208 vs 292-341 ms), was level at k = 300
-    (290-313 vs 309-349 ms) and lost at k = 400 = n/3 (360-401 vs 298-328
-    ms) and k = 600 (473-531 vs 263-284 ms), and a full-rank side took
-    1.3-1.5 s to sketch against 0.27-0.32 s to factor. The switch sits at
-    n/3, above the crossover between n/4 and n/3 these runs show. A
-    side sent exact adds the cost of its one probe block, about
-    2 m n min(32, blocksize) flops for G Omega: on the real 1000/800/200
-    pair of the CLI benchmark both sides go exact after a 32-column block
-    each, and a solve took 27 ms against 37 ms when each probe filled
-    its 67-column cap (same machine, medians of 11). A side that is not
-    tall is always sketched: on the complex 801/400/400 pair of
-    criterion 1 (seed 1), probing every uncapped side with cross =
-    ceil(min(rows, cols)/3) sent both sides exact, for a median 247 ms
-    against 239 ms a solve (same machine, 9 alternating processes of 9
-    solves) and a tracemalloc peak of 17.25 against 11.39 MB. The fold
-    skips R's zeros: 58 rows onto a 400 x 400 R took 2.2 against 8.4 ms for
-    the stacked QR, two exact 400 x 400 Rs 6.0 against 17.1 ms.
+    2 m n^2 - 2/3 n^3. Measured, the sketch wins below about n/4 kept
+    columns and loses from n/3, where the switch sits. A side sent exact
+    adds its one probe block, about 2 m n min(32, blocksize) flops for
+    G Omega. A side that is not tall is always sketched: probing it costs
+    more time and memory than its sketch saves. The fold skips R's zeros,
+    so it costs a fraction of the stacked QR. CHANGES.md's entries on the
+    exact front end, the probe, the fold and the one tall rule hold the
+    timings.
 
     Certificate. The run's exact GSVs are those of the projected pair
     (Q1 B1, Q2 B2), an exact side being its own matrix, so
@@ -435,14 +417,13 @@ def run(pair: GmpPair, opts: GsvOptions | None = None) -> GsvRun:
 
     Memory. No sketched basis Q, discarded sketch, compressed block or stack
     is held past its last reader, so a solve peaks at the pair, the rows
-    compressed so far and one step's working copy: for an exact side of
-    2048 rows or more, its R and one band of rows (``core.r_factor``'s
-    banded TSQR, 0.22 g.nbytes at 4000 x 400), and for a shorter one the
-    copy its one R-only QR factors; for a sketch, its basis and rows,
-    whose every explicit residual (``core.sum_sq``) adds one band of rows,
-    with Q's rows there and the kept rows joined, and keeps no copy of G.
-    The fold overwrites R and holds a copy of the rows it takes, then Q's
-    blocks; a stacked QR holds the stack, LAPACK's copy of it and Q at once.
+    compressed so far and one step's working copy: for an exact side, its R
+    and one band of rows (``core.r_factor``'s banded TSQR); for a sketch,
+    its basis and rows, whose every explicit residual (``core.sum_sq``) adds
+    one band of rows, with Q's rows there and the kept rows joined, and
+    keeps no copy of G. The fold overwrites R and holds a copy of the rows
+    it takes, then Q's blocks; a stacked QR holds the stack, LAPACK's copy
+    of it and Q at once.
 
     Raises RankDeficiencyError when the stacked pair, or on the
     randomized path the compressed pair (fewer than n rows, or
@@ -469,9 +450,8 @@ def run(pair: GmpPair, opts: GsvOptions | None = None) -> GsvRun:
             "tighten the extraction tolerance or raise max_cols"
         )
     what = "stacked pair" if opts.method == DIRECT else "compressed stacked pair"
-    tall = [ex and core._is_tall(g) for ex, g in zip(exact, (pair.g1, pair.g2))]
-    if any(tall) and min(l1, l2):
-        i = 0 if tall[0] else 1  # the side whose R takes the other side's rows
+    if any(exact) and min(l1, l2):
+        i = 0 if exact[0] else 1  # the side whose R takes the other side's rows
         blocks = [c1, c2]
         c1 = c2 = None
         r, q_blocks = core.fold_qr(blocks[i], blocks[1 - i], n if exact[1 - i] else 0)

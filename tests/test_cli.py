@@ -327,14 +327,15 @@ def test_bounds_of_a_both_exact_pair_is_the_rounding_allowance(tmp_path):
 def test_bounds_factors_the_stack_only_for_k(tmp_path, monkeypatch, k):
     # eta of --k's projector bound is stack_norm2^2, one SVD of the
     # (m + p) x n stack; the certificate itself factors no stack. The
-    # inputs are under core._TALL_ROWS, so every factorization reaches
-    # numpy's LAPACK wrapper once, through core.svd, core.reduced_qr or
-    # core.r_factor, and those are counted
+    # stack is tall, so its SVD is counted at numpy's wrapper (core.svd)
+    # and a QR of it at core.reduced_qr or core.r_factor, which call
+    # _flapack's ?geqrt: each factorization of the stack is counted once
     m, p, n = 90, 80, 20
     files = tmp_path / "g1.mtx", tmp_path / "g2.csv"
     write_matrix(files[0], gaussian_matrix(m, n, seed=50))
     np.savetxt(files[1], gaussian_matrix(p, n, seed=51), delimiter=",")
-    rows = record_rows(monkeypatch, (np.linalg, "svd"), (np.linalg, "qr"))
+    rows = record_rows(monkeypatch, (np.linalg, "svd"), (np.linalg, "qr"),
+                       (rgsv.core, "reduced_qr"), (rgsv.core, "r_factor"))
     argv = ["bounds", "--g1", str(files[0]), "--g2", str(files[1]),
             "--seed", "52", "-o", str(tmp_path / "cert.csv")]
     assert main(argv + (["--k", k] if k else [])) == 0

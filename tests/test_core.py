@@ -170,24 +170,28 @@ def _recording_qr(monkeypatch):
 
 
 class TestRFactor:
-    """r_factor: one R-only np.linalg.qr below 2048 rows, a banded TSQR by
-    ?geqrt and ?tpqrt from there (1 MiB bands: 6553 rows of 20 real
-    columns, 3276 complex)."""
+    """r_factor: one R-only np.linalg.qr under 4 rows per column, a banded
+    TSQR by ?geqrt and ?tpqrt from there (1 MiB bands: 256 rows of 512
+    real columns, 6553 of 20)."""
 
     @pytest.mark.parametrize("field", ["real", "complex"])
-    @pytest.mark.parametrize("rows,banded", [(159, False), (2047, False), (2048, True), (14000, True)])
-    def test_matches_one_r_only_qr(self, rows, banded, field, monkeypatch):
-        g = gaussian_matrix(rows, 20, seed=40, field=field)
+    @pytest.mark.parametrize("rows,cols,tall", [(159, 40, False), (2047, 512, False),
+                                                (2048, 512, True), (14000, 20, True)],
+                             ids=["159-False", "2047-False", "2048-True", "14000-True"])
+    def test_matches_one_r_only_qr(self, rows, cols, tall, field, monkeypatch):
+        # the short cases are one row short of tall (m = 4n - 1), 2048 x 512
+        # is tall with no row to spare (m = 4n)
+        g = gaussian_matrix(rows, cols, seed=40, field=field)
         before = g.copy()
         one_qr = np.linalg.qr(g, mode="r")
         want = np.linalg.svd(one_qr, compute_uv=False)
         calls = _recording_qr(monkeypatch)
         r = core.r_factor(g)
-        assert r.shape == (20, 20) and np.all(r[np.tril_indices(20, -1)] == 0)
-        assert np.array_equal(r, _banded_r(g) if banded else one_qr)
+        assert r.shape == (cols, cols) and np.all(r[np.tril_indices(cols, -1)] == 0)
+        assert np.array_equal(r, _banded_r(g) if tall else one_qr)
         got = np.linalg.svd(r, compute_uv=False)
         assert np.all(np.abs(got - want) <= 1e-13 * want)
-        assert calls == ([] if banded else [(rows, "r")])
+        assert calls == ([] if tall else [(rows, "r")])
         assert np.array_equal(g, before)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
@@ -458,9 +462,9 @@ class TestExtension:
 
 
 def _tall(a):
-    """Whether reduced_qr factors a by ?geqrt: 2048 rows and 4 per column."""
+    """Whether reduced_qr factors a by ?geqrt: 4 rows per column or more."""
     m, n = a.shape
-    return m >= max(2048, 4 * n)
+    return m >= 4 * n
 
 
 def _phase_normalized_qr(a):
@@ -495,7 +499,7 @@ class TestReducedQrPanels:
 
     def _factor_as_the_reference(self, a, monkeypatch):
         """Assert that reduced_qr(a) is bitwise _phase_normalized_qr(a),
-        calls np.linalg.qr only below the tall gate, leaves a unchanged
+        calls np.linalg.qr only for a that is not tall, leaves a unchanged
         and keeps the invariants."""
         before = a.copy()
         q_ref, r_ref = _phase_normalized_qr(a)
@@ -562,6 +566,109 @@ class TestReducedQrPanels:
         a[:, 0] *= 1e160  # only the (0, 0) entry of its Gram matrix overflows
         self._check_invariants(a, *self._factor(a))
 
+
+def _recording_lapack(monkeypatch):
+    """Wrap every LAPACK function core._lapack hands out so that its name
+    is appended to the returned list on every call."""
+    calls, lapack = [], core._lapack
+
+    def recording(names, a):
+        def wrapped(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        return [wrapped(name, fn) for name, fn in zip(names, lapack(names, a))]
+
+    monkeypatch.setattr(core, "_lapack", recording)
+    return calls
+
+
+def _phase_free(r):
+    """r with its rows scaled by unit scalars that make its diagonal real and
+    nonnegative (rows of a zero diagonal entry unscaled)."""
+    d = np.diagonal(r)
+    absd = np.abs(d)
+    return r * np.conj(np.where(absd > 0, d / np.where(absd > 0, absd, 1.0), 1.0))[:, None]
+
+
+class TestTallRuleEdges:
+    """The QRs on either side of the tall rule (m >= 4n), at one column, in
+    one band and in several, and with an exactly zero column: reduced_qr
+    and r_factor take the kernel the rule names, and their R is numpy's up
+    to the phase convention."""
+
+    # (rows, cols, zero column or None); real rows of 100 columns fill a
+    # 1 MiB band at 1310 rows, complex ones at 655, and of 1 column at
+    # 131072 and 65536
+    CASES = {
+        "m_4n": (400, 100, None),
+        "m_4n-1": (399, 100, None),
+        "n_1": (4, 1, None),
+        "n_1_short": (3, 1, None),
+        "n_1_banded": (140000, 1, None),
+        "banded": (4000, 100, None),
+        "zero_column": (400, 100, 37),
+        "zero_column_short": (399, 100, 37),
+    }
+
+    @classmethod
+    def _input(cls, case, field):
+        rows, cols, zero = cls.CASES[case]
+        a = gaussian_matrix(rows, cols, seed=44, field=field)
+        if zero is not None:
+            a[:, zero] = 0.0
+        return a, zero
+
+    @staticmethod
+    def _bands_after_the_first(a):
+        """The ?tpqrt calls of r_factor's TSQR of a: its bands after the first."""
+        m, n = a.shape
+        step = max(1, 2**20 // (a.itemsize * n))
+        return len(range(max(step, n), m, step))
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_reduced_qr(self, case, field, monkeypatch):
+        a, zero = self._input(case, field)
+        m, n = a.shape
+        want = _phase_free(np.linalg.qr(a, mode="r"))
+        calls = _recording_lapack(monkeypatch)
+        q, r = reduced_qr(a)
+        assert calls == (["geqrt", "gemqrt"] if m >= 4 * n else [])
+        assert q.shape == (m, n) and r.shape == (n, n)
+        assert np.linalg.norm(q.conj().T @ q - np.eye(n)) <= 1e-13
+        assert np.linalg.norm(q @ r - a) <= 1e-13 * np.linalg.norm(a)
+        assert np.all(r[np.tril_indices(n, -1)] == 0)
+        d = np.diagonal(r)
+        assert np.all(d.real >= 0) and np.all(np.abs(d.imag) <= 1e-15 * d.real)
+        assert np.linalg.norm(r - want) <= 1e-13 * np.linalg.norm(a)
+        if zero is not None:
+            assert d[zero] == 0 and np.all(r[: zero + 1, zero] == 0)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_r_factor(self, case, field, monkeypatch):
+        a, zero = self._input(case, field)
+        m, n = a.shape
+        before = a.copy()
+        want = _phase_free(np.linalg.qr(a, mode="r"))
+        calls = _recording_lapack(monkeypatch)
+        r = core.r_factor(a)
+        if m >= 4 * n:
+            assert calls == ["geqrt"] + ["tpqrt"] * self._bands_after_the_first(a)
+        else:
+            assert calls == []
+        assert r.shape == (n, n) and np.all(r[np.tril_indices(n, -1)] == 0)
+        got = _phase_free(r)
+        d = np.diagonal(got)
+        assert np.all(d.real >= 0) and np.all(np.abs(d.imag) <= 1e-15 * d.real)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(a)
+        if zero is not None:
+            assert d[zero] == 0 and np.all(r[: zero + 1, zero] == 0)
+        assert np.array_equal(a, before)
 
 @settings(max_examples=60, deadline=None)
 @given(

@@ -597,14 +597,13 @@ class TestExactFrontEnd:
         # probe that filled the cap drew 67 columns before its R-only QR
         pair = random_pair(1000, 1000, 200, seed=80)
         events = self._record_draws(monkeypatch)
-        qr = np.linalg.qr
+        r_factor = rgsv.core.r_factor
 
-        def recording_qr(a, mode="reduced"):
-            if mode == "r":
-                events.append(("r", a.shape[0]))
-            return qr(a, mode=mode)
+        def recording_r_factor(g):
+            events.append(("r", g.shape[0]))
+            return r_factor(g)
 
-        monkeypatch.setattr(np.linalg, "qr", recording_qr)
+        monkeypatch.setattr(rgsv.core, "r_factor", recording_r_factor)
         opts = GsvOptions(extraction=ExtractionConfig(seed=81, blocksize=blocksize))
         spec = compute_gsv(pair, opts)
         first = min(32, blocksize)
@@ -749,9 +748,9 @@ def test_a_kernel_that_does_not_converge_raises_convergence_error(case, monkeypa
 
 
 class TestFold:
-    """A randomized solve with an exact side of 2048 rows or more folds the
-    other side's block into that side's R (core.fold_qr) and never forms
-    the compressed stack; every other solve stacks the two blocks."""
+    """A randomized solve with an exact side folds the other side's block
+    into that side's R (core.fold_qr) and never forms the compressed
+    stack; every other solve stacks the two blocks."""
 
     @staticmethod
     def _tall_pair(case, field="real", n=60):
@@ -771,7 +770,7 @@ class TestFold:
     @staticmethod
     def _stacked_route(pair, opts):
         """The solve's blocks, stacked and factored by reduced_qr as a
-        solve under the tall gate does: (spectrum, R, l1 + l2)."""
+        solve with no exact side does: (spectrum, R, l1 + l2)."""
         cfg, n = opts.extraction, pair.n
         c1 = rgsv.engine._front_end(pair.g1, _side_config(cfg, pair.g1, 0), False)[0]
         c2 = rgsv.engine._front_end(pair.g2, _side_config(cfg, pair.g2, 1),
@@ -797,10 +796,32 @@ class TestFold:
         assert np.all(np.abs(solve.r_singular_values - s_want) <= 1e-13 * s_want[0])
         assert [res == 0.0 for res in solve.residuals] == [case == "both_exact", True]
 
-    def test_a_solve_under_the_tall_gate_still_stacks(self, monkeypatch):
-        # 800/800/80: g2 goes exact, but its R-only QR is numpy's
-        pair, _, cfg = TestExactFrontEnd._tall_low_rank_pair()
-        opts = GsvOptions(extraction=cfg)
+    @pytest.mark.parametrize("shape,field", [((1000, 800, 200), "real"),
+                                             ((600, 500, 100), "complex")],
+                             ids=["1000x800x200-real", "600x500x100-complex"])
+    def test_a_small_both_exact_pair_folds(self, shape, field, monkeypatch):
+        # the benchmark's small pair, and a complex one: each side is tall,
+        # and full rank, so both go exact and g1's R takes g2's (l = n)
+        pair = synth_gmp(SynthSpec(*shape, 0.6, seed=109, field=field)).pair
+        n = pair.n
+        folds = []
+        fold_qr = rgsv.core.fold_qr
+
+        def recording_fold(r, b, l):
+            folds.append((r.shape, b.shape, l))
+            return fold_qr(r, b, l)
+
+        monkeypatch.setattr(rgsv.core, "fold_qr", recording_fold)
+        rows = record_rows(monkeypatch, (np.linalg, "qr"), (rgsv.core, "reduced_qr"))
+        solve = run(pair, GsvOptions(extraction=ExtractionConfig(seed=110)))
+        assert solve.residuals == (0.0, 0.0)
+        assert folds == [((n, n), (n, n), n)] and 2 * n not in rows
+        assert spectrum_gap(solve.spectrum, compute_gsv(pair, GsvOptions(method="direct"))) <= 1e-12
+
+    def test_a_solve_with_no_exact_side_stacks(self, monkeypatch):
+        # 300/250/80: neither side is tall, so both are sketched
+        pair = random_pair(300, 250, 80, seed=107)
+        opts = GsvOptions(extraction=ExtractionConfig(seed=108))
         want, _, stacked = self._stacked_route(pair, opts)
         rows = record_rows(monkeypatch, (np.linalg, "qr"), (rgsv.core, "reduced_qr"))
         folds = record_rows(monkeypatch, (rgsv.core, "fold_qr"))

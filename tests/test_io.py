@@ -184,7 +184,8 @@ def test_csv_read_leaves_scipy_io_unloaded(tmp_path):
 
 
 def test_csv_compare_leaves_scipy_io_and_linalg_unloaded(tmp_path):
-    # every QR of a 1000/800/200 pair is under 2048 rows, so takes numpy's
+    # numpy reads the CSV files, and both sides of a 1000/800/200 pair are
+    # tall, so their QRs take _flapack's wrappers, loaded by file path
     files = []
     for name, rows, seed in (("g1", 1000, 1), ("g2", 800, 2)):
         files.append(tmp_path / f"{name}.csv")
@@ -199,11 +200,12 @@ def test_csv_compare_leaves_scipy_io_and_linalg_unloaded(tmp_path):
     assert proc.stdout.strip() == "0 False False"
 
 
-def test_mtx_bounds_and_compare_load_only_fmm_core(tmp_path):
+def test_mtx_bounds_and_compare_load_only_extension_modules(tmp_path):
     # dense Matrix Market files of any size are read by fast_matrix_market's
-    # extension module alone, and every QR of a 1000/800/200 pair is numpy's,
-    # so no other scipy module loads; the reports are those of a run whose
-    # files are read by scipy.io
+    # extension module alone, and both sides of a 1000/800/200 pair are
+    # tall, so their QRs take _flapack's wrappers: those two modules, each
+    # loaded by file path, are the only scipy modules that load; the
+    # reports are those of a run whose files are read by scipy.io
     files = []
     for name, rows, seed in (("g1", 1000, 1), ("g2", 800, 2)):
         files.append(tmp_path / f"{name}.mtx")
@@ -224,7 +226,9 @@ def test_mtx_bounds_and_compare_load_only_fmm_core(tmp_path):
             reports.append(out.read_bytes())
         # scipy < 1.12 has no _fmm_core and reads through scipy.io
         if _FAST_MM:
-            assert loaded[0] == "0 ['scipy.io._fast_matrix_market._fmm_core']"
+            assert loaded[0] == ("0 ['scipy.io._fast_matrix_market._fmm_core', "
+                                 "'scipy.linalg._flapack']")
+        assert "'scipy.linalg'" not in loaded[0]
         assert "'scipy.io'" in loaded[1]
         assert reports[0] == reports[1]
 
@@ -394,8 +398,7 @@ class TestDenseMatrixMarketReaders:
     @pytest.mark.parametrize("rows,cols", [(2047, 1), (2048, 1), (512, 512), (65, 4033)],
                              ids=["rows_2047", "rows_2048", "entries_2^18", "entries_2^18+1"])
     def test_gate_edges(self, tmp_path, mm_readers, rows, cols):
-        # on either side of the tall gate's 2048 rows and of 2^18 entries,
-        # no size sends a dense general file to another reader
+        # whatever its rows or entries, a dense general file has one reader
         f = tmp_path / "m.mtx"
         f.write_text(_REAL + f"{rows} {cols}\n" + "1\n" * (rows * cols))
         assert np.array_equal(read_matrix(f), np.ones((rows, cols)))
@@ -428,7 +431,7 @@ def test_size_lines_with_a_zero_exit_as_parse_errors(tmp_path, text):
 @pytest.mark.skipif(not _FAST_MM, reason="fast_matrix_market's extension module is scipy >= 1.12's")
 class TestFastMatrixMarketGuards:
     """Files fast_matrix_market crashes on or misreads raise ParseError
-    before it reads their body, below the 2048-row floor and above it."""
+    before it reads their body, in a few rows and in over 2048."""
 
     @staticmethod
     def _file(tmp_path, rows, value):
