@@ -144,13 +144,13 @@ def quantity_error_bounds(
     vacuous = two_e > 1.0
     theta_bound = math.asin(min(two_e, 1.0))
 
+    p1, p2 = eigenexpression_fractions(spectrum)  # rejects a zero energy first
     alphas, betas = spectrum.alphas, spectrum.betas
     sa = float(np.sum(alphas**2))
     sb = float(np.sum(betas**2))
     p1_bounds = 2.0 * alphas * e_script / sa
     p2_bounds = 2.0 * betas * e_script / sb
 
-    p1, p2 = eigenexpression_fractions(spectrum)
     d1 = shannon_entropy(p1)
     d2 = shannon_entropy(p2)
     d1_bound = two_e * _entropy_sensitivity(alphas, d1)

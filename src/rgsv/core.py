@@ -4,11 +4,11 @@ Matrices are plain numpy arrays, real (float64) or complex (complex128).
 ``as_matrix`` is the single validation gate: 2-D, nonempty, all entries
 finite. Factorizations are LAPACK-backed (Householder QR, dense SVD) with
 a fixed phase convention so that factors are deterministic and usable in
-golden tests. A tall QR (``_is_tall``) takes LAPACK's level-3 ``?geqrt``,
-?tpqrt and ?tpmqrt from scipy's compiled ``_flapack``, loaded by file
-path (``_extension``) so that the scipy.linalg package never loads; every
-other QR takes numpy's ``np.linalg.qr``. CHANGES.md's entries on tall QRs,
-the fold, the extension loader and the one tall rule hold the timings.
+golden tests. Every QR takes LAPACK's level-3 compact-WY kernels
+(``?geqrt``, ``?gemqrt``, ``?tpqrt``, ``?tpmqrt``) from scipy's compiled
+``_flapack``, loaded by file path (``_extension``) so that the scipy.linalg
+package never loads. CHANGES.md's entries on tall QRs, the fold, the
+extension loader and the one QR kernel hold the timings.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ _SEED_MASK = (1 << 64) - 1
 
 _BAND_BYTES = 1 << 20  # the largest band of ``row_bands``
 
-_NB = 32  # the block width of a tall QR's ?geqrt and ?tpqrt
+_NB = 32  # the largest block width of a QR's ?geqrt and ?tpqrt
 
 
 class QrFactors(NamedTuple):
@@ -96,15 +96,6 @@ def gaussian_matrix(rows: int, cols: int, seed: int, field: str = REAL) -> np.nd
     return gaussian_block(seeded_rng(seed), rows, cols, field)
 
 
-def _is_tall(a: np.ndarray) -> bool:
-    """Whether ``a`` has at least 4 rows per column. A QR of a tall ``a``
-    takes LAPACK's level-3 ?geqrt (Elmroth & Gustavson 2000) rather than
-    numpy's ?geqrf, whose panels under 128 columns are level 2, and only a
-    tall side of a solve can go exact (``engine._front_end``)."""
-    m, n = a.shape
-    return m >= 4 * n
-
-
 def _extension(name: str, attrs):
     """scipy's compiled module ``name`` (``scipy.linalg._flapack``), loaded
     by file path so that no scipy ``__init__`` runs, and entered in
@@ -143,22 +134,21 @@ def _lapack(names: tuple[str, ...], a: np.ndarray):
 
 def reduced_qr(m) -> QrFactors:
     """Reduced (economy) QR by Householder reflections: LAPACK ?geqrt
-    (block width 32) with Q applied to the leading columns of I by
-    ?gemqrt for a tall input (``_is_tall``), else numpy's ?geqrf.
+    (block width min(32, k), k = min(rows, cols)), with Q applied to the
+    leading k columns of I by ?gemqrt, which reads V's first k columns.
+    Q is rows x k and R is k x cols, for wide inputs too.
 
     The phase convention makes the diagonal of R real and nonnegative,
     which fixes the factors uniquely for full-column-rank input. Rank
     deficiency is permitted; trailing diagonal entries of R may be ~0.
     """
     a = as_matrix(m)
-    if _is_tall(a):
-        geqrt, gemqrt = _lapack(("geqrt", "gemqrt"), a)
-        n = a.shape[1]
-        v, t, _ = geqrt(min(_NB, n), a)
-        r = np.triu(v[:n])
-        q = gemqrt(v, t, np.eye(*a.shape, dtype=a.dtype, order="F"), overwrite_c=True)[0]
-    else:
-        q, r = np.linalg.qr(a, mode="reduced")
+    geqrt, gemqrt = _lapack(("geqrt", "gemqrt"), a)
+    k = min(a.shape)
+    v, t, _ = geqrt(min(_NB, k), a)
+    r = np.triu(v[:k])
+    eye = np.eye(a.shape[0], k, dtype=a.dtype, order="F")
+    q = gemqrt(v[:, :k], t, eye, overwrite_c=True)[0]
     ph = _phase(r)
     # scale in place: no Q-sized product beside LAPACK's Q, which keeps
     # one Q out of the peak of a stacked QR
@@ -180,18 +170,15 @@ def _phase(r: np.ndarray) -> np.ndarray:
 def r_factor(g: np.ndarray) -> np.ndarray:
     """The min(m, n) x n R of a Householder QR of g (m x n), Q never formed.
 
-    A tall g (``_is_tall``) is factored by sequential TSQR (Demmel,
-    Grigori, Hoemmen & Langou 2012), as stable as one QR: ?geqrt factors
-    its first band of rows (``row_bands``, taken at least n rows deep),
-    and ?tpqrt folds each later band into R. ?tpqrt reads R's triangle,
-    so banding adds no flops, and each step holds R and one band beside g,
-    where one QR would copy all of g. Any other g takes one R-only
-    ``np.linalg.qr``."""
+    g is factored by sequential TSQR (Demmel, Grigori, Hoemmen & Langou
+    2012), as stable as one QR: ?geqrt (block width min(32, m, n)) factors
+    its first band of rows (``row_bands``, taken at least n rows deep, so
+    all of a short g), and ?tpqrt folds each later band into R. ?tpqrt
+    reads R's triangle, so banding adds no flops, and each step holds R
+    and one band beside g, where one QR would copy all of g."""
     m, n = g.shape
-    if not _is_tall(g):
-        return np.linalg.qr(g, mode="r")
     geqrt, tpqrt = _lapack(("geqrt", "tpqrt"), g)
-    nb, step = min(_NB, n), _band_rows(g)
+    nb, step = min(_NB, m, n), _band_rows(g)
     top = max(step, n)
     # in Fortran order, so that each ?tpqrt overwrites R rather than a copy
     r = np.asfortranarray(np.triu(geqrt(nb, g[:top])[0][:n]))
@@ -208,7 +195,7 @@ def fold_qr(r: np.ndarray, b: np.ndarray, l: int):
     and a function that forms Q's n columns (one ?tpmqrt on [I; 0]) as its
     blocks beside R and beside B, so R can be tested before Q is paid for.
     R, with a zero strict lower triangle, is overwritten in place when
-    Fortran-ordered, as a tall ``r_factor``'s is; B is left unchanged."""
+    Fortran-ordered, as ``r_factor``'s is; B is left unchanged."""
     tpqrt, tpmqrt = _lapack(("tpqrt", "tpmqrt"), r)
     n = r.shape[1]
     r, v, t, _ = tpqrt(l, min(_NB, n), r, b, overwrite_a=True)

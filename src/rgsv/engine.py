@@ -265,14 +265,12 @@ def spectrum_from_l_blocks(
     values are those of its product with W1, which has k columns, plus
     n - k exact ones (``_short_block_values``); the longer block itself
     takes no SVD.
-    Otherwise each block takes a values-only SVD, which then costs less
-    (1 BLAS thread: real 58- and 400-row blocks of n = 400 took 5.0 ms by
-    W1 against 17.8 ms by two SVDs, complex 240- and 240-row ones 68
-    against 46 ms, with the two routes level near k = n/2). Each pair
-    keeps its smaller member, whose absolute error is at working
-    precision, and completes the larger one through sqrt(1 - x^2);
-    completing the small member instead would turn eps-level error in a
-    value near 1 into sqrt(eps) noise.
+    Otherwise each block takes a values-only SVD, which then costs less:
+    the two routes are level near k = n/2 (CHANGES.md's entry on short L
+    blocks holds the timings). Each pair keeps its smaller member, whose
+    absolute error is at working precision, and completes the larger one
+    through sqrt(1 - x^2); completing the small member instead would turn
+    eps-level error in a value near 1 into sqrt(eps) noise.
     """
     l1, l2 = l1_block.shape[0], l2_block.shape[0]
     if 2 * min(l1, l2) > n:
@@ -338,9 +336,12 @@ def _front_end(g: np.ndarray, cfg: ExtractionConfig, shortcut: bool):
     ``run``): a sketch's rows C = Q^H G, its explicit ||G - QC||_F (its last
     history entry), if max_cols stopped it unconverged above the trim floor
     a note saying so, and False; or an exact side's n x n R, 0, None and
-    True. With ``shortcut`` an eligible side goes exact without a sketch."""
-    n = g.shape[1]
-    if not core._is_tall(g) or cfg.max_cols is not None:
+    True. With ``shortcut`` an eligible side goes exact without a sketch.
+    A side is eligible when it is tall, m >= 4 n rows, and uncapped: one
+    under 4 rows per column is always sketched, because probing it costs
+    more time and memory than its sketch saves."""
+    m, n = g.shape
+    if m < 4 * n or cfg.max_cols is not None:
         basis = extract_basis(g, cfg)
     elif shortcut:
         basis = None
@@ -380,23 +381,22 @@ def run(pair: GmpPair, opts: GsvOptions | None = None) -> GsvRun:
     and tol.
 
     Front ends. Sides run in order, g1 then g2, and cross = ceil(n/3). A
-    side is eligible when it is tall (rows >= 4 n, ``core._is_tall``) and no
-    cap binds it (max_cols unset or at least n). An ineligible side is
-    sketched to extraction's own stopping rule. An eligible side is probed:
-    extraction with max_cols = cross and probe=True runs the usual block
-    schedule (a first block of min(32, blocksize) columns, then blocks sized
-    from the residual) but stops as soon as the kept columns plus the
-    columns the residual still predicts exceed cross. A probe that converges
-    is the side's sketch; any other is dropped and the side goes exact: its
-    compressed block is the n x n R of an R-only Householder QR
-    (``core.r_factor``), Q is never formed and the residual is 0. A
-    full-rank side therefore pays one first block before its QR. Since a
-    solve needs l1 + l2 >= n rows, an eligible g2 with n - l1 >= cross would
-    keep at least cross columns, so it goes exact without a probe. A solve
-    with an exact side (g1 if both are) folds the other's block into its R
-    (``core.fold_qr``: ?tpqrt, l = n for an exact R, then ?tpmqrt for Q
-    after the rank test); every other solve, method="direct" among them,
-    stacks the blocks (``core.reduced_qr``).
+    side is eligible when it is tall and no cap binds it (``_front_end``).
+    An ineligible side is sketched to extraction's own stopping rule. An
+    eligible side is probed: extraction with max_cols = cross and probe=True
+    runs the usual block schedule (a first block of min(32, blocksize)
+    columns, then blocks sized from the residual) but stops as soon as the
+    kept columns plus the columns the residual still predicts exceed cross.
+    A probe that converges is the side's sketch; any other is dropped and
+    the side goes exact: its compressed block is the n x n R of an R-only
+    Householder QR (``core.r_factor``), Q is never formed and the residual
+    is 0. A full-rank side therefore pays one first block before its QR.
+    Since a solve needs l1 + l2 >= n rows, an eligible g2 with n - l1 >=
+    cross would keep at least cross columns, so it goes exact without a
+    probe. A solve with an exact side (g1 if both are) folds the other's
+    block into its R (``core.fold_qr``: ?tpqrt, l = n for an exact R, then
+    ?tpmqrt for Q after the rank test); every other solve, method="direct"
+    among them, stacks the blocks (``core.reduced_qr``).
 
     Cost model: a sketch keeping k columns of an m x n side costs about
     4 m n k flops (G Omega, P^H G and two reorthogonalization passes),
@@ -404,11 +404,9 @@ def run(pair: GmpPair, opts: GsvOptions | None = None) -> GsvRun:
     2 m n^2 - 2/3 n^3. Measured, the sketch wins below about n/4 kept
     columns and loses from n/3, where the switch sits. A side sent exact
     adds its one probe block, about 2 m n min(32, blocksize) flops for
-    G Omega. A side that is not tall is always sketched: probing it costs
-    more time and memory than its sketch saves. The fold skips R's zeros,
-    so it costs a fraction of the stacked QR. CHANGES.md's entries on the
-    exact front end, the probe, the fold and the one tall rule hold the
-    timings.
+    G Omega. The fold skips R's zeros, so it costs a fraction of the
+    stacked QR. CHANGES.md's entries on the exact front end, the probe,
+    the fold and the one tall rule hold the timings.
 
     Certificate. The run's exact GSVs are those of the projected pair
     (Q1 B1, Q2 B2), an exact side being its own matrix, so

@@ -3,14 +3,14 @@
 ``extract_basis`` builds Q block by block from Gaussian sketches until the
 Frobenius residual ||(I - QQ^H)G||_F falls below a tolerance. Each sampled
 panel is projected against the kept blocks Q, QR'd (``core.reduced_qr``,
-which also factors a rank-deficient panel, and takes LAPACK's level-3
-?geqrt for a tall one), trimmed to P and projected once more
-(reorthogonalized block classical Gram-Schmidt: Barlow & Smoktunowicz
-2013; Giraud, Langou, Rozloznik & van den Eshof 2005). For orthonormal Q and P, P' = P - QC with C = Q^H P has
-P'^H P' = I - C^H C, so P' is QR'd again only when ||C||_F^2 exceeds
-w eps (w its width). The trim reads T of a once-projected panel, whose
-spurious part (about u ||G omega|| ~ 1e-16 ||G||_F per column) sits four
-orders under the default trim floor, 1e-12 ||G||_F.
+which also factors a rank-deficient panel), trimmed to P and projected
+once more (reorthogonalized block classical Gram-Schmidt: Barlow &
+Smoktunowicz 2013; Giraud, Langou, Rozloznik & van den Eshof 2005). For
+orthonormal Q and P, P' = P - QC with C = Q^H P has P'^H P' = I - C^H C,
+so P' is QR'd again only when ||C||_F^2 exceeds w eps (w its width).
+The trim reads T of a once-projected panel, whose spurious part (about
+u ||G omega|| ~ 1e-16 ||G||_F per column) sits four orders under the
+default trim floor, 1e-12 ||G||_F.
 ``blocksize`` is the largest block width: the first block is at most 32
 columns wide and each later one is sized from the decay seen so far (see
 ``extract_basis``). Each kept block P also yields its compressed rows
@@ -213,11 +213,11 @@ def _predicted_need(excess: float, block_rows: np.ndarray, n: int) -> int:
     singular value smin of the rows P^H G of the block just kept: the
     columns still needed to remove ``excess`` squared residual if no
     remaining direction carries more energy than the block's weakest.
-    smin^2 is the smallest eigenvalue of their Gram matrix, which for a
-    100 x 400 complex block costs 2.3 ms against 5.7 ms for an SVD (1 BLAS
-    thread). Its error, about eps * ||P^H G||^2, matters only when smin is
-    below about sqrt(eps) times the block's largest; it then changes the
-    next block's width, never when the loop stops."""
+    smin^2 is the smallest eigenvalue of their Gram matrix, which costs
+    less than an SVD of the block (CHANGES.md's entry on decay-sized
+    blocks holds the timings). Its error, about eps * ||P^H G||^2, matters
+    only when smin is below about sqrt(eps) times the block's largest; it
+    then changes the next block's width, never when the loop stops."""
     try:
         smin2 = float(np.linalg.eigvalsh(block_rows @ block_rows.conj().T)[0])
     except np.linalg.LinAlgError as exc:

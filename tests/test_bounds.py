@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from _util import (allowance, capped_warning, explicit_run_budget, make_spectrum
                    structured_pair)
 
 from rgsv import (
+    DegenerateSpectrumError,
     DimensionError,
     ExtractionConfig,
     GmpPair,
@@ -276,6 +278,17 @@ class TestQuantityErrorBounds:
         assert np.all(cert.p2_bounds == 0.0)
         assert cert.d1_bound == 0.0 and cert.d2_bound == 0.0
         assert not cert.vacuous
+
+    @pytest.mark.parametrize("zero_side", [0, 1])
+    def test_a_zero_energy_is_rejected_before_any_division(self, zero_side):
+        # all alphas (or all betas) zero: the p-bounds would divide by a
+        # zero energy, so the degeneracy must raise before any numpy warning
+        zeros, ones = [0.0] * 3, [1.0] * 3
+        spec = make_spectrum(*((zeros, ones) if zero_side == 0 else (ones, zeros)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateSpectrumError):
+                quantity_error_bounds(spec, 1e-3)
 
     @pytest.mark.parametrize("e_script", [math.nan, np.float64("nan"), np.array(math.nan)])
     def test_rejects_nan_budget(self, e_script):

@@ -385,6 +385,17 @@ class TestErrorExits:
         assert proc.returncode == 6
         assert "category=rank" in proc.stderr
 
+    def test_degenerate_error_exit_is_one_stderr_line(self, tmp_path):
+        # a zero g1 has no alpha-energy: bounds exits 9 with the error line
+        # alone, no numpy warning from a division by that energy before it
+        g1, g2 = tmp_path / "zero.csv", tmp_path / "g2.csv"
+        np.savetxt(g1, np.zeros((30, 8)), delimiter=",")
+        np.savetxt(g2, gaussian_matrix(30, 8, seed=1), delimiter=",")
+        proc = run_cli("bounds", "--g1", str(g1), "--g2", str(g2), "-o", str(tmp_path / "b.csv"))
+        assert proc.returncode == 9
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: category=degenerate: ")
+
     def test_dimension_error_exit(self, tmp_path):
         a = tmp_path / "a.csv"
         a.write_text("1,0\n0,1\n")

@@ -141,13 +141,13 @@ class TestReducedQr:
 
 def _banded_r(g):
     """The R of a sequential TSQR of g as r_factor takes it: LAPACK ?geqrt
-    (block width 32) of its first 1 MiB band of rows, at least n rows deep,
-    and ?tpqrt of each later band."""
+    (block width min(32, m, n)) of its first 1 MiB band of rows, at least n
+    rows deep, and ?tpqrt of each later band."""
     m, n = g.shape
     geqrt, tpqrt = get_lapack_funcs(("geqrt", "tpqrt"), (g,))
     step = max(1, 2**20 // (g.itemsize * n))
     top = max(step, n)
-    a, _, info = geqrt(min(32, n), g[:top])
+    a, _, info = geqrt(min(32, m, n), g[:top])
     assert info == 0
     r = np.triu(a[:n])
     for i in range(top, m, step):
@@ -170,17 +170,16 @@ def _recording_qr(monkeypatch):
 
 
 class TestRFactor:
-    """r_factor: one R-only np.linalg.qr under 4 rows per column, a banded
-    TSQR by ?geqrt and ?tpqrt from there (1 MiB bands: 256 rows of 512
-    real columns, 6553 of 20)."""
+    """r_factor: a banded TSQR by ?geqrt and ?tpqrt at every shape (1 MiB
+    bands: 256 rows of 512 real columns, 6553 of 20)."""
 
     @pytest.mark.parametrize("field", ["real", "complex"])
-    @pytest.mark.parametrize("rows,cols,tall", [(159, 40, False), (2047, 512, False),
-                                                (2048, 512, True), (14000, 20, True)],
+    @pytest.mark.parametrize("rows,cols", [(159, 40), (2047, 512), (2048, 512), (14000, 20)],
                              ids=["159-False", "2047-False", "2048-True", "14000-True"])
-    def test_matches_one_r_only_qr(self, rows, cols, tall, field, monkeypatch):
-        # the short cases are one row short of tall (m = 4n - 1), 2048 x 512
-        # is tall with no row to spare (m = 4n)
+    def test_matches_one_r_only_qr(self, rows, cols, field, monkeypatch):
+        # each id says whether its case has 4 rows per column: the False
+        # ones are one row short (m = 4n - 1), 2048 x 512 has no row to
+        # spare (m = 4n); the banded TSQR takes them all
         g = gaussian_matrix(rows, cols, seed=40, field=field)
         before = g.copy()
         one_qr = np.linalg.qr(g, mode="r")
@@ -188,10 +187,10 @@ class TestRFactor:
         calls = _recording_qr(monkeypatch)
         r = core.r_factor(g)
         assert r.shape == (cols, cols) and np.all(r[np.tril_indices(cols, -1)] == 0)
-        assert np.array_equal(r, _banded_r(g) if tall else one_qr)
+        assert np.array_equal(r, _banded_r(g))
         got = np.linalg.svd(r, compute_uv=False)
         assert np.all(np.abs(got - want) <= 1e-13 * want)
-        assert calls == ([] if tall else [(rows, "r")])
+        assert calls == []
         assert np.array_equal(g, before)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
@@ -461,26 +460,19 @@ class TestExtension:
                     assert found[key].tobytes() == public[key].tobytes()
 
 
-def _tall(a):
-    """Whether reduced_qr factors a by ?geqrt: 4 rows per column or more."""
-    m, n = a.shape
-    return m >= 4 * n
-
-
 def _phase_normalized_qr(a):
     """The Householder QR of a as reduced_qr takes it, with R's diagonal
-    made real and positive: LAPACK ?geqrt (block width 32) and ?gemqrt on
-    the leading columns of I for a tall a, else np.linalg.qr."""
+    made real and positive: LAPACK ?geqrt (block width min(32, k), k =
+    min(m, n)) and ?gemqrt of V's first k columns on the leading k columns
+    of I."""
     m, n = a.shape
-    if not _tall(a):
-        q, r = np.linalg.qr(a)
-    else:
-        geqrt, gemqrt = get_lapack_funcs(("geqrt", "gemqrt"), (a,))
-        v, t, info = geqrt(min(32, n), a)
-        assert info == 0
-        q, info = gemqrt(v, t, np.eye(m, n, dtype=a.dtype))
-        assert info == 0
-        r = np.triu(v[:n])
+    k = min(m, n)
+    geqrt, gemqrt = get_lapack_funcs(("geqrt", "gemqrt"), (a,))
+    v, t, info = geqrt(min(32, k), a)
+    assert info == 0
+    q, info = gemqrt(v[:, :k], t, np.eye(m, k, dtype=a.dtype))
+    assert info == 0
+    r = np.triu(v[:k])
     d = np.diagonal(r)
     ph = d / np.abs(d)
     return q * ph, r * np.conj(ph)[:, None]
@@ -499,14 +491,14 @@ class TestReducedQrPanels:
 
     def _factor_as_the_reference(self, a, monkeypatch):
         """Assert that reduced_qr(a) is bitwise _phase_normalized_qr(a),
-        calls np.linalg.qr only for a that is not tall, leaves a unchanged
-        and keeps the invariants."""
+        never calls np.linalg.qr, leaves a unchanged and keeps the
+        invariants."""
         before = a.copy()
         q_ref, r_ref = _phase_normalized_qr(a)
         calls = _recording_qr(monkeypatch)
         q, r = self._factor(a)
         assert np.array_equal(q, q_ref) and np.array_equal(r, r_ref)
-        assert calls == ([] if _tall(a) else [(a.shape[0], "reduced")])
+        assert calls == []
         assert np.array_equal(a, before)
         self._check_invariants(a, q, r)
 
@@ -586,19 +578,26 @@ def _recording_lapack(monkeypatch):
     return calls
 
 
+def _unit_phases(r):
+    """The unit scalars that make r's diagonal real and nonnegative when
+    its rows are scaled by their conjugates (1 for a zero diagonal entry)."""
+    d = np.diagonal(r)
+    absd = np.abs(d)
+    return np.where(absd > 0, d / np.where(absd > 0, absd, 1.0), 1.0)
+
+
 def _phase_free(r):
     """r with its rows scaled by unit scalars that make its diagonal real and
     nonnegative (rows of a zero diagonal entry unscaled)."""
-    d = np.diagonal(r)
-    absd = np.abs(d)
-    return r * np.conj(np.where(absd > 0, d / np.where(absd > 0, absd, 1.0), 1.0))[:, None]
+    return r * np.conj(_unit_phases(r))[:, None]
 
 
 class TestTallRuleEdges:
-    """The QRs on either side of the tall rule (m >= 4n), at one column, in
-    one band and in several, and with an exactly zero column: reduced_qr
-    and r_factor take the kernel the rule names, and their R is numpy's up
-    to the phase convention."""
+    """The QRs at edge shapes: on either side of m = 4n, at one column, in
+    one band and in several, short and wide, and with an exactly zero
+    column. reduced_qr and r_factor take ?geqrt at each (block width
+    min(32, m, n), V's first k = min(m, n) columns for ?gemqrt), and their
+    Q (m x k) and R (k x n) are numpy's up to the phase convention."""
 
     # (rows, cols, zero column or None); real rows of 100 columns fill a
     # 1 MiB band at 1310 rows, complex ones at 655, and of 1 column at
@@ -612,6 +611,9 @@ class TestTallRuleEdges:
         "banded": (4000, 100, None),
         "zero_column": (400, 100, 37),
         "zero_column_short": (399, 100, 37),
+        "1x1": (1, 1, None),
+        "3x5": (3, 5, None),
+        "5x40": (5, 40, None),
     }
 
     @classmethod
@@ -629,19 +631,12 @@ class TestTallRuleEdges:
         step = max(1, 2**20 // (a.itemsize * n))
         return len(range(max(step, n), m, step))
 
-    @pytest.mark.parametrize("field", ["real", "complex"])
-    @pytest.mark.parametrize("case", list(CASES))
-    def test_reduced_qr(self, case, field, monkeypatch):
-        a, zero = self._input(case, field)
-        m, n = a.shape
-        want = _phase_free(np.linalg.qr(a, mode="r"))
-        calls = _recording_lapack(monkeypatch)
-        q, r = reduced_qr(a)
-        assert calls == (["geqrt", "gemqrt"] if m >= 4 * n else [])
-        assert q.shape == (m, n) and r.shape == (n, n)
-        assert np.linalg.norm(q.conj().T @ q - np.eye(n)) <= 1e-13
-        assert np.linalg.norm(q @ r - a) <= 1e-13 * np.linalg.norm(a)
-        assert np.all(r[np.tril_indices(n, -1)] == 0)
+    @staticmethod
+    def _check_r(r, a, want, zero):
+        """r is k x n, upper triangular with a real nonnegative diagonal,
+        numpy's R up to phase, and zero in a zero column of a."""
+        k, n = min(a.shape), a.shape[1]
+        assert r.shape == (k, n) and np.all(r[np.tril_indices(k, -1, n)] == 0)
         d = np.diagonal(r)
         assert np.all(d.real >= 0) and np.all(np.abs(d.imag) <= 1e-15 * d.real)
         assert np.linalg.norm(r - want) <= 1e-13 * np.linalg.norm(a)
@@ -650,24 +645,29 @@ class TestTallRuleEdges:
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("case", list(CASES))
+    def test_reduced_qr(self, case, field, monkeypatch):
+        a, zero = self._input(case, field)
+        m, k = a.shape[0], min(a.shape)
+        q_np, r_np = np.linalg.qr(a)
+        calls = _recording_lapack(monkeypatch)
+        q, r = reduced_qr(a)
+        assert calls == ["geqrt", "gemqrt"]
+        assert q.shape == (m, k)
+        assert np.linalg.norm(q.conj().T @ q - np.eye(k)) <= 1e-13
+        assert np.linalg.norm(q @ r - a) <= 1e-13 * np.linalg.norm(a)
+        assert np.linalg.norm(q - q_np * _unit_phases(r_np)) <= 1e-13
+        self._check_r(r, a, _phase_free(r_np), zero)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("case", list(CASES))
     def test_r_factor(self, case, field, monkeypatch):
         a, zero = self._input(case, field)
-        m, n = a.shape
         before = a.copy()
         want = _phase_free(np.linalg.qr(a, mode="r"))
         calls = _recording_lapack(monkeypatch)
         r = core.r_factor(a)
-        if m >= 4 * n:
-            assert calls == ["geqrt"] + ["tpqrt"] * self._bands_after_the_first(a)
-        else:
-            assert calls == []
-        assert r.shape == (n, n) and np.all(r[np.tril_indices(n, -1)] == 0)
-        got = _phase_free(r)
-        d = np.diagonal(got)
-        assert np.all(d.real >= 0) and np.all(np.abs(d.imag) <= 1e-15 * d.real)
-        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(a)
-        if zero is not None:
-            assert d[zero] == 0 and np.all(r[: zero + 1, zero] == 0)
+        assert calls == ["geqrt"] + ["tpqrt"] * self._bands_after_the_first(a)
+        self._check_r(_phase_free(r), a, want, zero)
         assert np.array_equal(a, before)
 
 @settings(max_examples=60, deadline=None)

@@ -899,3 +899,35 @@ class TestFold:
         rows, square = state["l1"] * pair.n * 8, pair.n * pair.n * 8
         assert state["fold"] <= rows + 0.6 * square
         assert state["q"] <= rows + 1.4 * square
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_no_qr_reaches_numpy(field, monkeypatch):
+    # every QR takes _flapack's ?geqrt family, whatever its shape: with
+    # np.linalg.qr refused, the QRs, solves on pairs with no tall side and
+    # a synthetic pair with m < 4 rank still run
+    want = {(m, n): np.linalg.qr(gaussian_matrix(m, n, seed=120, field=field), mode="r")
+            for m, n in [(5, 40), (40, 40), (120, 40), (160, 40)]}  # wide, square, short, tall
+
+    def refused(*args, **kwargs):
+        raise AssertionError("np.linalg.qr was called")
+
+    monkeypatch.setattr(np.linalg, "qr", refused)
+    for (m, n), r_np in want.items():
+        a = gaussian_matrix(m, n, seed=120, field=field)
+        q, r = reduced_qr(a)
+        assert np.linalg.norm(q @ r - a) <= 1e-13 * np.linalg.norm(a)
+        s_want = np.linalg.svd(r_np, compute_uv=False)
+        for got in (r, rgsv.core.r_factor(a)):
+            assert np.all(np.abs(np.linalg.svd(got, compute_uv=False) - s_want) <= 1e-13 * s_want[0])
+    synth = synth_gmp(SynthSpec(81, 40, 40, seed=121, field=field))  # g1 81 x 40, g2 40 x 40
+    short = synth_gmp(SynthSpec(30, 30, 20, seed=122, field=field))  # m, p < 4 rank = 48
+    square = random_pair(60, 60, 60, seed=123, field=field)
+    for pair in (synth.pair, square):
+        direct = compute_gsv(pair, GsvOptions(method="direct"))
+        solve = run(pair, GsvOptions(extraction=ExtractionConfig(seed=124)))
+        assert min(solve.residuals) > 0.0  # both sides sketched
+        assert spectrum_gap(solve.spectrum, direct) <= 1e-10
+    for made in (synth, short):
+        direct = compute_gsv(made.pair, GsvOptions(method="direct"))
+        assert spectrum_gap(direct, made.true_spectrum) <= 1e-10
