@@ -132,7 +132,7 @@ def _lapack(names: tuple[str, ...], a: np.ndarray):
     return [getattr(flapack, name) for name in prefixed]
 
 
-def reduced_qr(m) -> QrFactors:
+def reduced_qr(m, overwrite_a: bool = False) -> QrFactors:
     """Reduced (economy) QR by Householder reflections: LAPACK ?geqrt
     (block width min(32, k), k = min(rows, cols)), with Q applied to the
     leading k columns of I by ?gemqrt, which reads V's first k columns.
@@ -141,11 +141,12 @@ def reduced_qr(m) -> QrFactors:
     The phase convention makes the diagonal of R real and nonnegative,
     which fixes the factors uniquely for full-column-rank input. Rank
     deficiency is permitted; trailing diagonal entries of R may be ~0.
+    With ``overwrite_a``, ?geqrt may overwrite a Fortran-ordered input.
     """
     a = as_matrix(m)
     geqrt, gemqrt = _lapack(("geqrt", "gemqrt"), a)
     k = min(a.shape)
-    v, t, _ = geqrt(min(_NB, k), a)
+    v, t, _ = geqrt(min(_NB, k), a, overwrite_a=overwrite_a)
     r = np.triu(v[:k])
     eye = np.eye(a.shape[0], k, dtype=a.dtype, order="F")
     q = gemqrt(v[:, :k], t, eye, overwrite_c=True)[0]

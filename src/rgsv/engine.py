@@ -131,17 +131,19 @@ def _require_full_rank(s: np.ndarray, what: str) -> None:
 def _rank_test(r: np.ndarray, what: str) -> None:
     """``_require_full_rank`` of the stack's n x n R, whose SVD is taken only
     if a Cholesky of R^H R - delta I fails, delta = 10 n eps tr(R^H R) =
-    20 n u ||R||_F^2 (u = eps/2), shifted in place. To first order (Higham
-    2002, 3.5, 3.6, 10.1), forming R^H R errs by (n + 2) u ||R||_F^2, the
-    shift by u ||R||_F^2, and a completed Cholesky is exact for a matrix
-    within (n + 2) u ||R||_F^2 (2-norms), so success proves sigma_min(R)^2 >=
-    (18 n - 5) u ||R||_F^2: sigma_min/sigma_max >= sqrt(13 n u) >> 1e-12."""
+    20 n u ||R||_F^2 (u = eps/2), shifted and factored in place (?potrf of
+    its transpose), or yields a non-finite diagonal: ?potrf passes NaN
+    pivots. To first order (Higham 2002, 3.5, 3.6, 10.1), forming R^H R
+    errs by (n + 2) u ||R||_F^2, the shift by u ||R||_F^2, and a completed
+    Cholesky is exact for a matrix within (n + 2) u ||R||_F^2 (2-norms), so
+    success proves sigma_min(R)^2 >= (18 n - 5) u ||R||_F^2:
+    sigma_min/sigma_max >= sqrt(13 n u) >> 1e-12."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the Cholesky
         n, gram = r.shape[0], r.conj().T @ r
         gram.flat[:: n + 1] -= 10 * n * np.finfo(np.float64).eps * float(np.trace(gram).real)
-    try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
+    potrf, = core._lapack(("potrf",), gram)
+    c, info = potrf(gram.T, lower=True, clean=False, overwrite_a=True)
+    if info or not np.all(np.isfinite(np.diagonal(c))):
         _require_full_rank(core.svd(r, compute_uv=False).s, what)
 
 
@@ -413,15 +415,15 @@ def run(pair: GmpPair, opts: GsvOptions | None = None) -> GsvRun:
     ``bounds.perturbation_bound(pair, run)`` bounds the deviation of
     ``run.spectrum`` from the pair's own GSVs.
 
-    Memory. No sketched basis Q, discarded sketch, compressed block or stack
-    is held past its last reader, so a solve peaks at the pair, the rows
-    compressed so far and one step's working copy: for an exact side, its R
-    and one band of rows (``core.r_factor``'s banded TSQR); for a sketch,
-    its basis and rows, whose every explicit residual (``core.sum_sq``) adds
-    one band of rows, with Q's rows there and the kept rows joined, and
-    keeps no copy of G. The fold overwrites R and holds a copy of the rows
-    it takes, then Q's blocks; a stacked QR holds the stack, LAPACK's copy
-    of it and Q at once.
+    Memory. A solve reads a sketch's rows, never its joined Q; sketch panels,
+    the stack and the rank test's Gram are factored in place, and nothing
+    is held past its last reader. So it peaks at the pair, the rows kept so
+    far and one step: a sketch's blocks and rows beside two panels (one and
+    its Q, or its projection) or, at an explicit residual, beside the rows
+    joined, a 1 MiB band of rows (``core.sum_sq``) and Q's rows in it; an
+    exact side's R and one band (``core.r_factor``); the fold's R, its copy
+    of the rows it takes, then Q's blocks; a stacked QR's stack and Q; the
+    rank test's R and Gram (a complex R's conjugate too).
 
     Raises RankDeficiencyError when the stacked pair, or on the
     randomized path the compressed pair (fewer than n rows, or
@@ -456,11 +458,12 @@ def run(pair: GmpPair, opts: GsvOptions | None = None) -> GsvRun:
         del blocks  # ?tpqrt copied the rows it takes
         _rank_test(r, what)
         q1, q2 = q_blocks() if i == 0 else q_blocks()[::-1]
+        del q_blocks  # and with it the reflectors
     else:
-        stack = np.vstack([c1, c2])
+        stack = np.concatenate([c1, c2], out=np.empty((l1 + l2, n), c1.dtype, order="F"))
         c1 = c2 = None  # the blocks are not alive beside the stack's QR
-        qf = core.reduced_qr(stack)
-        del stack  # nor is the stack beside the rank test
+        qf = core.reduced_qr(stack, overwrite_a=True)
+        del stack  # nor are its reflectors beside the rank test
         _rank_test(qf.r, what)
         r, q1, q2 = qf.r, qf.q[:l1], qf.q[l1:]
     spec = spectrum_from_l_blocks(q1, q2, n, opts.classify_tol)

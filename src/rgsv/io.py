@@ -6,8 +6,9 @@ float64, or complex128 when a cell is complex (``2+3j``, ``(2+3j)``,
 ``-4j``); ``inf`` and ``nan`` parse, Python's ``1+2J`` and ``1_000`` do
 not, and ``#`` starts no comment. A dense real or complex general Matrix
 Market file is read by scipy's compiled fast_matrix_market module alone
-(``_read_fmm``); the scipy.io package writes Matrix Market files and reads
-the others, and every one on scipy < 1.12, which lacks that module.
+(``_read_fmm``), which reads ``1-2``, ``1.2.3`` and ``1e`` as their leading
+number; the scipy.io package writes Matrix Market files and reads the
+others, and every one on scipy < 1.12, which lacks that module.
 Reports serialize to CSV (per-index rows followed by a scalar block) or
 JSON, with floats at full round-trip precision; ``_layout`` describes each
 report type once and both writers read that one description.
@@ -45,8 +46,9 @@ def read_matrix(path) -> np.ndarray:
     The format is sniffed from the first line; coordinate Matrix Market
     entries are densified and CSV cells read as the module docstring says.
     A dense real or complex general Matrix Market file, of any size, is
-    read by ``_read_fmm``, so a dense pair loads no scipy package; any
-    other Matrix Market file, and every one on scipy < 1.12, by scipy.io.
+    read by ``_read_fmm``, so a dense pair loads no scipy package, and a
+    value made of decimal bytes reads as its leading number (``1-2`` as 1);
+    any other Matrix Market file, and every one on scipy < 1.12, by scipy.io.
     """
     path = Path(path)
     try:

@@ -16,7 +16,8 @@ columns wide and each later one is sized from the decay seen so far (see
 ``extract_basis``). Each kept block P also yields its compressed rows
 P^H G, which give the captured energy and are returned as
 ``BasisResult.b = Q^H G`` (the QB form of the blocked rangefinder), so
-callers need not form Q^H G again. Each residual entry is estimated as
+callers need not form Q^H G again, nor Q, whose blocks ``BasisResult.q``
+joins only when read. Each residual entry is estimated as
 sqrt(anchor^2 - captured), the anchor being the last explicit residual
 (first ||G||_F) and captured the energy of the blocks kept since, at
 O(m*n*b) an iteration. The difference cancels below about sqrt(eps)
@@ -32,6 +33,7 @@ rows of QB at a time, so extraction holds no array as large as G.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -92,8 +94,8 @@ class ExtractionConfig:
 class BasisResult:
     """Output of ``extract_basis``.
 
-    q is the m x k orthonormal basis and b = q^H g its k x n compressed
-    rows, formed block by block while the residual was tracked.
+    q, the m x k orthonormal basis, is joined from its blocks on first
+    read; b = q^H g, its k x n compressed rows, was formed block by block.
     residual_history[i] is the Frobenius residual after i iterations
     (entry 0 is the residual of the empty basis, ||G||_F): explicit where
     a stop or a schedule decision read it, else estimated from the last
@@ -102,11 +104,16 @@ class BasisResult:
     columns each iteration contributed after trimming.
     """
 
-    q: np.ndarray
+    _blocks: list[np.ndarray] | None  # q's, at least one; None once q is read
     b: np.ndarray
     residual_history: list[float]
     converged: bool
     block_widths: list[int]
+
+    @functools.cached_property
+    def q(self) -> np.ndarray:
+        q, self._blocks = np.hstack(self._blocks), None
+        return q
 
     @property
     def iterations(self) -> int:
@@ -159,7 +166,7 @@ def extract_basis(g, cfg: ExtractionConfig | None = None, *, probe: bool = False
     history = [normf]
     widths: list[int] = []
     if normf == 0.0 or normf < tol:
-        return BasisResult(*_join(blocks, rows, a), history, True, widths)
+        return BasisResult(*_basis(blocks, rows, a), history, True, widths)
 
     rng = core.seeded_rng(cfg.seed)
     # the squared anchor, the estimate it is trusted down to, the energy kept since
@@ -169,13 +176,15 @@ def extract_basis(g, cfg: ExtractionConfig | None = None, *, probe: bool = False
 
     while sampled < rank and kept < limit:
         width = min(width, rank - sampled, limit - kept)
-        y = a @ core.gaussian_block(rng, n, width, field)
+        y = np.matmul(a, core.gaussian_block(rng, n, width, field),
+                      out=np.empty((m, width), a.dtype, order="F"))  # for its QR to overwrite
         sampled += width
         for qb in blocks:
             y -= qb @ (qb.conj().T @ y)
-        p, t = core.reduced_qr(y)
-        del y  # not needed again; keeps one panel out of the peak when Q is joined
-        p = p[:, np.abs(np.diagonal(t)) >= trim_cut]
+        p, t = core.reduced_qr(y, overwrite_a=True)
+        del y  # now its reflectors
+        keep = np.abs(np.diagonal(t)) >= trim_cut
+        p = p if keep.all() else p[:, keep]
         if blocks and p.shape[1]:  # see the module docstring
             moved = 0.0  # ||C||_F^2
             for qb in blocks:
@@ -183,7 +192,7 @@ def extract_basis(g, cfg: ExtractionConfig | None = None, *, probe: bool = False
                 p -= qb @ c
                 moved += core.sum_sq(c)
             if moved > p.shape[1] * np.finfo(np.float64).eps:
-                p = core.reduced_qr(p).q
+                p = core.reduced_qr(p, overwrite_a=True).q
         if p.shape[1]:
             bp = p.conj().T @ a
             captured.append(core.sum_sq(bp))
@@ -204,8 +213,7 @@ def extract_basis(g, cfg: ExtractionConfig | None = None, *, probe: bool = False
                 break  # its caller discards it, so the entry stays an estimate
             width = min(cfg.blocksize, need + _OVERSAMPLE)
 
-    q, c = _join(blocks, rows, a)
-    return BasisResult(q, c, history, history[-1] < tol, widths)
+    return BasisResult(*_basis(blocks, rows, a), history, history[-1] < tol, widths)
 
 
 def _predicted_need(excess: float, block_rows: np.ndarray, n: int) -> int:
@@ -241,16 +249,11 @@ def _residual(a: np.ndarray, blocks: list[np.ndarray], rows: list[np.ndarray]) -
     return math.sqrt(core.sum_sq(a, minus, b.dtype))
 
 
-def _join(blocks: list[np.ndarray], rows: list[np.ndarray], a: np.ndarray):
-    """(Q, Q^H G) from the kept blocks and their rows, each joined once and
-    released. The rows are joined first, so they are not alive beside both
-    copies of Q."""
+def _basis(blocks: list[np.ndarray], rows: list[np.ndarray], a: np.ndarray):
+    """BasisResult's blocks of Q (one of width 0 for none) and B, joined."""
     m, n = a.shape
-    c = np.vstack(rows) if rows else np.zeros((0, n), dtype=a.dtype)
-    rows.clear()
-    q = np.hstack(blocks) if blocks else np.zeros((m, 0), dtype=a.dtype)
-    blocks.clear()
-    return q, c
+    b = np.vstack(rows) if rows else np.zeros((0, n), dtype=a.dtype)
+    return blocks or [np.zeros((m, 0), dtype=a.dtype)], b
 
 
 def residual_norm(g, q) -> float:

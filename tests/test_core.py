@@ -521,6 +521,19 @@ class TestReducedQrPanels:
         self._factor_as_the_reference(gaussian_matrix(*shape, seed=37, field=field), monkeypatch)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_overwrite_a_factors_a_fortran_panel_in_place(self, order, field):
+        # a Fortran-ordered panel becomes ?geqrt's V, so its QR holds no
+        # copy of it; a C-ordered one is copied and left unchanged. The
+        # factors are bitwise those of the copying call
+        a = np.asarray(gaussian_matrix(1000, 40, seed=41, field=field), order=order)
+        before = a.copy()
+        q_ref, r_ref = reduced_qr(a)
+        q, r = reduced_qr(a, overwrite_a=True)
+        assert np.array_equal(q, q_ref) and np.array_equal(r, r_ref)
+        assert np.array_equal(a, before) == (order == "C")
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
     def test_well_conditioned_panel_matches_householder(self, field, monkeypatch):
         self._factor_as_the_reference(gaussian_matrix(4000, 100, seed=31, field=field), monkeypatch)
 

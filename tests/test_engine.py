@@ -398,6 +398,63 @@ class TestRankTest:
         assert spectrum_gap(got, compute_gsv(pair, GsvOptions(method="direct"))) <= 1e-12
 
 
+    @staticmethod
+    def _record_potrf(monkeypatch):
+        """(in place, info) of every ?potrf call core._lapack hands out."""
+        calls, lapack = [], rgsv.core._lapack
+
+        def recording(names, a):
+            fns = lapack(names, a)
+            if names != ("potrf",):
+                return fns
+
+            def potrf(g, **kwargs):
+                c, info = fns[0](g, **kwargs)
+                calls.append((np.shares_memory(c, g), info))
+                return c, info
+
+            return [potrf]
+
+        monkeypatch.setattr(rgsv.core, "_lapack", recording)
+        return calls
+
+    @staticmethod
+    def _r(case, field):
+        """An n x n R: healthy, or with a zero last row (deficient), scaled
+        by 1e200 so that R^H R overflows (overflow), or 1e200 [[1, 1, 1],
+        [1, -1, 1], [0, 0, c]], whose Gram is NaN off its diagonal, with
+        c = 1 or 0 (deficient)."""
+        if case.startswith("nan"):
+            r = 1e200 * np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [0.0, 0.0, 1.0]])
+            r = r.astype(np.complex128) * np.exp(0.3j) if field == "complex" else r
+        else:
+            r = reduced_qr(gaussian_matrix(12, 6, seed=75, field=field)).r
+            r = 1e200 * r if case.startswith("overflow") else r
+        if case.endswith("deficient"):
+            r[-1] = 0.0
+        return r
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("case", ["healthy", "deficient", "overflow", "overflow_deficient",
+                                      "nan", "nan_deficient"])
+    def test_potrf_in_place_rejects_what_it_cannot_prove(self, case, field, monkeypatch):
+        # OpenBLAS's ?potrf takes a NaN pivot for a positive one, so an
+        # overflowed Gram (its shifted diagonal is inf - inf) completes with
+        # a NaN diagonal; the test rejects that factor, and R's SVD decides
+        r = self._r(case, field)
+        potrf = self._record_potrf(monkeypatch)
+        svds = self._record_svd(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if case.endswith("deficient"):
+                with pytest.raises(RankDeficiencyError):
+                    rgsv.engine._rank_test(r, "R")
+            else:
+                rgsv.engine._rank_test(r, "R")
+        assert len(potrf) == 1 and potrf[0][0]  # one call, in place
+        assert [a is r for a in svds] == ([] if case == "healthy" else [True])
+
+
 def _l_blocks(betas, l1, l2, seed, field):
     """Blocks L1 (l1 x n) and L2 (l2 x n) of a stack with orthonormal
     columns whose GSV betas are ``betas`` (ascending, alphas sqrt(1 - b^2)):
@@ -899,6 +956,32 @@ class TestFold:
         rows, square = state["l1"] * pair.n * 8, pair.n * pair.n * 8
         assert state["fold"] <= rows + 0.6 * square
         assert state["q"] <= rows + 1.4 * square
+
+
+def test_a_tall_solve_peaks_at_its_explicit_residual():
+    # criterion 10's pair at n = 200: g1 (rank 40 over a 1e-10 tail) is
+    # sketched to k columns and g2 goes exact. run's Memory paragraph puts
+    # the peak at g1's explicit residual: its k blocks of Q (m x k) and rows
+    # (k x n), the rows joined, one band of rows of G - QB and Q's rows in
+    # it, plus 128 KiB of small arrays (T, the per-band sums). A join of Q,
+    # a copy of a panel for its QR or one of the Gram for the Cholesky
+    # would each add more than the slack. (At 2000 rows the band outweighs
+    # any of them.) A first solve loads _flapack untraced.
+    m, n = 4000, 200
+    alphas = np.concatenate([np.linspace(0.99, 0.5, 40), 1e-10 * np.geomspace(1, 1e-3, n - 40)])
+    pair, _ = structured_pair(alphas, m=m, p=m, seed=130)
+    opts = GsvOptions(extraction=ExtractionConfig(tol=1e-6 * frobenius_norm(pair.g1), seed=131))
+    solve = run(pair, opts)
+    assert solve.residuals[0] > 0.0 and solve.residuals[1] == 0.0  # g1 sketched, g2 exact
+    k = extract_basis(pair.g1, _side_config(opts.extraction, pair.g1, 0)).b.shape[0]
+    band = rgsv.core._band_rows(pair.g1)
+    tracemalloc.start()
+    try:
+        run(pair, opts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (m * k + 2 * k * n + band * n + band * k) + 128 * 1024
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])

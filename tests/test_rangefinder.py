@@ -221,6 +221,36 @@ def test_first_block_sketches_with_gaussian_matrix(field):
     assert np.array_equal(res.q[:, :b], expected)
 
 
+@pytest.mark.parametrize("case", ["real", "complex", "trimmed", "trimmed_whole"])
+def test_q_is_the_eager_join_of_the_kept_blocks(case, monkeypatch):
+    # q is joined on first read, from the blocks the last explicit residual
+    # read: bitwise their hstack, as an eager join at the end of extraction
+    # formed it, and (m, 0) of g's dtype when every column was trimmed
+    if case in ("real", "complex"):
+        g = gaussian_matrix(200, 60, seed=140, field=case)
+        cfg = ExtractionConfig(tol=1e-300, blocksize=20, seed=141)
+    else:  # rank 5: the first block keeps 5 of its 32 columns, or none
+        g = gaussian_matrix(200, 5, seed=142) @ gaussian_matrix(5, 60, seed=143)
+        cfg = ExtractionConfig(seed=144, trim_tol=1e3 if case == "trimmed_whole" else 1e-12)
+    seen, residual = [], rangefinder._residual
+
+    def recording(a, blocks, rows):
+        seen.append([qb.copy() for qb in blocks])
+        return residual(a, blocks, rows)
+
+    monkeypatch.setattr(rangefinder, "_residual", recording)
+    res = extract_basis(g, cfg)
+    want = np.hstack(seen[-1]) if seen[-1] else np.zeros((200, 0), g.dtype)
+    if case == "trimmed":
+        assert res.block_widths[0] == 5 and res.converged
+    if case == "trimmed_whole":
+        assert res.b.shape == (0, 60) and not res.converged
+    q = res.q
+    assert q.dtype == want.dtype and q.shape == want.shape == (200, res.b.shape[0])
+    assert np.array_equal(q, want)
+    assert res.q is q  # joined once
+
+
 def test_complex_field_extraction():
     g = gaussian_matrix(50, 25, seed=24, field="complex")
     res = extract_basis(g, ExtractionConfig(tol=1e-300, blocksize=10, seed=25))
@@ -475,9 +505,9 @@ def test_panel_is_factored_again_only_when_the_second_projection_moved_it(monkey
         g, cfg = gaussian_matrix(300, 120, seed=2), ExtractionConfig(tol=1e-300, blocksize=25)
     widths = []
 
-    def recording(m):
+    def recording(m, **kwargs):
         widths.append(m.shape[1])
-        return reduced_qr(m)
+        return reduced_qr(m, **kwargs)
 
     monkeypatch.setattr(core, "reduced_qr", recording)
     res = extract_basis(g, cfg)
